@@ -47,7 +47,7 @@ SUITES = (
     "ratio-laws",
 )
 
-FAMILY_CHOICES = ("sandwich", "spiked", "triangle-mix", "simplex", "random")
+FAMILY_CHOICES = ("sandwich", "spiked", "triangle-mix", "simplex")
 
 
 class InputError(ValueError):
@@ -154,8 +154,6 @@ def _cmd_compute(args) -> int:
 
 
 def _family_instance(args):
-    if args.family in (None, "random"):
-        raise InputError("this invocation needs --family with parameters")
     if args.family == "sandwich":
         pair = constructions.simplex_sandwich_pair(
             args.dim or 2, args.lam or "1", args.mu or "0", args.variant

@@ -39,8 +39,6 @@ from .bodies import (
 )
 from .ratcore import ONE, ZERO, Rational, rank, rat, rat_str, vsub
 
-FAMILIES = ("sandwich-min", "sandwich-max", "spiked-difference", "triangle-mix", "random")
-
 
 class NoSpikePointError(ValueError):
     """Every vertex of (n+1)(S ∩ -S) already lies in S - S (happens for n < 3)."""

@@ -1,22 +1,36 @@
-"""Kernel selection: compiled pivot loops when available, pure Python otherwise.
+"""Tableau pivot loop: the step that dominates every LP solve.
 
-The compiled extension is an optional build artifact; importing this module
-never fails because of it.  Set ``GAUGERADII_PURE=1`` to force the pure-Python
-kernels (useful for debugging and for the backend benchmark).  ``lp.py`` looks
-the functions up through this module at call time, so a benchmark may also
-rebind them temporarily.
+``lp.py`` looks ``pivot`` up through this module at call time, so a
+benchmark may rebind it temporarily to count pivots.
 """
 
-import os
+# Kept for the configuration stamp that benchmark runs record and compare.
+BACKEND = "python"
 
-if os.environ.get("GAUGERADII_PURE"):
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
 
-BACKEND = _impl.BACKEND
-pivot = _impl.pivot
-dot = _impl.dot
+def pivot(rows, pr, pc):
+    """Gauss-Jordan pivot in place: normalize row ``pr`` by its ``pc`` entry,
+    then eliminate column ``pc`` from every other row.
+
+    ``rows`` is a list of equal-length lists of exact rationals.  Zero entries
+    are skipped explicitly; the containment tableaus this library builds are
+    block-sparse and the zero test is far cheaper than a rational multiply.
+    """
+    prow = rows[pr]
+    piv = prow[pc]
+    ncols = len(prow)
+    if piv != 1:
+        inv = 1 / piv
+        for j in range(ncols):
+            if prow[j]:
+                prow[j] = prow[j] * inv
+    for i in range(len(rows)):
+        if i == pr:
+            continue
+        row = rows[i]
+        f = row[pc]
+        if f:
+            for j in range(ncols):
+                pj = prow[j]
+                if pj:
+                    row[j] = row[j] - f * pj

@@ -20,9 +20,9 @@ Free variables are split into differences of nonnegative pairs; duals are
 per-constraint and unaffected.  Degenerate optima return *a* basic optimal
 solution, never a canonical one — callers must not assume uniqueness.
 
-Speed matters only in the pivot loop, which lives in `kernel` (compiled when
-available).  At the problem sizes this library targets (a few hundred columns)
-dense tableaus are entirely adequate.
+Speed matters only in the pivot loop, which lives in `kernel`.  At the problem
+sizes this library targets (a few hundred columns) dense tableaus are entirely
+adequate.
 """
 
 from __future__ import annotations

@@ -109,6 +109,17 @@ def test_verify_needs_instances(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "chains", "--family", "random"],
+    ["construct", "--family", "random", "--out", "x"],
+])
+def test_family_random_is_not_a_choice(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     pair_path = tmp_path / "pair.json"
     code, _, _ = run(capsys, ["construct", "--family", "spiked", "--dim", "3",
