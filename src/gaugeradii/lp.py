@@ -20,17 +20,23 @@ Free variables are split into differences of nonnegative pairs; duals are
 per-constraint and unaffected.  Degenerate optima return *a* basic optimal
 solution, never a canonical one — callers must not assume uniqueness.
 
-Speed matters only in the pivot loop, which lives in `kernel`.  At the problem
-sizes this library targets (a few hundred columns) dense tableaus are entirely
-adequate.
+The tableau is integer: each row holds Python ints over its own positive
+denominator (a `kernel.Tableau`), every represented value equals the one a
+rational tableau would hold, and signs and ratio comparisons are read off the
+ints.  Bland's rule therefore takes the same pivot path as over rationals;
+``Rational`` values are formed only for the primal, dual, value and Farkas
+outputs.  Speed matters mostly in the pivot loop, which lives in `kernel`.
+At the problem sizes this library targets (a few hundred columns) dense
+tableaus are entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import kernel
-from .ratcore import ONE, ZERO, Rational, Vec, rat, vdot
+from .ratcore import ZERO, Rational, Vec, rat, vdot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -127,20 +133,25 @@ def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; see the module docstring for the contract."""
     # Split free variables x = x+ - x-.
     col_of: list[tuple[int, int | None]] = []
-    split_cols: list[tuple[int, Rational]] = []  # (original var, sign)
+    n = 0
     for j in range(lp.num_vars):
-        pos = len(split_cols)
-        split_cols.append((j, ONE))
         if lp.free[j]:
-            split_cols.append((j, -ONE))
-            col_of.append((pos, pos + 1))
+            col_of.append((n, n + 1))
+            n += 2
         else:
-            col_of.append((pos, None))
-    n = len(split_cols)
-    c = [lp.objective[j] * s for j, s in split_cols]
-    rows = [[row[j] * s for j, s in split_cols] for row in lp.lhs]
+            col_of.append((n, None))
+            n += 1
+    # Scale the objective and each constraint row by the lcm of its own
+    # denominators: row i of the tableau then holds ints over ``dens[i]``.
+    c, _, cden = _split_ints(lp.objective, lp.free)
+    rows, b, dens = [], [], []
+    for row, rhs in zip(lp.lhs, lp.rhs):
+        ints, b_int, den = _split_ints(row, lp.free, rhs)
+        rows.append(ints)
+        b.append(b_int)
+        dens.append(den)
 
-    status, x_split, dual, farkas = _two_phase(c, rows, list(lp.rhs))
+    status, x_split, dual, farkas = _two_phase(c, cden, rows, b, dens)
     if status == INFEASIBLE:
         return LPOutcome(INFEASIBLE, farkas=farkas)
     if status == UNBOUNDED:
@@ -155,40 +166,61 @@ def solve(lp: LinearProgram) -> LPOutcome:
     return LPOutcome(OPTIMAL, primal=tuple(primal), dual=tuple(dual), value=value)
 
 
-def _two_phase(c: list, rows: list[list], b: list):
-    """Core simplex on ``min c.x, A x = b, x >= 0`` (dense lists, mutated)."""
+def _split_ints(values, free, rhs=ZERO):
+    """``(ints, b, den)``: the split ``values`` (a free variable's entry
+    followed by its negation) and ``rhs``, as ints over the lcm ``den`` of
+    all their denominators."""
+    den = lcm(rhs.denominator, *(q.denominator for q in values))
+    ints = []
+    for q, is_free in zip(values, free):
+        a = q.numerator * (den // q.denominator) if q else 0
+        ints.append(a)
+        if is_free:
+            ints.append(-a)
+    return ints, rhs.numerator * (den // rhs.denominator), den
+
+
+def _two_phase(c: list, cden: int, rows: list[list], b: list, dens: list):
+    """Core simplex on ``min c.x, A x = b, x >= 0``.
+
+    Integer data: ``c[j] / cden``, row i of ``A`` is ``rows[i] / dens[i]`` and
+    ``b[i] / dens[i]`` (lists, mutated).  Outputs are Rationals.
+    """
     m = len(rows)
     n = len(c)
     # Orient every row to b_i >= 0; remember signs to map duals back.
-    sigma = [ONE] * m
+    sigma = [1] * m
     for i in range(m):
         if b[i] < 0:
-            sigma[i] = -ONE
+            sigma[i] = -1
             rows[i] = [-a for a in rows[i]]
             b[i] = -b[i]
 
     # Tableau layout: [ original columns | artificial columns | rhs ].
     # The artificial block starts as the identity, so after any sequence of
     # pivots it holds the current basis inverse — duals are read from there.
-    tab = [rows[i] + [ONE if k == i else ZERO for k in range(m)] + [b[i]] for i in range(m)]
+    tab = [rows[i] + [dens[i] if k == i else 0 for k in range(m)] + [b[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
 
     # Phase 1: minimize the sum of artificials.  Reduced-cost row for that
-    # objective, given the all-artificial starting basis:
-    zrow = [ZERO] * (n + m + 1)
+    # objective, given the all-artificial starting basis, over the lcm of the
+    # row denominators:
+    zden = lcm(*dens)
+    zrow = [0] * (n + m + 1)
     for i in range(m):
         trow = tab[i]
+        scale = zden // dens[i]
         for j in range(n):
             if trow[j]:
-                zrow[j] -= trow[j]
-        zrow[n + m] -= trow[n + m]
-    tab.append(zrow)
+                zrow[j] -= trow[j] * scale
+        zrow[n + m] -= trow[n + m] * scale
+    tab = kernel.Tableau(tab + [zrow], dens + [zden])
 
-    stat = _optimize(tab, basis, m, n + m)
-    phase1_value = -tab[m][n + m]
-    if phase1_value > 0:
+    _optimize(tab, basis, m, n + m)
+    zrow, zden = tab[m], tab.dens[m]
+    if zrow[n + m] < 0:  # phase-1 optimum -zrow[n+m]/zden is positive
         # Farkas ray from the phase-1 dual y_i = 1 - reduced_cost(artificial i).
-        ray = tuple(sigma[i] * (ONE - tab[m][n + i]) for i in range(m))
+        ray = tuple(Rational(sigma[i] * (zden - zrow[n + i]), zden) for i in range(m))
         return INFEASIBLE, None, None, ray
     # Feasible: drive basic artificials (at level zero) out of the basis where
     # possible; rows that stay artificial are identically zero on the original
@@ -200,17 +232,19 @@ def _two_phase(c: list, rows: list[list], b: list):
                 kernel.pivot(tab, i, pc)
                 basis[i] = pc
 
-    # Phase 2: rebuild the reduced-cost row for the real objective.
-    zrow = list(c) + [ZERO] * (m + 1)
-    for i in range(m):
-        bj = basis[i]
-        cb = zrow[bj]
-        if cb:
-            trow = tab[i]
-            for j in range(n + m + 1):
-                if trow[j]:
-                    zrow[j] -= cb * trow[j]
+    # Phase 2: rebuild the reduced-cost row for the real objective.  Basic
+    # columns are unit columns, so each basic cost is read straight from c.
+    costed = [i for i in range(m) if basis[i] < n and c[basis[i]]]
+    zden = cden * lcm(*(tab.dens[i] for i in costed))
+    zrow = [cj * (zden // cden) for cj in c] + [0] * (m + 1)
+    for i in costed:
+        scale = c[basis[i]] * (zden // (cden * tab.dens[i]))
+        trow = tab[i]
+        for j in range(n + m + 1):
+            if trow[j]:
+                zrow[j] -= scale * trow[j]
     tab[m] = zrow
+    tab.dens[m] = zden
 
     stat = _optimize(tab, basis, m, n)
     if stat == UNBOUNDED:
@@ -218,34 +252,40 @@ def _two_phase(c: list, rows: list[list], b: list):
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][n + m]
-    dual = tuple(sigma[i] * (-tab[m][n + i]) for i in range(m))
+            x[basis[i]] = Rational(tab[i][n + m], tab.dens[i])
+    zrow, zden = tab[m], tab.dens[m]
+    dual = tuple(Rational(-sigma[i] * zrow[n + i], zden) for i in range(m))
     return OPTIMAL, x, dual, None
 
 
-def _optimize(tab: list[list], basis: list[int], m: int, allowed: int):
+def _optimize(tab: kernel.Tableau, basis: list[int], m: int, allowed: int):
     """Bland-rule simplex iterations on the prepared tableau.
 
     ``allowed`` bounds the entering-column search (artificials are barred in
     phase 2).  Bland's rule — lowest eligible entering index, ties in the
     ratio test broken by lowest basic-variable index — guarantees
-    termination on every input, degenerate or not.
+    termination on every input, degenerate or not.  Denominators are
+    positive, so signs are read off the ints, and the ratio test compares
+    ``rhs_i / a_i`` by cross-multiplying (the row denominators cancel).
     """
-    zrow = tab[m]
-    rhs_col = len(zrow) - 1
+    rhs_col = len(tab[m]) - 1
     while True:
+        zrow = tab[m]  # the pivot replaces rows, so re-read it each step
         enter = next((j for j in range(allowed) if zrow[j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
-        best = None
         for i in range(m):
-            a = tab[i][enter]
+            row = tab[i]
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][rhs_col] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                r = row[rhs_col]
+                if leave is None:
+                    leave, best_r, best_a = i, r, a
+                    continue
+                lhs, rhs = r * best_a, best_r * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_r, best_a = i, r, a
         if leave is None:
             return UNBOUNDED
         kernel.pivot(tab, leave, enter)

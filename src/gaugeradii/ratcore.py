@@ -4,9 +4,9 @@ Everything in this library is computed over arbitrary-precision rationals;
 floating point never enters, because downstream predicates decide *equality*
 cases of geometric inequalities and a single rounded bit would flip them.
 
-The scalar type is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed, much
-faster on the large numerators exact pivoting produces) and
-``fractions.Fraction`` otherwise.  Both are always reduced, keep positive
+The scalar type is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed) and
+``fractions.Fraction`` otherwise; the simplex pivots on ints and uses it only
+for its inputs and outputs.  Both are always reduced, keep positive
 denominators and hash/compare by numeric value, so the rest of the code never
 needs to know which one is active.  Set ``GAUGERADII_RATIONAL=fraction`` to
 force the stdlib fallback.

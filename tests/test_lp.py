@@ -3,8 +3,11 @@ verification sweep (every optimal outcome rechecked, every infeasibility
 certified by a Farkas ray)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaugeradii import lp
+import fraction_simplex
+from gaugeradii import kernel, lp
 from gaugeradii.constructions import SplitMix64
 from gaugeradii.ratcore import Rational, rat
 
@@ -128,3 +131,89 @@ def test_randomized_sweep_all_outcomes_certified():
             assert lp.verify_farkas(program, out.farkas)
     # the sweep must actually exercise every status
     assert all(count > 0 for count in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# differential check against the former rational engine
+
+
+def solve_both(program):
+    """Solve with ``lp.solve`` and with the rational oracle, recording the
+    ``(pr, pc)`` pivot sequence of each."""
+    pivots = ([], [])
+    engines = ((kernel, lp.solve), (fraction_simplex, fraction_simplex.solve))
+    outcomes = []
+    for (module, solve), seen in zip(engines, pivots):
+        original = module.pivot
+
+        def recording(rows, pr, pc, original=original, seen=seen):
+            seen.append((pr, pc))
+            original(rows, pr, pc)
+
+        module.pivot = recording
+        try:
+            outcomes.append(solve(program))
+        finally:
+            module.pivot = original
+    return outcomes, pivots
+
+
+def assert_same_as_oracle(program):
+    (out, expected), (path, expected_path) = solve_both(program)
+    assert out == expected, (lp.format_program(program), out, expected)
+    assert path == expected_path, lp.format_program(program)
+    return out.status
+
+
+def variant(rng: SplitMix64, kind: str) -> lp.LinearProgram:
+    """A random program reshaped into one of the awkward cases."""
+    p = random_program(rng)
+    lhs, rhs = [list(row) for row in p.lhs], list(p.rhs)
+    if kind == "sparse":
+        lhs = [[a if rng.below(4) == 0 else 0 * a for a in row] for row in lhs]
+    elif kind == "degenerate":
+        rhs = [b if rng.below(3) == 0 else 0 * b for b in rhs]
+    elif kind == "redundant":
+        k = rng.below(len(lhs))
+        scale = Rational(rng.below(7) - 3 or 2, 1 + rng.below(3))
+        lhs.append([scale * a for a in lhs[k]])
+        rhs.append(scale * rhs[k])
+    elif kind == "zero-row":
+        k = rng.below(len(lhs) + 1)
+        lhs.insert(k, [Rational(0)] * p.num_vars)
+        rhs.insert(k, Rational(rng.below(3) - 1))
+    elif kind == "negative-rhs":
+        rhs = [-abs(b) for b in rhs]
+    elif kind == "free":
+        return lp.LinearProgram(p.objective, p.lhs, p.rhs, (True,) * p.num_vars)
+    return lp.LinearProgram(p.objective, tuple(map(tuple, lhs)), tuple(rhs), p.free)
+
+
+def test_solve_matches_fraction_oracle():
+    rng = SplitMix64(4242)
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    for _ in range(150):
+        seen[assert_same_as_oracle(random_program(rng))] += 1
+    for kind in ("sparse", "degenerate", "redundant", "zero-row", "negative-rhs", "free"):
+        for _ in range(60):
+            seen[assert_same_as_oracle(variant(rng, kind))] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 5))
+    q = st.fractions(min_value=-9, max_value=9, max_denominator=8).map(rat)
+    return lp.LinearProgram(
+        objective=tuple(draw(st.lists(q, min_size=n, max_size=n))),
+        lhs=tuple(tuple(draw(st.lists(q, min_size=n, max_size=n))) for _ in range(m)),
+        rhs=tuple(draw(st.lists(q, min_size=m, max_size=m))),
+        free=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(programs())
+def test_solve_matches_fraction_oracle_hypothesis(program):
+    assert_same_as_oracle(program)
