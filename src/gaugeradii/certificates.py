@@ -7,12 +7,13 @@ most n+1 contact points of K on the boundary of the scaled gauge, an outer
 normal of the gauge at each, and positive convex weights under which the
 normals sum to zero.
 
-Extraction reads these from the circumradius LP dual — the equality block of
-each body vertex carries its candidate normal, and the free translation
-variable forces the weighted normals to cancel.  Dual interpretation is the
-least robust step of the whole pipeline, so the validator shares *nothing*
-with it: it rechecks every condition from the vertex data alone and is the
-ground truth whenever the two disagree.
+Extraction takes the contacts that ``radii.circumradius`` reads off its one
+LP dual — the equality block of each body vertex carries its candidate
+normal, and the free translation variable forces the weighted normals to
+cancel — and prunes them with one small weight LP.  There is no second solve
+and no repair step: a certificate that fails validation is an error.  The
+validator shares *nothing* with extraction: it rechecks every condition from
+the vertex data alone and is the ground truth whenever the two disagree.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp
-from .bodies import VPolytope, contains_point, scale, support, translate
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, vec, vdot
+from .bodies import VPolytope, canonicalize, contains_point, scale, support, translate
+from .radii import circumradius
+from .ratcore import ONE, ZERO, is_zero_vec, rat, rat_str, vec, vdot
 
 
 class ExtractionError(RuntimeError):
@@ -31,12 +33,11 @@ class ExtractionError(RuntimeError):
 @dataclass(frozen=True)
 class ContainmentCertificate:
     """Contact points, outer normals and convex weights per the optimal
-    containment condition; ``fallback_used`` flags the perturbed re-solve."""
+    containment condition."""
 
     contacts: tuple
     normals: tuple
     weights: tuple
-    fallback_used: bool = False
 
     @property
     def count(self) -> int:
@@ -83,76 +84,34 @@ def scaled_gauge_body(gauge: VPolytope, value, translation) -> VPolytope:
 def extract(body: VPolytope, gauge: VPolytope) -> ContainmentCertificate:
     """Certificate for the optimal containment achieved at R(body, gauge).
 
-    Contacts are the body vertices with a nonzero dual block; a small
-    feasibility LP then selects a basic convex combination of their normals
-    summing to zero, which prunes the contact count to at most n+1
-    (Caratheodory, done by the LP returning a basic solution).
+    The contacts and their normals are those of ``circumradius(...).attaining``
+    (its cached dual), so the circumradius LP is solved at most once.  One
+    small feasibility LP then selects a basic convex combination of the
+    normals summing to zero, which prunes the contact count to at most n+1
+    (Caratheodory, done by the LP returning a basic solution).  A certificate
+    that fails ``validate`` raises ``ExtractionError``; there is no repair.
     """
-    from .radii import circumradius_outcome  # local import: radii builds the LP
-
-    program, out, layout, t_vars, lam_var, body_c, gauge_c = circumradius_outcome(body, gauge)
-    if out.status == lp.INFEASIBLE:
+    body, gauge = canonicalize(body), canonicalize(gauge)
+    res = circumradius(body, gauge)
+    if res is None:
         raise ValueError("no dilate of the gauge covers the body (infinite circumradius)")
-    cert = _certificate_from_outcome(out, layout, body_c, lam_var)
-    scaled = scaled_gauge_body(
-        gauge_c, out.primal[lam_var], tuple(out.primal[v] for v in t_vars)
-    )
-    if cert is not None and validate(body_c, scaled, cert):
-        return cert
-
-    # Degenerate dual: re-solve with the mass variables charged a tiny exact
-    # epsilon, which steers the solver to a clean optimal basis, then insist
-    # the certificate still validates at the perturbed optimum.
-    eps = Rational(1, 2**64)
-    perturbed = lp.LinearProgram(
-        objective=tuple(
-            eps if j > lam_var else q for j, q in enumerate(program.objective)
-        ),
-        lhs=program.lhs,
-        rhs=program.rhs,
-        free=program.free,
-    )
-    out2 = lp.solve(perturbed)
-    if out2.status != lp.OPTIMAL:
-        raise ExtractionError("perturbed circumradius LP failed to solve")
-    cert2 = _certificate_from_outcome(out2, layout, body_c, lam_var, fallback=True)
-    scaled2 = scaled_gauge_body(
-        gauge_c, out2.primal[lam_var], tuple(out2.primal[v] for v in t_vars)
-    )
-    if cert2 is not None and validate(body_c, scaled2, cert2):
-        return cert2
-    raise ExtractionError("no certificate passed validation")
-
-
-def _certificate_from_outcome(out, layout, body_c: VPolytope, lam_var: int, fallback: bool = False):
-    if out.primal[lam_var] == 0:
+    if res.value == 0:
         raise ValueError("degenerate containment: the body is a single point")
-    candidates = []
-    for i in range(layout.body_count):
-        normal, _beta = layout.dual_block(out.dual, i)
-        if not is_zero_vec(normal):
-            candidates.append((body_c.vertices[i], normal))
-    if len(candidates) < 2:
-        return None
-    # Basic solution of {w >= 0, sum w = 1, sum w*a = 0}: at most n+1 positive
-    # weights, which is exactly the Caratheodory pruning we need.
+    candidates = res.attaining
     builder = lp.ProgramBuilder()
     ws = builder.add_vars(len(candidates))
-    for k in range(layout.n):
-        builder.add_row(
-            {w: a[k] for w, (_, a) in zip(ws, candidates) if a[k]}, ZERO
-        )
+    for k in range(body.dim):
+        builder.add_row({w: a[k] for w, (_, a) in zip(ws, candidates) if a[k]}, ZERO)
     builder.add_row({w: ONE for w in ws}, ONE)
     sol = lp.solve(builder.build())
     if sol.status != lp.OPTIMAL:
-        return None
-    kept = [(candidates[i], sol.primal[w]) for i, w in enumerate(ws) if sol.primal[w] > 0]
-    return ContainmentCertificate(
-        contacts=tuple(p for (p, _a), _w in kept),
-        normals=tuple(a for (_p, a), _w in kept),
-        weights=tuple(w for _pa, w in kept),
-        fallback_used=fallback,
-    )
+        raise ExtractionError("the contact normals admit no balancing weights")
+    kept = [(p, a, sol.primal[w]) for (p, a), w in zip(candidates, ws) if sol.primal[w] > 0]
+    cert = ContainmentCertificate(*zip(*kept))
+    scaled = scaled_gauge_body(gauge, res.value, res.translation)
+    if not validate(body, scaled, cert):
+        raise ExtractionError("the extracted certificate failed validation")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +123,6 @@ def certificate_to_json(cert: ContainmentCertificate) -> dict:
         "contacts": [[rat_str(x) for x in p] for p in cert.contacts],
         "normals": [[rat_str(x) for x in a] for a in cert.normals],
         "weights": [rat_str(w) for w in cert.weights],
-        "fallback_used": cert.fallback_used,
     }
 
 
@@ -173,5 +131,4 @@ def certificate_from_json(data: dict) -> ContainmentCertificate:
         contacts=tuple(vec(p) for p in data["contacts"]),
         normals=tuple(vec(a) for a in data["normals"]),
         weights=tuple(rat(w) for w in data["weights"]),
-        fallback_used=bool(data.get("fallback_used", False)),
     )

@@ -13,7 +13,8 @@ give byte-identical output.  ``--approx`` appends clearly labeled decimal
 renderings for human convenience; they are never used in any comparison.
 
 Exit codes: 0 computed/verified, 1 a verified property failed (report carries
-the counterexample), 2 invalid input.
+the counterexample), 2 invalid input, 3 internal failure (a ``RuntimeError``
+such as a certificate that fails validation; reported on stderr).
 """
 
 from __future__ import annotations
@@ -162,14 +163,12 @@ def _family_instance(args):
         pair = constructions.spiked_difference_pair(args.dim or 3)
     elif args.family == "triangle-mix":
         pair = constructions.triangle_mix_gauge(args.lam or "0")
-    elif args.family == "simplex":
+    else:  # "simplex"; argparse choices admit no other family
         simplex = constructions.standard_centered_simplex(args.dim or 2)
         pair = constructions.ExamplePair(
             simplex=simplex, gauge=simplex, family="simplex",
             parameters=(("dim", str(args.dim or 2)),),
         )
-    else:
-        raise InputError(f"unknown family {args.family!r}")
     return pair
 
 
@@ -271,18 +270,17 @@ def _run_suite(suite: str, body: VPolytope, gauge: VPolytope):
         vector = theorems.sandwich_equivalence(body, gauge)
         details = {"chain": chain.to_json(), **vector.to_json()}
         return chain.holds and vector.consistent, details
-    if suite == "ratio-laws":
-        report = theorems.complete_simplex_ratio_laws(body, gauge)
-        if not report.applicable:
-            return True, {"applicable": False}
-        return bool(report.bounds_hold and report.cross_law_holds), {
-            "applicable": True,
-            "bounds_hold": report.bounds_hold,
-            "cross_law_holds": report.cross_law_holds,
-            "ratio": rat_str(report.ratio),
-            "ratio_reflected": rat_str(report.ratio_reflected),
-        }
-    raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    # "ratio-laws", the last of SUITES; argparse choices admit no other suite
+    report = theorems.complete_simplex_ratio_laws(body, gauge)
+    if not report.applicable:
+        return True, {"applicable": False}
+    return bool(report.bounds_hold and report.cross_law_holds), {
+        "applicable": True,
+        "bounds_hold": report.bounds_hold,
+        "cross_law_holds": report.cross_law_holds,
+        "ratio": rat_str(report.ratio),
+        "ratio_reflected": rat_str(report.ratio_reflected),
+    }
 
 
 def _cmd_verify(args) -> int:
@@ -469,21 +467,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(command: str, status: str, exc: Exception, code: int) -> int:
+    print(
+        json.dumps(
+            {"command": command, "status": status, "error": str(exc)},
+            indent=2,
+            sort_keys=True,
+        ),
+        file=sys.stderr,
+    )
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, TypeError) as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "status": "error", "error": str(exc)},
-                indent=2,
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(args.command, "error", exc, 2)
+    except RuntimeError as exc:
+        return _fail(args.command, "internal-error", exc, 3)
 
 
 if __name__ == "__main__":

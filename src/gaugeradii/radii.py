@@ -42,8 +42,9 @@ class RadiiResult:
     """An exact radius value with its certifying data.
 
     ``translation`` is the witness shift of the defining containment;
-    ``attaining`` is operation-specific: contact vertex indices for the
-    circumradius, the diametral vertex pair for the diameter, None otherwise.
+    ``attaining`` is operation-specific: the ``(vertex, normal)`` contacts
+    read off the LP dual for the circumradius, the diametral vertex pair for
+    the diameter, None otherwise.
     """
 
     value: Rational
@@ -59,20 +60,6 @@ class AsymmetryResult:
 
 # ---------------------------------------------------------------------------
 # circumradius
-
-
-class _CircumLayout:
-    """Row/column bookkeeping of the circumradius LP, for dual extraction."""
-
-    def __init__(self, n: int, body_count: int, gauge_count: int):
-        self.n = n
-        self.body_count = body_count
-        self.gauge_count = gauge_count
-
-    def dual_block(self, dual: tuple, i: int) -> tuple:
-        """(normal vector y_i, mass multiplier beta_i) of body vertex i."""
-        start = i * (self.n + 1)
-        return tuple(dual[start : start + self.n]), dual[start + self.n]
 
 
 def circumradius_program(body: VPolytope, gauge: VPolytope):
@@ -104,8 +91,7 @@ def circumradius_program(body: VPolytope, gauge: VPolytope):
         mass = {nu: ONE for nu in nus[i]}
         mass[lam] = -ONE
         builder.add_row(mass, ZERO)
-    layout = _CircumLayout(n, len(body.vertices), len(gauge.vertices))
-    return builder.build(), (t, lam), layout
+    return builder.build(), (t, lam)
 
 
 def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
@@ -116,28 +102,23 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
 @lru_cache(maxsize=None)
 def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
-    program, (t_vars, lam_var), layout = circumradius_program(body, gauge)
+    program, (t_vars, lam_var) = circumradius_program(body, gauge)
     out = lp.solve(program)
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:  # minimizing a nonnegative variable
         raise RuntimeError("circumradius LP cannot be unbounded")
     translation = tuple(out.primal[v] for v in t_vars)
-    contacts = tuple(
-        i
-        for i in range(layout.body_count)
-        if not is_zero_vec(layout.dual_block(out.dual, i)[0])
-    )
-    return RadiiResult(out.primal[lam_var], translation, contacts)
-
-
-def circumradius_outcome(body: VPolytope, gauge: VPolytope):
-    """Solve the circumradius LP and return the raw pieces (program, outcome,
-    layout) for consumers that read the dual, e.g. certificate extraction."""
-    body, gauge = canonicalize(body), canonicalize(gauge)
-    program, (t_vars, lam_var), layout = circumradius_program(body, gauge)
-    out = lp.solve(program)
-    return program, out, layout, t_vars, lam_var, body, gauge
+    # Body vertex i owns n coordinate rows, then its mass row.  A nonzero dual
+    # on the coordinate rows makes it a contact, with that block as an outer
+    # normal of the scaled gauge at it (complementary slackness).
+    n = body.dim
+    contacts = []
+    for i, v in enumerate(body.vertices):
+        normal = tuple(out.dual[i * (n + 1) : i * (n + 1) + n])
+        if not is_zero_vec(normal):
+            contacts.append((v, normal))
+    return RadiiResult(out.primal[lam_var], translation, tuple(contacts))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ and the Caratheodory contact bound."""
 import pytest
 
 from conftest import V
-from gaugeradii.bodies import canonicalize, difference_body, simplex_hrep
+from gaugeradii import certificates, lp
+from gaugeradii.bodies import canonicalize, difference_body, simplex_hrep, support
 from gaugeradii.certificates import (
     ContainmentCertificate,
     certificate_from_json,
@@ -15,7 +16,7 @@ from gaugeradii.certificates import (
 )
 from gaugeradii.constructions import SplitMix64, random_vpolytope
 from gaugeradii.radii import circumradius
-from gaugeradii.ratcore import rat, vec
+from gaugeradii.ratcore import is_zero_vec, rat, vdot, vec
 
 
 def extract_and_validate(body, gauge):
@@ -29,7 +30,6 @@ def extract_and_validate(body, gauge):
 def test_self_containment_certificate(square):
     cert = extract_and_validate(square, square)
     assert 2 <= cert.count <= 3
-    assert not cert.fallback_used
 
 
 def test_square_in_triangle_certificate(square, triangle):
@@ -115,9 +115,47 @@ def test_random_pairs_certified():
         for w, a in zip(cert.weights, cert.normals):
             balance = [b + w * x for b, x in zip(balance, a)]
         assert all(x == 0 for x in balance)
+        # every dual contact, pruned or not, touches the scaled gauge with
+        # its normal supporting there
+        res = circumradius(body, gauge)
+        scaled = scaled_gauge_body(canonicalize(gauge), res.value, res.translation)
+        for v, a in res.attaining:
+            assert v in canonicalize(body).vertices
+            assert not is_zero_vec(a)
+            assert vdot(a, v) == support(scaled, a)[0]
+
+
+def test_extract_solves_only_the_weight_lp(square, triangle, monkeypatch):
+    """With the circumradius cached, extraction solves one LP (the weight LP)
+    besides the membership LPs of its final ``validate``."""
+    circumradius(square, triangle)
+    solve, validate_ = lp.solve, certificates.validate
+    counted = []
+    validating = []
+
+    def counting_solve(program):
+        if not validating:
+            counted.append(program)
+        return solve(program)
+
+    def flagged_validate(*args):
+        validating.append(True)
+        try:
+            return validate_(*args)
+        finally:
+            validating.pop()
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(certificates, "validate", flagged_validate)
+    cert = extract(square, triangle)
+    assert cert.count == 3
+    assert len(counted) == 1
 
 
 def test_certificate_json_round_trip(square, triangle):
     cert = extract(square, triangle)
-    again = certificate_from_json(certificate_to_json(cert))
-    assert again == cert
+    data = certificate_to_json(cert)
+    assert set(data) == {"contacts", "normals", "weights"}
+    assert certificate_from_json(data) == cert
+    # certificates written with the former re-solve flag still load
+    assert certificate_from_json({**data, "fallback_used": False}) == cert

@@ -212,3 +212,20 @@ def test_verify_violation_reports_counterexample(capsys, body_files, monkeypatch
     dump = report["results"]["counterexample"]
     assert dump["details"] == {"forced": True}
     assert "vertices" in dump["body"]
+
+
+def test_internal_failure_exits_3(capsys, body_files, monkeypatch):
+    # a library fault is neither bad input (2) nor a failed property (1)
+    def broken(body, gauge):
+        raise certificates.ExtractionError("the extracted certificate failed validation")
+
+    square, triangle = body_files
+    monkeypatch.setattr(certificates, "extract", broken)
+    code, out, err = run(capsys, ["certify", "--body", square, "--gauge", triangle])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "command": "certify",
+        "status": "internal-error",
+        "error": "the extracted certificate failed validation",
+    }
