@@ -141,12 +141,8 @@ def support(body: VPolytope, direction) -> tuple:
 
 def _in_hull(point: Vec, points: list) -> bool:
     """Membership in conv(points) via a feasibility LP over convex weights."""
-    n = len(point)
     builder = lp.ProgramBuilder()
-    alphas = builder.add_vars(len(points))
-    for k in range(n):
-        builder.add_row({a: points[i][k] for i, a in enumerate(alphas)}, point[k])
-    builder.add_row({a: ONE for a in alphas}, ONE)
+    builder.add_hull_membership(points, [{}] * len(point), point)
     return lp.feasible_point(builder.build()) is not None
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import lp
 from .bodies import VPolytope, canonicalize, contains_point, scale, support, translate
 from .radii import circumradius
-from .ratcore import ONE, ZERO, is_zero_vec, rat, rat_str, vec, vdot
+from .ratcore import ZERO, is_zero_vec, rat, rat_str, vec, vdot
 
 
 class ExtractionError(RuntimeError):
@@ -99,10 +99,8 @@ def extract(body: VPolytope, gauge: VPolytope) -> ContainmentCertificate:
         raise ValueError("degenerate containment: the body is a single point")
     candidates = res.attaining
     builder = lp.ProgramBuilder()
-    ws = builder.add_vars(len(candidates))
-    for k in range(body.dim):
-        builder.add_row({w: a[k] for w, (_, a) in zip(ws, candidates) if a[k]}, ZERO)
-    builder.add_row({w: ONE for w in ws}, ONE)
+    n = body.dim
+    ws = builder.add_hull_membership([a for _, a in candidates], [{}] * n, (ZERO,) * n)
     sol = lp.solve(builder.build())
     if sol.status != lp.OPTIMAL:
         raise ExtractionError("the contact normals admit no balancing weights")

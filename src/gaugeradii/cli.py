@@ -342,25 +342,23 @@ def _cmd_certify(args) -> int:
     circ = radii.circumradius(body, gauge)
     if circ is None:
         raise InputError("circumradius is infinite; nothing to certify")
-    cert = certificates.extract(body, gauge)
-    scaled = certificates.scaled_gauge_body(gauge, circ.value, circ.translation)
-    valid = certificates.validate(canonicalize(body), scaled, cert)
+    cert = certificates.extract(body, gauge)  # validated, or ExtractionError
     results = {
         "circumradius": rat_str(circ.value),
         "translation": [rat_str(x) for x in circ.translation],
         "certificate": certificates.certificate_to_json(cert),
-        "valid": valid,
+        "valid": True,
     }
     report = _report(
         "certify",
         {"body": args.body, "gauge": args.gauge},
         results,
-        "ok" if valid else "violation",
+        "ok",
         inputs={"body_sha256": body_digest, "gauge_sha256": gauge_digest},
     )
     _maybe_approx(report, {"circumradius": circ.value}, args.approx)
     _emit(report, args.out)
-    return 0 if valid else 1
+    return 0
 
 
 def _cmd_explore(args) -> int:

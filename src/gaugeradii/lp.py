@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import kernel
-from .ratcore import ZERO, Rational, Vec, rat, vdot
+from .ratcore import ONE, ZERO, Rational, Vec, rat, vdot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -115,6 +115,37 @@ class ProgramBuilder:
         """Add one equality row given as ``{variable index: coefficient}``."""
         self._rows.append({j: rat(c) for j, c in coeffs.items()})
         self._rhs.append(rat(rhs))
+
+    def add_hull_membership(self, points, lhs, rhs, scale=ONE, mass=None) -> list[int]:
+        """Constrain ``rhs - lhs`` to ``scale * mu * conv(points)``; return the
+        weight columns.
+
+        "x in t + mu*conv(P)" is not linear in (t, mu) with P given by points,
+        since it reads x = t + mu * (convex combination of p_j).  Substituting
+        nu_j := mu * lambda_j absorbs the product: the constraints become
+
+            lhs[k] + scale * sum_j nu_j p_j[k] = rhs[k]      and      sum_j nu_j = mu,
+
+        which are linear, with nu >= 0.  ``lhs[k]`` is a ``{variable:
+        coefficient}`` dict (t and any other terms of coordinate k); ``mass``
+        is the variable mu, or None for mu = 1.  This substitution is what
+        makes every radius and containment in the library a single LP.
+
+        Layout: one weight column per point, in point order, then one row per
+        coordinate k, then the mass row.  Zero point coordinates get no entry.
+        """
+        nus = self.add_vars(len(points))
+        if scale != ONE:  # unit scale (hull tests, circumradius) skips the multiplies
+            points = [[scale * x for x in p] for p in points]
+        for k, b in enumerate(rhs):
+            row = dict(lhs[k])
+            row.update((nu, p[k]) for nu, p in zip(nus, points) if p[k])
+            self.add_row(row, b)
+        total = {nu: ONE for nu in nus}
+        if mass is not None:
+            total[mass] = -ONE
+        self.add_row(total, ONE if mass is None else ZERO)
+        return nus
 
     def build(self) -> LinearProgram:
         n = len(self._objective)

@@ -63,34 +63,16 @@ class AsymmetryResult:
 
 
 def circumradius_program(body: VPolytope, gauge: VPolytope):
-    """Build the containment LP for R(body, gauge).
-
-    "v_i in t + lambda*C" is not linear in (t, lambda) with C given by
-    vertices, since it reads v_i = t + lambda * (convex combination of c_j).
-    Substituting nu_ij := lambda * mu_ij absorbs the product: the constraints
-    become
-
-        v_i = t + sum_j nu_ij c_j      and      sum_j nu_ij = lambda,
-
-    which are linear, with nu >= 0.  Minimizing lambda yields the exact
-    circumradius; this substitution is what makes every radius in the library
-    a single LP.
-    """
+    """Build the containment LP for R(body, gauge): minimize lambda subject to
+    v_i in t + lambda*gauge for every body vertex v_i, one
+    ``add_hull_membership`` block per vertex."""
     n = check_same_dim(body, gauge)
     builder = lp.ProgramBuilder()
     t = builder.add_vars(n, free=True)
     lam = builder.add_var(objective=ONE)
-    nus = [builder.add_vars(len(gauge.vertices)) for _ in body.vertices]
-    for i, v in enumerate(body.vertices):
-        for k in range(n):
-            row = {t[k]: ONE}
-            for j, c in enumerate(gauge.vertices):
-                if c[k]:
-                    row[nus[i][j]] = c[k]
-            builder.add_row(row, v[k])
-        mass = {nu: ONE for nu in nus[i]}
-        mass[lam] = -ONE
-        builder.add_row(mass, ZERO)
+    lhs = [{tk: ONE} for tk in t]
+    for v in body.vertices:
+        builder.add_hull_membership(gauge.vertices, lhs, v, mass=lam)
     return builder.build(), (t, lam)
 
 
@@ -109,9 +91,10 @@ def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     if out.status != lp.OPTIMAL:  # minimizing a nonnegative variable
         raise RuntimeError("circumradius LP cannot be unbounded")
     translation = tuple(out.primal[v] for v in t_vars)
-    # Body vertex i owns n coordinate rows, then its mass row.  A nonzero dual
-    # on the coordinate rows makes it a contact, with that block as an outer
-    # normal of the scaled gauge at it (complementary slackness).
+    # Body vertex i owns one ``add_hull_membership`` block: n coordinate rows,
+    # then its mass row.  A nonzero dual on the coordinate rows makes it a
+    # contact, with that block as an outer normal of the scaled gauge at it
+    # (complementary slackness).
     n = body.dim
     contacts = []
     for i, v in enumerate(body.vertices):
@@ -137,19 +120,10 @@ def _inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
     builder = lp.ProgramBuilder()
     t = builder.add_vars(n, free=True)
     lam = builder.add_var(objective=-ONE)  # maximize lambda
-    # lambda*c_j + t must be a convex combination of body vertices, for each
-    # gauge vertex c_j; alpha are the combination weights.
+    # lambda*c + t must lie in the body, for each gauge vertex c.
     for c in gauge.vertices:
-        alphas = builder.add_vars(len(body.vertices))
-        for k in range(n):
-            row = {t[k]: ONE}
-            if c[k]:
-                row[lam] = c[k]
-            for a, v in zip(alphas, body.vertices):
-                if v[k]:
-                    row[a] = -v[k]
-            builder.add_row(row, ZERO)
-        builder.add_row({a: ONE for a in alphas}, ONE)
+        lhs = [{t[k]: ONE, lam: c[k]} for k in range(n)]
+        builder.add_hull_membership(body.vertices, lhs, (ZERO,) * n, scale=-ONE)
     out = lp.solve(builder.build())
     if out.status == lp.UNBOUNDED:
         raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
@@ -291,16 +265,9 @@ def center_polytope_constraints(builder: lp.ProgramBuilder, body: VPolytope, c_v
     the body: for every vertex v, -v + (1+s)c must lie in s*K."""
     k = canonicalize(body)
     s = asymmetry(k).s
-    n = k.dim
+    lhs = [{c: ONE + s} for c in c_vars]
     for v in k.vertices:
-        gammas = builder.add_vars(len(k.vertices))
-        for coord in range(n):
-            row = {c_vars[coord]: ONE + s}
-            for g, w in zip(gammas, k.vertices):
-                if w[coord]:
-                    row[g] = -s * w[coord]
-            builder.add_row(row, v[coord])
-        builder.add_row({g: ONE for g in gammas}, ONE)
+        builder.add_hull_membership(k.vertices, lhs, v, scale=-s)
 
 
 # ---------------------------------------------------------------------------

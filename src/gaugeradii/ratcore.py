@@ -4,12 +4,9 @@ Everything in this library is computed over arbitrary-precision rationals;
 floating point never enters, because downstream predicates decide *equality*
 cases of geometric inequalities and a single rounded bit would flip them.
 
-The scalar type is ``gmpy2.mpq`` when gmpy2 is importable (GMP-backed) and
-``fractions.Fraction`` otherwise; the simplex pivots on ints and uses it only
-for its inputs and outputs.  Both are always reduced, keep positive
-denominators and hash/compare by numeric value, so the rest of the code never
-needs to know which one is active.  Set ``GAUGERADII_RATIONAL=fraction`` to
-force the stdlib fallback.
+The scalar type is ``fractions.Fraction``, always reduced with a positive
+denominator; the simplex pivots on ints and uses it only for its inputs and
+outputs.
 
 Vectors are plain tuples of rationals and matrices tuples of row tuples;
 helpers below keep the arithmetic readable without pulling in a matrix
@@ -18,23 +15,11 @@ library that cannot do exact rationals.
 
 from __future__ import annotations
 
-import os
 import re
+from fractions import Fraction as Rational
 from typing import Iterable, Sequence
 
-if os.environ.get("GAUGERADII_RATIONAL", "").lower() in ("fraction", "fractions"):
-    from fractions import Fraction as Rational
-
-    RATIONAL_BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rational
-
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised via env toggle
-        from fractions import Fraction as Rational
-
-        RATIONAL_BACKEND = "fractions"
+RATIONAL_BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -63,7 +48,7 @@ def parse_rational(text: str) -> Rational:
 
 
 def rat(value) -> Rational:
-    """Coerce an int, Fraction/mpq or exact string literal to Rational.
+    """Coerce an int, Fraction or exact string literal to Rational.
 
     Floats are refused outright: silently converting one would smuggle
     binary rounding into an exact computation.

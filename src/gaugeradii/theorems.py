@@ -480,25 +480,14 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     if mutual:
         center_polytope_constraints(builder, K, t_vars)
     # inner: inner_sign * r * (w - c) + t in K, for every gauge vertex w
+    rho = -inner_sign * r
+    inner = [{c: rho, t: ONE} for c, t in zip(c_vars, t_vars)]
     for w in C.vertices:
-        deltas = builder.add_vars(len(K.vertices))
-        for k in range(n):
-            row = {c_vars[k]: -inner_sign * r, t_vars[k]: ONE}
-            for dvar, v in zip(deltas, K.vertices):
-                if v[k]:
-                    row[dvar] = -v[k]
-            builder.add_row(row, -inner_sign * r * w[k])
-        builder.add_row({dvar: ONE for dvar in deltas}, ONE)
+        builder.add_hull_membership(K.vertices, inner, tuple(rho * x for x in w), scale=-ONE)
     # outer: v - t in R(C - c), i.e. v - t + R c = R * (convex comb of C)
+    outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
     for v in K.vertices:
-        eps_vars = builder.add_vars(len(C.vertices))
-        for k in range(n):
-            row = {t_vars[k]: -ONE, c_vars[k]: R}
-            for evar, w in zip(eps_vars, C.vertices):
-                if w[k]:
-                    row[evar] = -R * w[k]
-            builder.add_row(row, -v[k])
-        builder.add_row({evar: ONE for evar in eps_vars}, ONE)
+        builder.add_hull_membership(C.vertices, outer, tuple(-x for x in v), scale=-R)
     return lp.feasible_point(builder.build()) is not None
 
 

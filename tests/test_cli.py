@@ -167,6 +167,47 @@ def test_certify_emits_valid_certificate(capsys, body_files, tmp_path):
     assert certificates.validate(square_body, scaled, cert)
 
 
+def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch):
+    """``extract`` ends in ``validate``, so ``certify`` does not validate
+    again: with cold caches, square in triangle takes 15 LP solves and prints
+    exactly this report."""
+    import sys
+
+    from gaugeradii import lp
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gaugeradii"):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    solve, calls = lp.solve, []
+    monkeypatch.setattr(lp, "solve", lambda program: calls.append(program) or solve(program))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["certify", "--body", "square.json", "--gauge", "triangle.json"])
+    assert code == 0
+    assert len(calls) == 15
+    expected = {
+        "arguments": {"body": "square.json", "gauge": "triangle.json"},
+        "command": "certify",
+        "inputs": {
+            "body_sha256": "1cc0da5e1bc9dd098fbfb7812aa1c7b311a5d883b523913f0a26714e820d6088",
+            "gauge_sha256": "dbec2664fbe781b9cc2dd28bd9f9ca3cc18b315da742973ff49d9ef60ea6da16",
+        },
+        "results": {
+            "certificate": {
+                "contacts": [["-1", "1"], ["1", "-1"], ["1", "1"]],
+                "normals": [["-2/3", "1/3"], ["1/3", "-2/3"], ["1/3", "1/3"]],
+                "weights": ["1/3", "1/3", "1/3"],
+            },
+            "circumradius": "8/3",
+            "translation": ["-1/3", "-1/3"],
+            "valid": True,
+        },
+        "status": "ok",
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_explore_finds_no_hits(capsys):
     code, out, _ = run(capsys, ["explore", "--trials", "12", "--seed", "5", "--dim", "2"])
     assert code == 0

@@ -100,6 +100,34 @@ def test_builder_layout():
     assert program.free == (False, True)
 
 
+def test_hull_membership_layout():
+    """Weight columns in point order, one row per coordinate, then the mass
+    row; a zero point coordinate gets no entry."""
+    b = lp.ProgramBuilder()
+    t = b.add_var(free=True)
+    mu = b.add_var(objective=1)
+    # (5, 7) - (t, 0) in mu * conv{(2, 0), (0, -3), (1, 1)}
+    nus = b.add_hull_membership([(2, 0), (0, -3), (1, 1)], [{t: 1}, {}], (5, 7), mass=mu)
+    # (0, 4) - (0, t) in -2 * conv{(1, 2)}, unit mass
+    lams = b.add_hull_membership([(1, 2)], [{}, {t: 1}], (0, 4), scale=-2)
+    assert nus == [2, 3, 4]
+    assert lams == [5]
+    program = b.build()
+    assert program.objective == (0, 1, 0, 0, 0, 0)
+    assert program.free == (True, False, False, False, False, False)
+    assert program.lhs == (
+        (1, 0, 2, 0, 1, 0),  # t + 2 nu_0 + nu_2 = 5
+        (0, 0, 0, -3, 1, 0),  # -3 nu_1 + nu_2 = 7
+        (0, -1, 1, 1, 1, 0),  # nu_0 + nu_1 + nu_2 - mu = 0
+        (0, 0, 0, 0, 0, -2),  # -2 lam = 0
+        (1, 0, 0, 0, 0, -4),  # t - 4 lam = 4
+        (0, 0, 0, 0, 0, 1),  # lam = 1
+    )
+    assert program.rhs == (5, 7, 0, 0, 4, 1)
+    assert set(b._rows[0]) == {t, nus[0], nus[2]}
+    assert set(b._rows[1]) == {nus[1], nus[2]}
+
+
 def test_format_program_mentions_signs():
     text = lp.format_program(make_lp([1], [[1]], [1], free=(True,)))
     assert "free" in text and "min" in text
