@@ -223,7 +223,7 @@ def _run_suite(suite: str, body: VPolytope, gauge: VPolytope):
         for chain in theorems.CHAINS:
             if chain == "complete-chain":
                 continue  # meaningful only under a completeness hypothesis
-            if not symmetric and chain in ("bohnenblust", "concentricity", "symmetric-gauge-chain"):
+            if not symmetric and chain in theorems.SYMMETRIC_ONLY_CHAINS:
                 continue
             report = theorems.eval_chain(chain, body, gauge)
             details[chain] = report.to_json()
@@ -369,7 +369,7 @@ def _cmd_explore(args) -> int:
     out entirely.  Any hit is reported verbatim for inspection.
     """
     rng = SplitMix64(args.seed)
-    dim = args.dim or 2
+    dim = args.dim
     stats = {"trials": args.trials, "complete": 0, "concentric": 0, "hits": []}
     for _trial in range(args.trials):
         simplex = constructions.random_simplex(dim, 4, rng)
@@ -410,6 +410,21 @@ def _cmd_explore(args) -> int:
 # argument parsing
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that accepts integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaugeradii",
@@ -437,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="family parameter lambda (rational)")
     p.add_argument("--mu", help="family parameter mu (rational)")
     p.add_argument("--variant", choices=("min", "max"), default="min")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=_int_at_least(2))
     p.add_argument("--reflect", action="store_true", help="use -S instead of S")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
@@ -449,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="family parameter lambda (rational)")
     p.add_argument("--mu", help="family parameter mu (rational)")
     p.add_argument("--variant", choices=("min", "max"), default="min")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=_int_at_least(2))
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("certify", help="emit a validated containment certificate")
@@ -458,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="search the open extremal-simplex question")
     add_common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_int_at_least(2), default=2)
     p.set_defaults(func=_cmd_explore)
     return parser
 

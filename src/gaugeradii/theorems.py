@@ -156,7 +156,7 @@ CHAINS = (
     "extended-jung",
 )
 
-_SYMMETRIC_ONLY = {"bohnenblust", "concentricity", "symmetric-gauge-chain"}
+SYMMETRIC_ONLY_CHAINS = {"bohnenblust", "concentricity", "symmetric-gauge-chain"}
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def eval_chain(chain_id: str, body: VPolytope, gauge: VPolytope) -> ChainReport:
     """Evaluate one inequality chain on (body, gauge) with exact relations."""
     if chain_id not in CHAINS:
         raise ValueError(f"unknown chain {chain_id!r}; choose from {CHAINS}")
-    if chain_id in _SYMMETRIC_ONLY and not is_centrally_symmetric(gauge)[0]:
+    if chain_id in SYMMETRIC_ONLY_CHAINS and not is_centrally_symmetric(gauge)[0]:
         raise GaugeNotSymmetricError(f"chain {chain_id!r} needs a symmetric gauge")
     K, C = canonicalize(body), canonicalize(gauge)
     n = rat(check_same_dim(K, C))
@@ -503,31 +503,30 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 
         S - S  in  D(S,C') C'  in  (n+1)((S - c) ∩ (-S + c))   for some c.
 
-    The left inclusion is checked by vertex memberships; the right one is one
-    feasibility LP over c, since by symmetry of C' both intersection halves
-    impose the same facet constraints  a_f . c <= b_f - h(D C', a_f)/(n+1).
+    The left inclusion holds by the definition of D: every vertex of S - S
+    is a vertex difference of S, and D(S,C') is the largest of their
+    C'-norms.  The right one is one feasibility LP over c, since by symmetry
+    of C' both intersection halves impose the same facet constraints
+    a_f . c <= b_f - h(D C', a_f)/(n+1).  No C' is built, by
+
+        D(S,C') = D(S,C)/2    and    h(C', a) = h(C, a) + h(C, -a).
 
     Returns (complete, witness c or None).
     """
     S = canonicalize(simplex)
     hrep = simplex_hrep(S)  # raises DegenerateSimplexError when not a simplex
     n = S.dim
-    C2 = difference_body(gauge)
-    d = diameter(S, C2)
+    d = diameter(S, gauge)
     if d is None:
         raise InfiniteRadiusError("gauge does not span the simplex")
-    D2 = d.value
-    SS = difference_body(S)
-    for u in SS.vertices:
-        g = gauge_value(u, C2)
-        if g is None or g > D2:
-            return False, None
+    D2 = d.value / 2  # D(S, C')
     builder = lp.ProgramBuilder()
     c_vars = builder.add_vars(n, free=True)
     for half in hrep.halfspaces:
-        h = D2 * support(C2, half.normal)[0]
+        a = half.normal
+        h = D2 * (support(gauge, a)[0] + support(gauge, tuple(-x for x in a))[0])
         slack = builder.add_var()
-        row = {c_vars[k]: half.normal[k] for k in range(n) if half.normal[k]}
+        row = {c_vars[k]: a[k] for k in range(n) if a[k]}
         row[slack] = ONE
         builder.add_row(row, half.offset - h / (n + 1))
     point = lp.feasible_point(builder.build())

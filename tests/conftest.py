@@ -6,6 +6,8 @@ chain, simplex membership via barycentric coordinates from a direct linear
 solve.
 """
 
+import sys
+
 import pytest
 
 from gaugeradii.bodies import VPolytope
@@ -25,6 +27,15 @@ def triangle():
 @pytest.fixture
 def square():
     return V([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
+def clear_caches():
+    """Empty every memo cache of the library, so LP counts start cold."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gaugeradii"):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def hull2d(points):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import clear_caches
 from gaugeradii import certificates
 from gaugeradii.bodies import body_from_json, body_to_json, canonicalize
 from gaugeradii.cli import main
@@ -120,6 +121,24 @@ def test_family_random_is_not_a_choice(capsys, argv):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore", "--dim", "0"],
+    ["explore", "--dim", "-1"],
+    ["explore", "--trials", "-5"],
+    ["explore", "--trials", "0"],
+    ["verify", "--suite", "chains", "--family", "sandwich", "--dim", "0"],
+    ["verify", "--suite", "simplex-conditions", "--trials", "-2"],
+    ["construct", "--family", "simplex", "--dim", "1"],
+    ["explore", "--dim", "two"],
+])
+def test_out_of_range_counts_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --dim" in err or "argument --trials" in err
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     pair_path = tmp_path / "pair.json"
     code, _, _ = run(capsys, ["construct", "--family", "spiked", "--dim", "3",
@@ -171,15 +190,9 @@ def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch):
     """``extract`` ends in ``validate``, so ``certify`` does not validate
     again: with cold caches, square in triangle takes 15 LP solves and prints
     exactly this report."""
-    import sys
-
     from gaugeradii import lp
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("gaugeradii"):
-            for value in vars(mod).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    clear_caches()
     solve, calls = lp.solve, []
     monkeypatch.setattr(lp, "solve", lambda program: calls.append(program) or solve(program))
     monkeypatch.chdir(tmp_path)

@@ -4,19 +4,31 @@ sweeps (the mandated large sweeps live in the acceptance module)."""
 
 import pytest
 
-from conftest import V
-from gaugeradii.bodies import difference_body, negate, scale, translate
+from conftest import V, clear_caches
+from gaugeradii import lp
+from gaugeradii.bodies import (
+    VPolytope,
+    canonicalize,
+    difference_body,
+    negate,
+    scale,
+    simplex_hrep,
+    support,
+    translate,
+)
 from gaugeradii.constructions import (
     SplitMix64,
+    random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
     standard_centered_simplex,
     triangle_mix_gauge,
 )
-from gaugeradii.radii import asymmetry, circumradius, inradius
-from gaugeradii.ratcore import rat, vec
+from gaugeradii.radii import asymmetry, circumradius, diameter, inradius
+from gaugeradii.ratcore import ONE, rat, vec
 from gaugeradii.theorems import (
     GaugeNotSymmetricError,
+    InfiniteRadiusError,
     NotCenteredError,
     OriginNotInGaugeError,
     are_mutually_concentric,
@@ -213,6 +225,90 @@ def test_simplex_complete_cases(triangle, square):
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     assert simplex_complete(pair.simplex, pair.gauge)[0]
     assert simplex_complete(negate(pair.simplex), pair.gauge)[0]
+
+
+def simplex_complete_by_difference_bodies(simplex, gauge):
+    """Oracle: the completeness test written with C' = C - C and S - S.
+
+    It checks S - S in D(S,C') C' vertex by vertex, asserting that this never
+    fails, and takes D(S,C') and h(C', a_f) from C' itself.  The feasibility
+    LP is built row for row as ``simplex_complete`` builds it.
+    """
+    S = canonicalize(simplex)
+    hrep = simplex_hrep(S)
+    n = S.dim
+    C2 = difference_body(gauge)
+    d = diameter(S, C2)
+    if d is None:
+        raise InfiniteRadiusError("gauge does not span the simplex")
+    D2 = d.value
+    for u in difference_body(S).vertices:
+        g = gauge_value(u, C2)
+        assert g is not None and g <= D2
+    builder = lp.ProgramBuilder()
+    c_vars = builder.add_vars(n, free=True)
+    for half in hrep.halfspaces:
+        h = D2 * support(C2, half.normal)[0]
+        slack = builder.add_var()
+        row = {c_vars[k]: half.normal[k] for k in range(n) if half.normal[k]}
+        row[slack] = ONE
+        builder.add_row(row, half.offset - h / (n + 1))
+    point = lp.feasible_point(builder.build())
+    if point is None:
+        return False, None
+    return True, tuple(point[v] for v in c_vars)
+
+
+def completeness_cases():
+    rng = SplitMix64(7)
+    for trial in range(40):
+        dim = 2 + trial % 2
+        S = random_simplex(dim, 4, rng)
+        yield S, random_vpolytope(dim, dim + 2, 4, 0, rng=rng)
+        yield translate(S, rng.point(dim, 3)), S
+        yield S, VPolytope(dim, S.vertices + negate(S).vertices)
+    for n in (2, 3):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "3", "1", variant)
+            yield pair.simplex, pair.gauge
+            yield negate(pair.simplex), pair.gauge
+        S = standard_centered_simplex(n)
+        yield S, S
+        yield S, difference_body(S)
+        yield S, translate(S, (5,) * n)  # gauge away from the origin
+    triangle = V([(1, 0), (0, 1), (-1, -1)])
+    yield triangle, V([(-1, 0), (1, 0)])  # flat gauge
+    yield V([(1, 1), (1, -1), (-1, 1), (-1, -1)]), triangle  # not a simplex
+    yield triangle, standard_centered_simplex(3)  # dimensions differ
+
+
+def test_simplex_complete_matches_difference_body_oracle():
+    def outcome(decide, simplex, gauge):
+        try:
+            return decide(simplex, gauge)
+        except ValueError as exc:
+            return type(exc)
+
+    seen = set()
+    for simplex, gauge in completeness_cases():
+        got = outcome(simplex_complete, simplex, gauge)
+        assert got == outcome(simplex_complete_by_difference_bodies, simplex, gauge)
+        seen.add(got[0] if isinstance(got, tuple) else got)
+    assert seen >= {True, False, InfiniteRadiusError}
+
+
+def test_simplex_complete_solve_count(triangle, square, monkeypatch):
+    """D(S, C) takes one LP per edge of S and the witness one more: with cold
+    caches, C(n+1, 2) + 1 solves and no difference body."""
+    pair = simplex_sandwich_pair(3, "3", "1", "min")
+    solve, calls = lp.solve, []
+    monkeypatch.setattr(lp, "solve", lambda program: calls.append(program) or solve(program))
+    for simplex, gauge, solves in ((triangle, square, 4), (pair.simplex, pair.gauge, 7)):
+        simplex, gauge = canonicalize(simplex), canonicalize(gauge)
+        clear_caches()
+        calls.clear()
+        simplex_complete(simplex, gauge)
+        assert len(calls) == solves
 
 
 def test_is_equilateral(triangle, square):
