@@ -51,7 +51,7 @@ from .radii import (
     is_minkowski_center,
     sym_gauge_norm,
 )
-from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, rat, rat_str, solve_linear, vec, vsub, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_linear, vec, vsub, vzero
 
 
 class GaugeNotSymmetricError(ValueError):
@@ -94,17 +94,10 @@ def gauge_value(z, body: VPolytope) -> Rational | None:
         raise ValueError("vector length does not match body dimension")
     if is_zero_vec(zv):
         return ZERO
-    return _gauge_value(zv, k)
-
-
-@lru_cache(maxsize=None)
-def _gauge_value(zv: Vec, body: VPolytope) -> Rational | None:
     builder = lp.ProgramBuilder()
-    nus = builder.add_vars(len(body.vertices), objective=ONE)
-    for k in range(body.dim):
-        builder.add_row(
-            {nu: v[k] for nu, v in zip(nus, body.vertices) if v[k]}, zv[k]
-        )
+    nus = builder.add_vars(len(k.vertices), objective=ONE)
+    for i in range(k.dim):
+        builder.add_row({nu: v[i] for nu, v in zip(nus, k.vertices) if v[i]}, zv[i])
     out = lp.solve(builder.build())
     return out.value if out.status == lp.OPTIMAL else None
 
@@ -158,6 +151,9 @@ CHAINS = (
 
 SYMMETRIC_ONLY_CHAINS = {"bohnenblust", "concentricity", "symmetric-gauge-chain"}
 
+# Chains with a value over D(K, C), which is 0/0 for a one-point body.
+_OVER_DIAMETER = {"bohnenblust", "extended-bohnenblust", "asymmetric-jung-bound", "extended-jung"}
+
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -210,6 +206,15 @@ def _inclusion_report(chain_id: str, factors: tuple, note: str | None = None) ->
     return ChainReport(chain_id, factors, relations, ">" not in relations, "inclusions", note)
 
 
+def _chain_diameter(chain_id: str, K: VPolytope, C: VPolytope) -> Rational:
+    d = diameter(K, C)
+    if d is None:
+        raise InfiniteRadiusError("diameter is infinite for this pair")
+    if d.value == 0 and chain_id in _OVER_DIAMETER:
+        raise ValueError(f"chain {chain_id!r} divides by D(K, C), which is 0 for a one-point body")
+    return d.value
+
+
 def eval_chain(chain_id: str, body: VPolytope, gauge: VPolytope) -> ChainReport:
     """Evaluate one inequality chain on (body, gauge) with exact relations."""
     if chain_id not in CHAINS:
@@ -223,10 +228,7 @@ def eval_chain(chain_id: str, body: VPolytope, gauge: VPolytope) -> ChainReport:
         return _extended_jung_chain(K, C)
 
     R = translative_factor(K, C)
-    d = diameter(K, C)
-    if d is None:
-        raise InfiniteRadiusError("diameter is infinite for this pair")
-    D = d.value
+    D = _chain_diameter(chain_id, K, C)
     sK = asymmetry(K).s
     sC = asymmetry(C).s
     r = inradius(K, C).value
@@ -281,10 +283,7 @@ def _extended_jung_chain(K: VPolytope, C: VPolytope) -> ChainReport:
     K0 = translate(K, tuple(-x for x in asym.center))
     KK = difference_body(K)
     CC = difference_body(C)
-    d = diameter(K, C)
-    if d is None:
-        raise InfiniteRadiusError("diameter is infinite for this pair")
-    D = d.value
+    D = _chain_diameter("extended-jung", K, C)
     sC = asymmetry(C).s
     f1 = symmetric_factor(scale(K0, (sK + 1) / sK), KK)
     f2 = symmetric_factor(KK, CC) / (D / 2)
@@ -556,13 +555,18 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     """The five equivalent characterizations of extremal complete simplices:
     the four-link inclusion chain, equality through both main chains,
     equality in the generalized concentricity inequality, equality in the
-    asymmetric Jung bound, and completeness with R = n s(C) r."""
+    asymmetric Jung bound, and completeness with R = n s(C) r.
+
+    Of the chain (n+1)/n (S-c) in S-S in D/2 (C-C) in D/2 (s(C)+1)(C-c') in
+    t + (n+1)(-S), c and c' Minkowski centers, only the last link is decided.
+    The first three hold for every simplex and gauge, because
+    - (S-c)/n lies in -(S-c) as s(S) = n, so S-S contains (1+1/n)(S-c);
+    - S-S is spanned by vertex differences of S, whose largest (C-C)/2-norm is D;
+    - -(C-c') lies in s(C)(C-c'), so C-C lies in (s(C)+1)(C-c')."""
     S = canonicalize(simplex)
     C = canonicalize(gauge)
     simplex_hrep(S)  # validates the simplex
     n = rat(S.dim)
-    SS = difference_body(S)
-    CC = difference_body(C)
     R = translative_factor(S, C)
     r = inradius(S, C).value
     r_mirror = inradius(S, negate(C)).value
@@ -572,11 +576,8 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     D = d.value
     sC = asymmetry(C).s
 
-    f1 = translative_factor(scale(S, (n + 1) / n), SS)
-    f2 = symmetric_factor(SS, CC) / (D / 2)
-    f3 = translative_factor(CC, C) / (sC + 1)
     f4 = translative_factor(C, negate(S)) * (sC + 1) * D / (2 * (n + 1))
-    cond_inclusions = f1 <= 1 and f2 <= 1 and f3 <= 1 and f4 <= 1
+    cond_inclusions = f4 <= 1
 
     cond_chains = (
         eval_chain("gauge-asymmetry-chain", S, C).all_equal
@@ -667,7 +668,10 @@ def triangle_gauge_decomposition(simplex: VPolytope, gauge: VPolytope):
 def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> ConditionVector:
     """The seven equivalent planar conditions (completeness and constant
     width coincide in the plane).  The triangle is re-centered at a Minkowski
-    center first; every condition is translation invariant in the triangle."""
+    center first; every condition is translation invariant in the triangle.
+    Condition (i) is the chain of ``simplex_equality_conditions`` with the
+    middle link an equality, i.e. constant width; its first and third links
+    hold always, for the reasons given there."""
     S0 = canonicalize(simplex)
     if S0.dim != 2:
         raise ValueError("this equivalence is planar")
@@ -676,8 +680,6 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     center = asymmetry(S0).center
     S = translate(S0, tuple(-x for x in center))
     C = canonicalize(gauge)
-    SS = difference_body(S)
-    CC = difference_body(C)
     R = translative_factor(S, C)
     r = inradius(S, C).value
     r_mirror = inradius(S, negate(C)).value
@@ -686,11 +688,7 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     j_plus = R / D
     j_minus = translative_factor(negate(S), C) / D  # D(-S, C) = D(S, C)
 
-    f1 = translative_factor(scale(S, rat("3/2")), SS)
-    mid_equality = same_vertex_set(SS, scale(CC, D / 2))
-    f3 = translative_factor(CC, C) / (sC + 1)
     f4 = translative_factor(C, negate(S)) * (sC + 1) * D / 6
-    cond_i = f1 <= 1 and mid_equality and f3 <= 1 and f4 <= 1
 
     cond_ii = eval_chain("complete-chain", S, C).all_equal
     # Mirrored concentricity equality; see simplex_equality_conditions for
@@ -698,6 +696,7 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     cond_iii = r_mirror + R == (sC + 1) * D / 2
     cond_iv = 3 * j_plus == sC + 1
     width = is_constant_width(S, C)
+    cond_i = width and f4 <= 1
     cond_v = width and R == 2 * sC * r
     cond_vi = width and j_plus >= j_minus
     decomposition = triangle_gauge_decomposition(S, C)

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from gaugeradii import lp
 from gaugeradii.bodies import VPolytope
 from gaugeradii.ratcore import ONE, ZERO, rat, solve_linear, vec
 
@@ -36,6 +37,33 @@ def clear_caches():
             for value in vars(mod).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+class SolveCounter:
+    """``count`` is the number of ``lp.solve`` calls since the last
+    ``reset``, which also empties every cache so the count starts cold."""
+
+    def __init__(self):
+        self.count = 0
+
+    def reset(self):
+        clear_caches()
+        self.count = 0
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    """A reset ``SolveCounter`` that sees every ``lp.solve`` call."""
+    counter = SolveCounter()
+    solve = lp.solve
+
+    def counting(program):
+        counter.count += 1
+        return solve(program)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    counter.reset()
+    return counter
 
 
 def hull2d(points):

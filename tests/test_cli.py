@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from conftest import clear_caches
 from gaugeradii import certificates
 from gaugeradii.bodies import body_from_json, body_to_json, canonicalize
 from gaugeradii.cli import main
@@ -186,19 +185,14 @@ def test_certify_emits_valid_certificate(capsys, body_files, tmp_path):
     assert certificates.validate(square_body, scaled, cert)
 
 
-def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch):
+def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch, solve_counter):
     """``extract`` ends in ``validate``, so ``certify`` does not validate
     again: with cold caches, square in triangle takes 15 LP solves and prints
     exactly this report."""
-    from gaugeradii import lp
-
-    clear_caches()
-    solve, calls = lp.solve, []
-    monkeypatch.setattr(lp, "solve", lambda program: calls.append(program) or solve(program))
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["certify", "--body", "square.json", "--gauge", "triangle.json"])
     assert code == 0
-    assert len(calls) == 15
+    assert solve_counter.count == 15
     expected = {
         "arguments": {"body": "square.json", "gauge": "triangle.json"},
         "command": "certify",
@@ -250,6 +244,21 @@ def test_remaining_suites_run_clean(capsys, body_files):
         code, _, _ = run(capsys, ["verify", "--suite", suite,
                                   "--body", triangle, "--gauge", square])
         assert code == 0, suite
+
+
+@pytest.mark.parametrize("suite, chain", [
+    ("chains", "bohnenblust"),
+    ("sandwich", "extended-jung"),
+])
+def test_one_point_body_is_bad_input(capsys, body_files, tmp_path, suite, chain):
+    # D(K, C) = 0 for a one-point body, so ratios over D are undefined
+    square, _ = body_files
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"]]}))
+    code, out, err = run(capsys, ["verify", "--suite", suite,
+                                  "--body", str(point), "--gauge", square])
+    assert code == 2 and out == ""
+    assert repr(chain) in json.loads(err)["error"]
 
 
 def test_verify_violation_reports_counterexample(capsys, body_files, monkeypatch):

@@ -4,13 +4,15 @@ sweeps (the mandated large sweeps live in the acceptance module)."""
 
 import pytest
 
-from conftest import V, clear_caches
+from conftest import V
 from gaugeradii import lp
 from gaugeradii.bodies import (
+    DegenerateSimplexError,
     VPolytope,
     canonicalize,
     difference_body,
     negate,
+    same_vertex_set,
     scale,
     simplex_hrep,
     support,
@@ -24,9 +26,10 @@ from gaugeradii.constructions import (
     standard_centered_simplex,
     triangle_mix_gauge,
 )
-from gaugeradii.radii import asymmetry, circumradius, diameter, inradius
+from gaugeradii.radii import asymmetry, circumradius, diameter, inradius, is_constant_width
 from gaugeradii.ratcore import ONE, rat, vec
 from gaugeradii.theorems import (
+    ConditionVector,
     GaugeNotSymmetricError,
     InfiniteRadiusError,
     NotCenteredError,
@@ -44,6 +47,8 @@ from gaugeradii.theorems import (
     sandwich_equivalence,
     simplex_complete,
     simplex_equality_conditions,
+    symmetric_factor,
+    translative_factor,
     triangle_equality_conditions,
     triangle_gauge_decomposition,
 )
@@ -118,6 +123,18 @@ def test_chains_hold_on_seeded_pairs():
         sym = difference_body(gauge)
         for chain in ("bohnenblust", "concentricity", "symmetric-gauge-chain"):
             assert eval_chain(chain, body, sym).holds, chain
+
+
+def test_chains_over_the_diameter_refuse_a_one_point_body(square, triangle):
+    point = V([(0, 0)])
+    for gauge in (square, triangle):
+        for chain in ("extended-bohnenblust", "asymmetric-jung-bound", "extended-jung"):
+            with pytest.raises(ValueError, match=f"'{chain}'"):
+                eval_chain(chain, point, gauge)
+        # chains that do not divide by D(K, C) still report
+        assert eval_chain("mirrored-concentricity", point, gauge).values == (0, 0)
+    with pytest.raises(ValueError, match="'bohnenblust'"):
+        eval_chain("bohnenblust", point, square)
 
 
 def test_chain_report_json(square):
@@ -297,18 +314,15 @@ def test_simplex_complete_matches_difference_body_oracle():
     assert seen >= {True, False, InfiniteRadiusError}
 
 
-def test_simplex_complete_solve_count(triangle, square, monkeypatch):
+def test_simplex_complete_solve_count(triangle, square, solve_counter):
     """D(S, C) takes one LP per edge of S and the witness one more: with cold
     caches, C(n+1, 2) + 1 solves and no difference body."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
-    solve, calls = lp.solve, []
-    monkeypatch.setattr(lp, "solve", lambda program: calls.append(program) or solve(program))
     for simplex, gauge, solves in ((triangle, square, 4), (pair.simplex, pair.gauge, 7)):
         simplex, gauge = canonicalize(simplex), canonicalize(gauge)
-        clear_caches()
-        calls.clear()
+        solve_counter.reset()
         simplex_complete(simplex, gauge)
-        assert len(calls) == solves
+        assert solve_counter.count == solves
 
 
 def test_is_equilateral(triangle, square):
@@ -342,6 +356,148 @@ def test_triangle_conditions_reject_non_planar():
     simplex3 = standard_centered_simplex(3)
     with pytest.raises(ValueError):
         triangle_equality_conditions(simplex3, simplex3)
+
+
+def simplex_equality_conditions_by_inclusion_chain(simplex, gauge):
+    """Oracle: the simplex condition vector deciding all four links of its
+    inclusion chain, with S - S and C - C built.  It asserts that the first
+    three links hold; the other entries are computed as the library does."""
+    S = canonicalize(simplex)
+    C = canonicalize(gauge)
+    simplex_hrep(S)
+    n = rat(S.dim)
+    SS = difference_body(S)
+    CC = difference_body(C)
+    R = translative_factor(S, C)
+    r = inradius(S, C).value
+    r_mirror = inradius(S, negate(C)).value
+    d = diameter(S, C)
+    if d is None:
+        raise InfiniteRadiusError("gauge does not span the simplex")
+    D = d.value
+    sC = asymmetry(C).s
+    f1 = translative_factor(scale(S, (n + 1) / n), SS)
+    f2 = symmetric_factor(SS, CC) / (D / 2)
+    f3 = translative_factor(CC, C) / (sC + 1)
+    f4 = translative_factor(C, negate(S)) * (sC + 1) * D / (2 * (n + 1))
+    assert f1 <= 1 and f2 == 1 and f3 <= 1
+    cond_chains = (
+        eval_chain("gauge-asymmetry-chain", S, C).all_equal
+        and eval_chain("body-asymmetry-chain", S, C).all_equal
+    )
+    return ConditionVector(
+        entries=(
+            ("inclusion_chain", f1 <= 1 and f2 <= 1 and f3 <= 1 and f4 <= 1),
+            ("chain_equalities", cond_chains),
+            ("mirrored_concentricity_equality", r_mirror + R == (sC + 1) * D / 2),
+            ("jung_bound_equality", 2 * (n + 1) * R == n * (sC + 1) * D),
+            ("complete_with_extremal_ratio", simplex_complete(S, C)[0] and R == n * sC * r),
+        )
+    )
+
+
+def triangle_equality_conditions_by_inclusion_chain(simplex, gauge):
+    """Oracle: the planar condition vector deciding all four links of the
+    inclusion chain, the middle one as S - S = D/2 (C - C).  It asserts that
+    the first and third links hold and that the middle one is constant width."""
+    S0 = canonicalize(simplex)
+    if S0.dim != 2:
+        raise ValueError("this equivalence is planar")
+    if len(S0.vertices) != 3:
+        raise DegenerateSimplexError("need a triangle")
+    center = asymmetry(S0).center
+    S = translate(S0, tuple(-x for x in center))
+    C = canonicalize(gauge)
+    SS = difference_body(S)
+    CC = difference_body(C)
+    R = translative_factor(S, C)
+    r = inradius(S, C).value
+    r_mirror = inradius(S, negate(C)).value
+    D = diameter(S, C).value
+    sC = asymmetry(C).s
+    j_plus = R / D
+    j_minus = translative_factor(negate(S), C) / D
+    f1 = translative_factor(scale(S, rat("3/2")), SS)
+    mid_equality = same_vertex_set(SS, scale(CC, D / 2))
+    f3 = translative_factor(CC, C) / (sC + 1)
+    f4 = translative_factor(C, negate(S)) * (sC + 1) * D / 6
+    assert f1 <= 1 and f3 <= 1
+    cond_ii = eval_chain("complete-chain", S, C).all_equal
+    width = is_constant_width(S, C)
+    assert mid_equality == width
+    decomposition = triangle_gauge_decomposition(S, C)
+    return ConditionVector(
+        entries=(
+            ("inclusion_chain", f1 <= 1 and mid_equality and f3 <= 1 and f4 <= 1),
+            ("complete_chain_equalities", cond_ii),
+            ("mirrored_concentricity_equality", r_mirror + R == (sC + 1) * D / 2),
+            ("jung_bound_equality", 3 * j_plus == sC + 1),
+            ("constant_width_with_extremal_ratio", width and R == 2 * sC * r),
+            ("constant_width_with_jung_dominance", width and j_plus >= j_minus),
+            ("mixed_triangle_gauge", decomposition is not None and decomposition[0] <= rat("1/2")),
+        )
+    )
+
+
+def condition_cases():
+    rng = SplitMix64(8)
+    for trial in range(16):
+        dim = 2 + trial % 2
+        S = random_simplex(dim, 4, rng)
+        yield S, random_vpolytope(dim, dim + 2, 4, 0, rng=rng)
+        yield S, S
+        yield S, VPolytope(dim, S.vertices + negate(S).vertices)
+    for n in (2, 3):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "3", "1", variant)
+            yield pair.simplex, pair.gauge
+            yield negate(pair.simplex), pair.gauge
+    for lam in ("0", "1/4", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        yield pair.simplex, pair.gauge
+    triangle = V([(1, 0), (0, 1), (-1, -1)])
+    yield triangle, V([(-1, 0), (1, 0)])  # flat gauge
+    yield V([(1, 1), (1, -1), (-1, 1), (-1, -1)]), triangle  # not a simplex
+    yield standard_centered_simplex(3), standard_centered_simplex(3)  # 3-D
+
+
+def test_condition_vectors_match_inclusion_chain_oracles():
+    """Deciding only the closing inclusion gives the same flags and the same
+    exceptions as deciding all four links."""
+
+    def outcome(decide, simplex, gauge):
+        try:
+            return decide(simplex, gauge).entries
+        except ValueError as exc:
+            return type(exc)
+
+    seen = set()
+    for simplex, gauge in condition_cases():
+        for decide, oracle in (
+            (simplex_equality_conditions, simplex_equality_conditions_by_inclusion_chain),
+            (triangle_equality_conditions, triangle_equality_conditions_by_inclusion_chain),
+        ):
+            got = outcome(decide, simplex, gauge)
+            assert got == outcome(oracle, simplex, gauge)
+            seen.add(got[0][1] if isinstance(got, tuple) else got)
+    assert seen >= {True, False, InfiniteRadiusError, DegenerateSimplexError}
+
+
+def test_condition_vectors_solve_count(solve_counter):
+    """Neither vector solves an LP for the always-true links.  With cold
+    caches the simplex vector takes 13 solves and builds no difference body;
+    the triangle vector takes 57."""
+    pair = simplex_sandwich_pair(3, "3", "1", "min")
+    simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
+    solve_counter.reset()
+    assert simplex_equality_conditions(simplex, gauge).all_true
+    assert solve_counter.count == 13
+    assert difference_body.cache_info().misses == 0
+    pair = triangle_mix_gauge("1/4")
+    simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
+    solve_counter.reset()
+    assert triangle_equality_conditions(simplex, gauge).all_true
+    assert solve_counter.count == 57
 
 
 def test_sandwich_equivalence_cases(triangle):
