@@ -23,10 +23,8 @@ from .bodies import (
     canonicalize,
     check_same_dim,
     contains_point,
-    difference_body,
     is_centrally_symmetric,
     negate,
-    same_vertex_set,
     scale,
     support,
 )
@@ -275,10 +273,19 @@ def center_polytope_constraints(builder: lp.ProgramBuilder, body: VPolytope, c_v
 
 
 def is_constant_width(body: VPolytope, gauge: VPolytope) -> bool:
-    """K has constant width iff K - K equals D(K, C)/2 (C - C) exactly."""
+    """K has constant width iff K - K = D(K, C)/2 (C - C), iff
+
+        D(K, C) * D(C, K) = 4.
+
+    By the definition of D, K - K lies in D(K, C)/2 (C - C), which lies in
+    D(K, C) D(C, K)/4 (K - K); so the product is at least 4, and it is 4
+    exactly when both inclusions are equalities.  A one-point body has
+    constant width; a gauge whose differences leave the span of K - K does
+    not."""
     diam = diameter(body, gauge)
     if diam is None:
         raise ValueError("constant width needs a gauge spanning the body")
-    return same_vertex_set(
-        difference_body(body), scale(difference_body(gauge), diam.value / 2)
-    )
+    if diam.value == 0:
+        return True
+    back = diameter(gauge, body)
+    return back is not None and diam.value * back.value == 4

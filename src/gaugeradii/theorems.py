@@ -7,9 +7,10 @@ Design rules observed throughout:
 * Equality flags compare exact rationals.  There are no tolerances anywhere
   in this module.
 * Translative containment ``A in t + B`` is decided as "circumradius <= 1";
-  optimal containment as "circumradius = 1".  Inclusions between
-  origin-symmetric bodies skip the translation variable (equivalent for
-  symmetric sets, and much cheaper) via gauge-function maxima.
+  optimal containment as "circumradius = 1".
+* Difference bodies are built only where a statement is about one: the radii
+  of K against C - C, and R(C - C, C).  Elsewhere they are written through
+  the radii, e.g. K - K = D(K, C)/2 (C - C) as D(K, C) D(C, K) = 4.
 * Predicates of the form "there exists a Minkowski center c ..." are decided
   by one joint feasibility LP over the full center polytope.  Minkowski
   centers are not unique, so testing only the returned center would be wrong.
@@ -21,7 +22,6 @@ Design rules observed throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import lp
 from .bodies import (
@@ -74,11 +74,6 @@ class OriginNotInGaugeError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _contains_origin(body: VPolytope) -> bool:
-    return contains_point(body, vzero(body.dim))
-
-
 def gauge_value(z, body: VPolytope) -> Rational | None:
     """Gauge function of a body containing the origin: the least rho >= 0
     with z in rho * body.  None when z is outside the cone of the body.
@@ -87,7 +82,7 @@ def gauge_value(z, body: VPolytope) -> Rational | None:
     general) and deliberately not called a length.
     """
     k = canonicalize(body)
-    if not _contains_origin(k):
+    if not contains_point(k, vzero(k.dim)):
         raise OriginNotInGaugeError("gauge function needs the origin inside the body")
     zv = vec(z)
     if len(zv) != k.dim:
@@ -112,23 +107,6 @@ def translative_factor(body: VPolytope, gauge: VPolytope) -> Rational:
     if res is None:
         raise InfiniteRadiusError("no translate of any dilate contains the body")
     return res.value
-
-
-def symmetric_factor(body: VPolytope, sym_gauge: VPolytope) -> Rational:
-    """Least rho with body in rho*sym_gauge, no translation.
-
-    Used for inclusions whose right side is origin-symmetric, where the
-    translated and direct factors coincide whenever the left side is also
-    origin-symmetric (and upper-bound the translated one otherwise).
-    """
-    worst = ZERO
-    for v in canonicalize(body).vertices:
-        g = gauge_value(v, sym_gauge)
-        if g is None:
-            raise InfiniteRadiusError("body leaves the span of the gauge")
-        if g > worst:
-            worst = g
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +255,20 @@ def eval_chain(chain_id: str, body: VPolytope, gauge: VPolytope) -> ChainReport:
 def _extended_jung_chain(K: VPolytope, C: VPolytope) -> ChainReport:
     """Inclusion chain: (s+1)/s K in K-K in D/2 (C-C), the last translatively
     inside D/2 (s(C)+1) C.  The first link is a direct inclusion after
-    re-centering K at a Minkowski center."""
+    re-centering K at a Minkowski center; K - K is the unit ball of twice the
+    (K - K)/2 norm, so its factor is half the largest such norm of a vertex.
+    The second link is exactly 1 by the definition of D: K - K is spanned by
+    vertex differences of K, whose largest (C-C)/2-norm is D."""
     asym = asymmetry(K)
     sK = asym.s
     K0 = translate(K, tuple(-x for x in asym.center))
-    KK = difference_body(K)
-    CC = difference_body(C)
     D = _chain_diameter("extended-jung", K, C)
     sC = asymmetry(C).s
-    f1 = symmetric_factor(scale(K0, (sK + 1) / sK), KK)
-    f2 = symmetric_factor(KK, CC) / (D / 2)
-    f3 = translative_factor(CC, C) / (sC + 1)
+    f1 = max(sym_gauge_norm(v, K) for v in K0.vertices) * (sK + 1) / (2 * sK)
+    f3 = translative_factor(difference_body(C), C) / (sC + 1)
     return _inclusion_report(
         "extended-jung",
-        (f1, f2, f3),
+        (f1, ONE, f3),
         note="first link re-centered at a Minkowski center of the body",
     )
 
@@ -348,8 +326,13 @@ class RadiusBoundsReport:
 
 
 def radius_bound_checks(body: VPolytope, gauge: VPolytope) -> RadiusBoundsReport:
+    """Check the bounds (a)..(e) on (K, C).  A one-point body is refused: its
+    R(K, C) = s(K) r(K, -C) = 0 would run a follow-up whose implication needs
+    a full-dimensional body."""
     K, C = canonicalize(body), canonicalize(gauge)
     R = translative_factor(K, C)
+    if R == 0:
+        raise ValueError("radius bounds need R(K, C) > 0, which is 0 for a one-point body")
     R_neg = translative_factor(K, negate(C))
     r = inradius(K, C).value
     r_neg = inradius(K, negate(C)).value
@@ -630,19 +613,17 @@ def triangle_gauge_decomposition(simplex: VPolytope, gauge: VPolytope):
     """Write the gauge as t + lam*S + (1-lam)(-S) for a Minkowski-centered
     triangle S, or None.
 
-    Requires C - C = S - S (otherwise no decomposition exists).  The pair
-    (lam, t) solves the support equalities h(C, a) = t.a + lam h(S, a) +
-    (1-lam) h(-S, a) on the three facet normals of S — a nonsingular 3x3
-    system for any nondegenerate triangle — and is then verified by exact
-    vertex-set equality.
+    The pair (lam, t) solves the support equalities h(C, a) = t.a +
+    lam h(S, a) + (1-lam) h(-S, a) on the three facet normals of S — a
+    nonsingular 3x3 system for any nondegenerate triangle — and is then
+    verified by exact vertex-set equality.  (A decomposition forces
+    C - C = S - S; the final check covers that.)
     """
     S = canonicalize(simplex)
     if S.dim != 2:
         raise ValueError("the decomposition is a planar construction")
     hrep = simplex_hrep(S)
     C = canonicalize(gauge)
-    if not same_vertex_set(difference_body(C), difference_body(S)):
-        return None
     negS = negate(S)
     rows = []
     rhs = []

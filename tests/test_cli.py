@@ -261,6 +261,19 @@ def test_one_point_body_is_bad_input(capsys, body_files, tmp_path, suite, chain)
     assert repr(chain) in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("gauge", ["square", "triangle"])
+def test_one_point_body_radius_bounds_is_bad_input(capsys, body_files, tmp_path, gauge):
+    # R(K, C) = s(K) r(K, -C) = 0 for a one-point body, which would trigger
+    # a follow-up that needs a full-dimensional body
+    gauges = dict(zip(("square", "triangle"), body_files))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"]]}))
+    code, out, err = run(capsys, ["verify", "--suite", "radius-bounds",
+                                  "--body", str(point), "--gauge", gauges[gauge]])
+    assert code == 2 and out == ""
+    assert "R(K, C)" in json.loads(err)["error"]
+
+
 def test_verify_violation_reports_counterexample(capsys, body_files, monkeypatch):
     # force a failing suite outcome to exercise the exit-1 reporting path
     import gaugeradii.cli as cli_mod

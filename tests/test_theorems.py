@@ -3,6 +3,8 @@ and the completeness oracle, on hand-checkable instances plus small seeded
 sweeps (the mandated large sweeps live in the acceptance module)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V
 from gaugeradii import lp
@@ -10,6 +12,7 @@ from gaugeradii.bodies import (
     DegenerateSimplexError,
     VPolytope,
     canonicalize,
+    check_same_dim,
     difference_body,
     negate,
     same_vertex_set,
@@ -20,6 +23,7 @@ from gaugeradii.bodies import (
 )
 from gaugeradii.constructions import (
     SplitMix64,
+    random_pair_suite,
     random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
@@ -27,8 +31,9 @@ from gaugeradii.constructions import (
     triangle_mix_gauge,
 )
 from gaugeradii.radii import asymmetry, circumradius, diameter, inradius, is_constant_width
-from gaugeradii.ratcore import ONE, rat, vec
+from gaugeradii.ratcore import ONE, ZERO, rat, vec
 from gaugeradii.theorems import (
+    ChainReport,
     ConditionVector,
     GaugeNotSymmetricError,
     InfiniteRadiusError,
@@ -47,7 +52,6 @@ from gaugeradii.theorems import (
     sandwich_equivalence,
     simplex_complete,
     simplex_equality_conditions,
-    symmetric_factor,
     translative_factor,
     triangle_equality_conditions,
     triangle_gauge_decomposition,
@@ -171,6 +175,15 @@ def test_radius_bounds_random():
         assert report.all_hold
         assert report.gauge_equality_followup in (None, True)
         assert report.body_equality_followup in (None, True)
+
+
+def test_radius_bounds_refuse_a_one_point_body(square, triangle):
+    # R(K, C) = s(K) r(K, -C) = 0 would run the body follow-up, whose
+    # implication needs a full-dimensional body
+    point = V([(0, 0)])
+    for gauge in (square, triangle, V([(-1, 0), (1, 0)])):
+        with pytest.raises(ValueError, match=r"R\(K, C\)"):
+            radius_bound_checks(point, gauge)
 
 
 def test_breadth_bounds_endpoints(square, triangle):
@@ -377,7 +390,7 @@ def simplex_equality_conditions_by_inclusion_chain(simplex, gauge):
     D = d.value
     sC = asymmetry(C).s
     f1 = translative_factor(scale(S, (n + 1) / n), SS)
-    f2 = symmetric_factor(SS, CC) / (D / 2)
+    f2 = direct_factor(SS, CC) / (D / 2)
     f3 = translative_factor(CC, C) / (sC + 1)
     f4 = translative_factor(C, negate(S)) * (sC + 1) * D / (2 * (n + 1))
     assert f1 <= 1 and f2 == 1 and f3 <= 1
@@ -486,7 +499,7 @@ def test_condition_vectors_match_inclusion_chain_oracles():
 def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
     caches the simplex vector takes 13 solves and builds no difference body;
-    the triangle vector takes 57."""
+    the triangle vector takes 34 and builds none either."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
@@ -497,7 +510,8 @@ def test_condition_vectors_solve_count(solve_counter):
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
     solve_counter.reset()
     assert triangle_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 57
+    assert solve_counter.count == 34
+    assert difference_body.cache_info().misses == 0
 
 
 def test_sandwich_equivalence_cases(triangle):
@@ -539,6 +553,174 @@ def test_decomposition_midpoint(triangle):
 
 def test_decomposition_rejects_wrong_difference_body(triangle, square):
     assert triangle_gauge_decomposition(triangle, square) is None
+
+
+# ---------------------------------------------------------------------------
+# difference bodies only where the statement is about one
+
+
+def direct_factor(body, sym_gauge):
+    """Oracle: least rho with body in rho*sym_gauge, no translation, as the
+    largest gauge value of a vertex of the body."""
+    worst = ZERO
+    for v in canonicalize(body).vertices:
+        g = gauge_value(v, sym_gauge)
+        if g is None:
+            raise InfiniteRadiusError("body leaves the span of the gauge")
+        worst = max(worst, g)
+    return worst
+
+
+def is_constant_width_by_difference_bodies(body, gauge):
+    """Oracle: K has constant width iff K - K and D(K, C)/2 (C - C) have the
+    same vertex set."""
+    diam = diameter(body, gauge)
+    if diam is None:
+        raise ValueError("constant width needs a gauge spanning the body")
+    return same_vertex_set(
+        difference_body(body), scale(difference_body(gauge), diam.value / 2)
+    )
+
+
+def extended_jung_by_difference_bodies(body, gauge):
+    """Oracle: the extended-Jung link values with K - K and C - C built and
+    the first two links decided as direct inclusions."""
+    K, C = canonicalize(body), canonicalize(gauge)
+    check_same_dim(K, C)
+    asym = asymmetry(K)
+    sK = asym.s
+    K0 = translate(K, tuple(-x for x in asym.center))
+    KK = difference_body(K)
+    CC = difference_body(C)
+    d = diameter(K, C)
+    if d is None:
+        raise InfiniteRadiusError("diameter is infinite for this pair")
+    if d.value == 0:
+        raise ValueError("chain 'extended-jung' divides by D(K, C)")
+    D = d.value
+    sC = asymmetry(C).s
+    f1 = direct_factor(scale(K0, (sK + 1) / sK), KK)
+    f2 = direct_factor(KK, CC) / (D / 2)
+    f3 = translative_factor(CC, C) / (sC + 1)
+    return (f1, f2, f3)
+
+
+def triangle_gauge_decomposition_with_precheck(simplex, gauge):
+    """Oracle: the decomposition returning None up front unless
+    C - C = S - S."""
+    S = canonicalize(simplex)
+    if S.dim != 2:
+        raise ValueError("the decomposition is a planar construction")
+    simplex_hrep(S)
+    if not same_vertex_set(difference_body(canonicalize(gauge)), difference_body(S)):
+        return None
+    return triangle_gauge_decomposition(S, gauge)
+
+
+def difference_body_cases():
+    for body, gauge in random_pair_suite(24, 20240817):  # acceptance stream
+        yield body, gauge
+        yield difference_body(gauge), gauge  # the four below have constant width
+        yield gauge, gauge
+        yield scale(difference_body(body), 3), body
+        yield scale(difference_body(gauge), 3), gauge
+    for lam in ("0", "1/4", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        yield pair.simplex, pair.gauge
+        yield translate(pair.simplex, (1, 2)), pair.gauge
+    for n in (2, 3):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "3", "1", variant)
+            yield pair.simplex, pair.gauge
+            yield negate(pair.simplex), pair.gauge
+    triangle = V([(1, 0), (0, 1), (-1, -1)])
+    square = V([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    point = V([(0, 0)])
+    segment = V([(0, 0), (2, 1)])
+    yield point, square  # one-point body
+    yield point, triangle
+    yield point, point
+    yield segment, V([(-2, -1), (4, 2)])  # collinear segments
+    yield segment, square  # a flat body in a spanning gauge
+    yield segment, V([(-1, 0), (1, 0)])  # gauges that do not span the body
+    yield square, V([(-1, 0), (1, 0)])
+    yield triangle, point
+    yield triangle, standard_centered_simplex(3)  # dimensions differ
+
+
+def outcome(decide, *args):
+    """The result of ``decide(*args)``, or the type of the ValueError it raises."""
+    try:
+        return decide(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def kind(result):
+    return result if isinstance(result, type) else type(result)
+
+
+def test_difference_body_free_paths_match_oracles():
+    """Constant width from D(K, C) D(C, K) = 4, the extended-Jung chain
+    without K - K and the decomposition without its C - C = S - S test give
+    the values, flags and exceptions of the difference-body formulations."""
+    widths, chains, decompositions = set(), set(), set()
+    for body, gauge in difference_body_cases():
+        width = outcome(is_constant_width, body, gauge)
+        assert width == outcome(is_constant_width_by_difference_bodies, body, gauge)
+        widths.add(width)
+        chain = outcome(eval_chain, "extended-jung", body, gauge)
+        if isinstance(chain, ChainReport):
+            chain = chain.values
+        assert chain == outcome(extended_jung_by_difference_bodies, body, gauge)
+        chains.add(kind(chain))
+        decomposition = outcome(triangle_gauge_decomposition, body, gauge)
+        assert decomposition == outcome(triangle_gauge_decomposition_with_precheck, body, gauge)
+        decompositions.add(kind(decomposition))
+    assert widths >= {True, False, ValueError}
+    assert chains >= {tuple, ValueError, InfiniteRadiusError}
+    assert decompositions >= {tuple, type(None), ValueError, DegenerateSimplexError}
+
+
+@st.composite
+def small_bodies(draw, dim):
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
+    count = draw(st.integers(1, dim + 2))
+    return V([draw(st.tuples(*[q] * dim)) for _ in range(count)])
+
+
+@st.composite
+def body_gauge_pairs(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    return draw(small_bodies(dim)), draw(small_bodies(dim))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs(), st.fractions(min_value="1/3", max_value=3, max_denominator=3))
+def test_constant_width_matches_difference_body_oracle_hypothesis(pair, factor):
+    body, gauge = pair
+    widened = scale(difference_body(gauge), factor)
+    for K in (body, widened):
+        assert outcome(is_constant_width, K, gauge) == outcome(
+            is_constant_width_by_difference_bodies, K, gauge
+        )
+    assert is_constant_width(widened, gauge)
+
+
+def test_constant_width_and_extended_jung_solve_count(triangle, square, solve_counter):
+    """With cold caches, constant width takes one LP per distinct vertex
+    difference of each body (3 for the triangle, 4 for the square) and builds
+    no difference body; the extended-Jung chain builds only C - C."""
+    triangle, square = canonicalize(triangle), canonicalize(square)
+    solve_counter.reset()
+    assert not is_constant_width(triangle, square)
+    assert solve_counter.count == 3 + 4
+    assert difference_body.cache_info().misses == 0
+    solve_counter.reset()
+    assert eval_chain("extended-jung", square, triangle).holds
+    assert difference_body.cache_info().misses == 1
+    difference_body(triangle)
+    assert difference_body.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
