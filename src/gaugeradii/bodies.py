@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import lp
@@ -300,7 +300,7 @@ def simplex_hrep(body: VPolytope) -> HPolytope:
     cofactor determinants."""
     s = canonicalize(body)
     n = s.dim
-    if len(s.vertices) != n + 1 or not is_simplex(s):
+    if len(s.vertices) != n + 1:
         raise DegenerateSimplexError(
             f"need {n + 1} affinely independent vertices, got {len(s.vertices)}"
         )
@@ -317,7 +317,7 @@ def simplex_hrep(body: VPolytope) -> HPolytope:
         normal_t = tuple(normal)
         offset = vdot(normal_t, base)
         inside = vdot(normal_t, s.vertices[i])
-        if inside == offset:
+        if inside == offset:  # every affinely dependent vertex set ends here
             raise DegenerateSimplexError("vertex lies on the opposite facet")
         if inside > offset:
             normal_t = vneg(normal_t)
@@ -388,36 +388,21 @@ def enumerate_vertices(region: HPolytope, *, max_dim: int = 4, max_halfspaces: i
 # planar helpers
 
 
-def _ccw_sorted(points: list, center: Vec) -> list:
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    def compare(p, q):
-        dp, dq = vsub(p, center), vsub(q, center)
-        hp, hq = half(dp), half(dq)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = dp[0] * dq[1] - dp[1] * dq[0]
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return sorted(points, key=cmp_to_key(compare))
-
-
 def polygon_facet_balance(body: VPolytope) -> bool:
     """Check that length-weighted outer normals of a polygon sum to zero.
 
     Rotating each boundary edge vector by 90 degrees gives exactly
     edge-length times the unit normal without leaving the rationals, so the
-    facet-normal balance can be verified bit-exactly.
+    facet-normal balance can be verified bit-exactly.  The edge vectors of
+    any closed ring telescope to zero, so the sum does not depend on the
+    vertex order and the canonical order serves as the ring.
     """
     if body.dim != 2:
         raise DimensionMismatchError("facet balance is implemented for polygons only")
     k = canonicalize(body)
     if len(k.vertices) < 3:
         raise ValueError("degenerate polygon")
-    ring = _ccw_sorted(list(k.vertices), vertex_centroid(k))
+    ring = k.vertices
     total = (ZERO, ZERO)
     for p, q in zip(ring, ring[1:] + ring[:1]):
         e = vsub(q, p)

@@ -260,9 +260,12 @@ def random_pair_suite(trials: int, seed: int, dims=(2, 3), max_vertices: int = 5
 
 
 def random_simplex(dim: int, coordinate_bound: int, rng: SplitMix64) -> VPolytope:
-    """A nondegenerate random simplex (dim+1 affinely independent points)."""
+    """A nondegenerate random simplex (dim+1 affinely independent points).
+
+    Affinely independent points are distinct and all extreme, so the sorted
+    points are already the canonical vertex list."""
     for _attempt in range(500):
         pts = [rng.point(dim, coordinate_bound) for _ in range(dim + 1)]
         if rank([vsub(p, pts[0]) for p in pts[1:]]) == dim:
-            return canonicalize(VPolytope(dim, tuple(pts)))
+            return VPolytope(dim, tuple(sorted(pts)), canonical=True)
     raise ExhaustedRedrawsError("could not draw a nondegenerate simplex")

@@ -108,26 +108,18 @@ def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
 def inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
     """r(body, gauge): the largest factor rho with rho*gauge fitting in a
-    translate of the body (0 when the body is lower-dimensional)."""
-    return _inradius(canonicalize(body), canonicalize(gauge))
+    translate of the body, read off R(gauge, body) = 1/rho.
 
-
-@lru_cache(maxsize=None)
-def _inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
-    n = check_same_dim(body, gauge)
-    builder = lp.ProgramBuilder()
-    t = builder.add_vars(n, free=True)
-    lam = builder.add_var(objective=-ONE)  # maximize lambda
-    # lambda*c + t must lie in the body, for each gauge vertex c.
-    for c in gauge.vertices:
-        lhs = [{t[k]: ONE, lam: c[k]} for k in range(n)]
-        builder.add_hull_membership(body.vertices, lhs, (ZERO,) * n, scale=-ONE)
-    out = lp.solve(builder.build())
-    if out.status == lp.UNBOUNDED:
+    gauge in t + R*body means rho*gauge - rho*t in body, so the witness is
+    -rho*t.  No dilate of the body covering the gauge means the body is flat
+    across the gauge: rho = 0, witnessed by the first canonical vertex."""
+    res = circumradius(gauge, body)
+    if res is None:
+        return RadiiResult(ZERO, canonicalize(body).vertices[0])
+    if res.value == 0:
         raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
-    if out.status != lp.OPTIMAL:
-        raise RuntimeError("inradius LP is always feasible")
-    return RadiiResult(-out.value, tuple(out.primal[v] for v in t))
+    rho = ONE / res.value
+    return RadiiResult(rho, vscale(-rho, res.translation))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ solve.
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from gaugeradii import lp
 from gaugeradii.bodies import VPolytope
@@ -109,3 +110,17 @@ def in_translated_dilate(point, translation, factor, simplex_vertices):
     shifted = [a - b for a, b in zip(vec(point), vec(translation))]
     scaled = [[f * x for x in vec(v)] for v in simplex_vertices]
     return barycentric_inside(shifted, scaled)
+
+
+@st.composite
+def small_bodies(draw, dim):
+    """1 to dim+2 points with coordinates in [-3, 3], denominators up to 3."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
+    count = draw(st.integers(1, dim + 2))
+    return V([draw(st.tuples(*[q] * dim)) for _ in range(count)])
+
+
+@st.composite
+def body_gauge_pairs(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    return draw(small_bodies(dim)), draw(small_bodies(dim))

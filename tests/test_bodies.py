@@ -147,6 +147,22 @@ def test_simplex_hrep_rejects_degenerate():
     coplanar = V([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(DegenerateSimplexError):
         simplex_hrep(coplanar)
+    # seeded sets of n+1 points with coordinates in {-1, 0, 1}: the facet
+    # construction alone must reject exactly the sets that are no simplex
+    rng = SplitMix64(2718)
+    outcomes = set()
+    for trial in range(3000):
+        n = 2 + trial % 2
+        body = V([tuple(rng.below(3) - 1 for _ in range(n)) for _ in range(n + 1)])
+        simplex = is_simplex(body)
+        flat_but_long = not simplex and len(canonicalize(body).vertices) == n + 1
+        if simplex:
+            assert len(simplex_hrep(body).halfspaces) == n + 1
+        else:
+            with pytest.raises(DegenerateSimplexError):
+                simplex_hrep(body)
+        outcomes.add((simplex, flat_but_long))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_is_simplex(triangle, square):

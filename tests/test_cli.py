@@ -65,6 +65,20 @@ def test_compute_rejects_bad_input(capsys, tmp_path):
     assert "error" in err
 
 
+def test_halfspace_body_file_is_bad_input(capsys, body_files, tmp_path):
+    # the library reads halfspace JSON, the CLI works on vertex lists only
+    square, _ = body_files
+    hrep = tmp_path / "hrep.json"
+    hrep.write_text(json.dumps({"dim": 2, "halfspaces": [
+        {"normal": ["1", "0"], "offset": "1"},
+        {"normal": ["0", "1"], "offset": "1"},
+        {"normal": ["-1", "-1"], "offset": "1"},
+    ]}))
+    code, out, err = run(capsys, ["compute", "--body", str(hrep), "--gauge", square])
+    assert code == 2 and out == ""
+    assert "vertex representations" in json.loads(err)["error"]
+
+
 def test_compute_deterministic_output(capsys, body_files):
     square, triangle = body_files
     _, out1, _ = run(capsys, ["compute", "--body", square, "--gauge", triangle])

@@ -4,6 +4,8 @@ randomness (including the splitmix64 known-answer vectors)."""
 import pytest
 
 from gaugeradii.bodies import (
+    VPolytope,
+    canonicalize,
     contains_point,
     difference_body,
     is_centrally_symmetric,
@@ -18,6 +20,7 @@ from gaugeradii.constructions import (
     SplitMix64,
     pair_from_json,
     random_nonsymmetric_vpolytope,
+    random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
     spiked_difference_pair,
@@ -137,6 +140,18 @@ def test_random_vpolytope_full_dimensional(dim):
         base = body.vertices[0]
         assert rank([vsub(v, base) for v in body.vertices[1:]]) == dim
         assert is_centrally_symmetric(difference_body(body))[0]
+
+
+def test_random_simplex_is_canonical():
+    # built as canonical without hull LPs: it must be what canonicalize
+    # makes of the same points, in any order
+    rng = SplitMix64(8)
+    for trial in range(40):
+        dim = 2 + trial % 2
+        simplex = random_simplex(dim, 1 + trial % 3, rng)
+        assert simplex.canonical
+        shuffled = VPolytope(dim, simplex.vertices[1:] + simplex.vertices[:1])
+        assert canonicalize(shuffled) == simplex
 
 
 def test_random_nonsymmetric_bodies():

@@ -8,10 +8,15 @@ containment at exactly 8/3.
 """
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import V, in_translated_dilate
+from conftest import V, body_gauge_pairs, in_translated_dilate
+from gaugeradii import lp
 from gaugeradii.bodies import (
+    DimensionMismatchError,
     canonicalize,
+    check_same_dim,
+    contains_point,
     difference_body,
     negate,
     same_vertex_set,
@@ -21,7 +26,14 @@ from gaugeradii.bodies import (
     translate,
     vertex_centroid,
 )
-from gaugeradii.constructions import SplitMix64, random_vpolytope, standard_centered_simplex
+from gaugeradii.constructions import (
+    SplitMix64,
+    random_pair_suite,
+    random_vpolytope,
+    simplex_sandwich_pair,
+    standard_centered_simplex,
+    triangle_mix_gauge,
+)
 from gaugeradii.radii import (
     DegenerateGaugeError,
     asymmetry,
@@ -34,7 +46,7 @@ from gaugeradii.radii import (
     jung_ratio,
     sym_gauge_norm,
 )
-from gaugeradii.ratcore import rat, vadd, vec
+from gaugeradii.ratcore import ONE, ZERO, rat, vadd, vec
 
 
 def seeded_pairs(count, seed, dim=2, verts=4):
@@ -80,7 +92,7 @@ def test_inradius(square, triangle):
     assert inradius(square, square).value == 1
     assert inradius(square, triangle).value == 1
     res = inradius(triangle, scale(square, "1/2"))
-    # reciprocity against the independent circumradius path
+    # r(K, C) R(C, K) = 1; ``inradius_by_lp`` below is the independent route
     assert res.value * circumradius(scale(square, "1/2"), triangle).value == 1
 
 
@@ -95,8 +107,6 @@ def test_reciprocity_random():
 
 
 def test_witness_translations_certify_values():
-    from gaugeradii.bodies import contains_point
-
     for body, gauge in seeded_pairs(6, 58):
         circ = circumradius(body, gauge)
         cover = translate(scale(gauge, circ.value), circ.translation)
@@ -254,3 +264,120 @@ def test_constant_width(square, triangle):
         difference_body(difference_body(triangle)),
         scale(difference_body(triangle), d / 2),
     )
+
+
+# ---------------------------------------------------------------------------
+# the inradius LP as an oracle for r(K, C) = 1/R(C, K)
+
+
+def inradius_by_lp(body, gauge):
+    """r(body, gauge) from its own containment LP: maximize lambda subject to
+    lambda*c + t in the body for every gauge vertex c."""
+    body, gauge = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(body, gauge)
+    builder = lp.ProgramBuilder()
+    t = builder.add_vars(n, free=True)
+    lam = builder.add_var(objective=-ONE)  # maximize lambda
+    for c in gauge.vertices:
+        lhs = [{t[k]: ONE, lam: c[k]} for k in range(n)]
+        builder.add_hull_membership(body.vertices, lhs, (ZERO,) * n, scale=-ONE)
+    out = lp.solve(builder.build())
+    if out.status == lp.UNBOUNDED:
+        raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
+    assert out.status == lp.OPTIMAL
+    return -out.value, tuple(out.primal[v] for v in t)
+
+
+def inscribes(body, gauge, value, translation):
+    """value*gauge + translation lies in the body, checked vertex by vertex."""
+    inner = translate(scale(gauge, value), translation)
+    return all(contains_point(body, v) for v in inner.vertices)
+
+
+def compare_with_lp(body, gauge):
+    """Assert the inradius agrees with the LP oracle in value (or exception)
+    and inscribes its dilate; True when the oracle's translation differs,
+    which must then be a witness too."""
+    try:
+        expected = inradius_by_lp(body, gauge)
+    except (DegenerateGaugeError, DimensionMismatchError) as exc:
+        with pytest.raises(type(exc)):
+            inradius(body, gauge)
+        return False
+    res = inradius(body, gauge)
+    assert res.value == expected[0]
+    assert inscribes(body, gauge, res.value, res.translation)
+    if res.translation == expected[1]:
+        return False
+    assert inscribes(body, gauge, *expected)
+    return True
+
+
+def flat_cases():
+    square3 = V([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    return [
+        (V([(0, 0), (1, 0)]), V([(1, 1), (1, -1), (-1, 1), (-1, -1)])),
+        (V([(2, 1), (-1, 3)]), V([(1, 0), (0, 1), (-1, -1)])),
+        (V([(0, 0), (1, 0)]), V([(0, 0), (0, 1)])),
+        (V([(3, "1/2")]), V([(1, 0), (0, 1), (-1, -1)])),
+        (V([(0, 0, 0), (2, 0, 0), (0, 1, 0)]), standard_centered_simplex(3)),
+        (V([(1, 0, 1), (0, 1, 1), (-1, -1, 1), (0, 0, 1)]), square3),
+        (V([(0, 0, 0), (1, 1, 1)]), square3),
+    ]
+
+
+def test_flat_body_translation_matches_lp():
+    # the body cannot hold any dilate of the gauge: r = 0 at the first
+    # canonical vertex, the translation the LP also lands on
+    for body, gauge in flat_cases():
+        res = inradius(body, gauge)
+        assert res.value == 0
+        assert (res.value, res.translation) == inradius_by_lp(body, gauge)
+        assert res.translation == canonicalize(body).vertices[0]
+
+
+def test_inradius_matches_lp_oracle():
+    """Equal values and exceptions, exact witnesses, against C, -C and C - C
+    on acceptance-stream pairs, the sandwich pairs for +-S both ways round,
+    the triangle_mix_gauge grid, a flat body with a parallel flat gauge and
+    degenerate gauges."""
+    cases = []
+    for body, gauge in random_pair_suite(30, 20240817, dims=(2, 3), max_vertices=5):
+        cases += [(body, gauge), (body, negate(gauge)), (body, difference_body(gauge))]
+    for n in (2, 3):
+        for lam, mu in (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0")):
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    cases += [(S, pair.gauge), (pair.gauge, S)]
+    for lam in ("0", "1/4", "1/3", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        for S in (pair.simplex, negate(pair.simplex)):
+            cases += [(S, pair.gauge), (pair.gauge, S)]
+    square = V([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    cases += [
+        (square, V([(0, 0)])),
+        (V([(5, 5)]), V([(0, 0)])),
+        (square, standard_centered_simplex(3)),
+        (V([(0, 1), (2, 1)]), V([(0, 0), (3, 0)])),
+    ]
+    differing = sum(compare_with_lp(body, gauge) for body, gauge in cases)
+    print(f"PASS: {len(cases)} inradii equal to the LP's, {differing} other witnesses")
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_inradius_matches_lp_oracle_hypothesis(pair):
+    body, gauge = pair
+    compare_with_lp(body, gauge)
+    compare_with_lp(gauge, body)
+
+
+def test_inradius_reuses_the_circumradius(triangle, square, solve_counter):
+    """r(K, C) is read off the cached R(C, K): no solve of its own."""
+    for body, gauge in ((square, triangle), (triangle, square), (V([(0, 0), (1, 0)]), square)):
+        solve_counter.reset()
+        circumradius(gauge, body)
+        warm = solve_counter.count
+        inradius(body, gauge)
+        assert solve_counter.count == warm

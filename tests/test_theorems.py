@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V
+from conftest import V, body_gauge_pairs
 from gaugeradii import lp
 from gaugeradii.bodies import (
     DegenerateSimplexError,
@@ -680,19 +680,6 @@ def test_difference_body_free_paths_match_oracles():
     assert widths >= {True, False, ValueError}
     assert chains >= {tuple, ValueError, InfiniteRadiusError}
     assert decompositions >= {tuple, type(None), ValueError, DegenerateSimplexError}
-
-
-@st.composite
-def small_bodies(draw, dim):
-    q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
-    count = draw(st.integers(1, dim + 2))
-    return V([draw(st.tuples(*[q] * dim)) for _ in range(count)])
-
-
-@st.composite
-def body_gauge_pairs(draw):
-    dim = draw(st.sampled_from((2, 3)))
-    return draw(small_bodies(dim)), draw(small_bodies(dim))
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
