@@ -17,11 +17,11 @@ from .bodies import (
     contains_point,
     difference_body,
     enumerate_vertices,
+    facets,
     intersect,
     is_centrally_symmetric,
     minkowski_sum,
     negate,
-    polygon_facet_balance,
     same_vertex_set,
     scale,
     simplex_hrep,

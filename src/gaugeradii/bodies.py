@@ -1,10 +1,11 @@
 """Polytope representations and Minkowski algebra over exact rationals.
 
-The vertex representation is primary: every radius downstream reduces to a
-containment LP over vertex lists.  Halfspace representations exist only where
-they are exact and cheap — simplices (n+1 facets from determinants) and
-desk-scale brute-force vertex enumeration — because general V/H conversion is
-out of scope here.
+The vertex representation is primary: the radii downstream reduce to
+containment LPs over vertex lists.  Halfspace representations come from exact
+desk-scale brute force, since general V/H conversion is out of scope here:
+``facets`` keeps the hyperplanes through n vertices that have every vertex on
+one side (a simplex's n+1 facets are its special case), and
+``enumerate_vertices`` goes back from halfspaces to vertices.
 
 Bodies are immutable value objects; operations are pure functions, so results
 may be shared freely and cached.  ``canonicalize`` removes every point lying
@@ -27,6 +28,7 @@ from .ratcore import (
     Rational,
     Vec,
     det,
+    is_zero_vec,
     rank,
     rat,
     rat_str,
@@ -263,7 +265,7 @@ def vertex_centroid(body: VPolytope) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# simplex facets, halfspaces, enumeration
+# facets, halfspaces, enumeration
 
 
 def is_simplex(body: VPolytope) -> bool:
@@ -293,37 +295,67 @@ def normalize_halfspace(half: Halfspace) -> Halfspace:
     )
 
 
+def _cofactor_normal(points: list) -> Vec:
+    """A normal of the affine hull of n points in R^n from cofactor
+    determinants of their differences to the first; zero exactly when the
+    points are affinely dependent."""
+    base = points[0]
+    dirs = [vsub(v, base) for v in points[1:]]  # (n-1) x n
+    n = len(base)
+    normal = []
+    for j in range(n):
+        minor = [[d[k] for k in range(n) if k != j] for d in dirs]
+        sign = ONE if j % 2 == 0 else -ONE
+        normal.append(sign * (det(minor) if minor else ONE))
+    return tuple(normal)
+
+
 @lru_cache(maxsize=None)
+def facets(body: VPolytope) -> tuple | None:
+    """Exact facet description of a full-dimensional polytope: the
+    normalized halfspaces ``normal . x <= offset``, one per facet; None when
+    the body is flat.
+
+    Brute force over the n-subsets of canonical vertices: a hyperplane
+    through n affinely independent vertices is a facet hyperplane exactly
+    when every vertex lies on one side of it, and the body is flat when every
+    vertex lies on it or no such subset exists.  A facet with more than n
+    vertices is met once per n-subset and kept once.  Subsets run in
+    reverse lexicographic order, so the facets of a simplex come out opposite
+    its vertices in vertex order.
+    """
+    k = canonicalize(body)
+    n = k.dim
+    verts = k.vertices
+    found = {}
+    for subset in reversed(list(itertools.combinations(range(len(verts)), n))):
+        normal = _cofactor_normal([verts[i] for i in subset])
+        if is_zero_vec(normal):
+            continue
+        offset = vdot(normal, verts[subset[0]])
+        sides = {
+            (x > offset) - (x < offset)
+            for x in (vdot(normal, v) for i, v in enumerate(verts) if i not in subset)
+        }
+        if sides <= {0}:  # every vertex on this hyperplane
+            return None
+        if sides >= {-1, 1}:
+            continue
+        if 1 in sides:  # every vertex on the far side: flip
+            normal, offset = vneg(normal), -offset
+        found.setdefault(normalize_halfspace(Halfspace(normal, offset)), None)
+    return tuple(found) or None  # no n affinely independent vertices
+
+
 def simplex_hrep(body: VPolytope) -> HPolytope:
-    """Exact facet description of a simplex: one hyperplane through each
-    n-subset of vertices, oriented by the omitted vertex, coefficients from
-    cofactor determinants."""
-    s = canonicalize(body)
-    n = s.dim
-    if len(s.vertices) != n + 1:
+    """Exact facet description of a simplex: the ``facets`` of a body with
+    n + 1 of them, the i-th opposite the i-th canonical vertex."""
+    halves = facets(body)
+    if halves is None or len(halves) != body.dim + 1:
         raise DegenerateSimplexError(
-            f"need {n + 1} affinely independent vertices, got {len(s.vertices)}"
+            f"not a simplex: need {body.dim + 1} affinely independent vertices"
         )
-    halves = []
-    for i in range(n + 1):
-        rest = [v for k, v in enumerate(s.vertices) if k != i]
-        base = rest[0]
-        dirs = [vsub(v, base) for v in rest[1:]]  # (n-1) x n
-        normal = []
-        for j in range(n):
-            minor = [[d[k] for k in range(n) if k != j] for d in dirs]
-            sign = ONE if j % 2 == 0 else -ONE
-            normal.append(sign * (det(minor) if minor else ONE))
-        normal_t = tuple(normal)
-        offset = vdot(normal_t, base)
-        inside = vdot(normal_t, s.vertices[i])
-        if inside == offset:  # every affinely dependent vertex set ends here
-            raise DegenerateSimplexError("vertex lies on the opposite facet")
-        if inside > offset:
-            normal_t = vneg(normal_t)
-            offset = -offset
-        halves.append(normalize_halfspace(Halfspace(normal_t, offset)))
-    return HPolytope(n, tuple(halves))
+    return HPolytope(body.dim, halves)
 
 
 def intersect(a: HPolytope, b: HPolytope) -> HPolytope:
@@ -382,32 +414,6 @@ def enumerate_vertices(region: HPolytope, *, max_dim: int = 4, max_halfspaces: i
     if not found:
         raise ValueError("empty halfspace intersection")
     return VPolytope(n, tuple(sorted(found)), canonical=True)
-
-
-# ---------------------------------------------------------------------------
-# planar helpers
-
-
-def polygon_facet_balance(body: VPolytope) -> bool:
-    """Check that length-weighted outer normals of a polygon sum to zero.
-
-    Rotating each boundary edge vector by 90 degrees gives exactly
-    edge-length times the unit normal without leaving the rationals, so the
-    facet-normal balance can be verified bit-exactly.  The edge vectors of
-    any closed ring telescope to zero, so the sum does not depend on the
-    vertex order and the canonical order serves as the ring.
-    """
-    if body.dim != 2:
-        raise DimensionMismatchError("facet balance is implemented for polygons only")
-    k = canonicalize(body)
-    if len(k.vertices) < 3:
-        raise ValueError("degenerate polygon")
-    ring = k.vertices
-    total = (ZERO, ZERO)
-    for p, q in zip(ring, ring[1:] + ring[:1]):
-        e = vsub(q, p)
-        total = vadd(total, (e[1], -e[0]))
-    return total == (ZERO, ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,18 @@ from functools import lru_cache
 
 from . import lp
 from .bodies import (
+    DimensionMismatchError,
     VPolytope,
     canonicalize,
     check_same_dim,
     contains_point,
+    facets,
     is_centrally_symmetric,
     negate,
     scale,
     support,
 )
-from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vec, vscale
+from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vdot, vec, vneg, vscale
 
 
 class DegenerateGaugeError(ValueError):
@@ -219,7 +221,8 @@ def asymmetry(body: VPolytope) -> AsymmetryResult:
     The center follows from the witness translation: -K in t + sK means
     -(K - c) in s(K - c) for c = -t/(1 + s).  Centers are not unique in
     general; predicates quantifying over centers must use the full center
-    polytope (see ``center_polytope_constraints``), never just this one.
+    polytope, never just this one: ``is_minkowski_center`` tests a point
+    against it, and the concentricity LPs of ``theorems`` carry its rows.
     """
     return _asymmetry(canonicalize(body))
 
@@ -238,26 +241,29 @@ def _asymmetry(body: VPolytope) -> AsymmetryResult:
 
 
 def is_minkowski_center(body: VPolytope, point) -> bool:
-    """Exact check of -(K - c) in s(K)(K - c), one membership LP per vertex."""
+    """Exact check of -(K - c) in s(K)(K - c).  For a full-dimensional body
+    that is one sign test per facet g.x <= b of K,
+
+        (1 + s) g.c <= s b - h(K, -g),
+
+    since the inclusion holds exactly when h(-(K - c), g) <= s h(K - c, g)
+    on every facet normal; a flat body takes one membership LP per vertex."""
     c = vec(point)
     k = canonicalize(body)
+    if len(c) != k.dim:
+        raise DimensionMismatchError("point length does not match body dimension")
     s = asymmetry(k).s
+    halves = facets(k)
+    if halves is not None:
+        return all(
+            (ONE + s) * vdot(g, c) <= s * b - support(k, vneg(g))[0] for g, b in halves
+        )
     shifted = vscale(ONE + s, c)
     target = scale(k, s)
     return all(
         contains_point(target, tuple(sc - v for sc, v in zip(shifted, vert)))
         for vert in k.vertices
     )
-
-
-def center_polytope_constraints(builder: lp.ProgramBuilder, body: VPolytope, c_vars) -> None:
-    """Constrain LP variables ``c_vars`` to the Minkowski-center polytope of
-    the body: for every vertex v, -v + (1+s)c must lie in s*K."""
-    k = canonicalize(body)
-    s = asymmetry(k).s
-    lhs = [{c: ONE + s} for c in c_vars]
-    for v in k.vertices:
-        builder.add_hull_membership(k.vertices, lhs, v, scale=-s)
 
 
 # ---------------------------------------------------------------------------

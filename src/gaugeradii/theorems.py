@@ -14,6 +14,10 @@ Design rules observed throughout:
 * Predicates of the form "there exists a Minkowski center c ..." are decided
   by one joint feasibility LP over the full center polytope.  Minkowski
   centers are not unique, so testing only the returned center would be wrong.
+  Each inclusion of such an LP is one row per facet of its container, with
+  the support value of the contained set on the right; only a flat
+  container, which has no facets, is written vertex by vertex with convex
+  weight columns.
 * Completeness is decided only where an exact criterion exists: simplices
   (via the symmetrized-gauge characterization) and constant-width bodies.
   Everything else reports "undecidable" rather than guessing.
@@ -31,6 +35,7 @@ from .bodies import (
     check_same_dim,
     contains_point,
     difference_body,
+    facets,
     is_centrally_symmetric,
     is_simplex,
     minkowski_sum,
@@ -43,7 +48,6 @@ from .bodies import (
 )
 from .radii import (
     asymmetry,
-    center_polytope_constraints,
     circumradius,
     diameter,
     inradius,
@@ -51,7 +55,7 @@ from .radii import (
     is_minkowski_center,
     sym_gauge_norm,
 )
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_linear, vec, vsub, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_linear, vec, vneg, vsub, vzero
 
 
 class GaugeNotSymmetricError(ValueError):
@@ -443,34 +447,62 @@ def are_mutually_concentric(body: VPolytope, gauge: VPolytope) -> bool:
 
 
 def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutual: bool) -> bool:
+    """One feasibility LP over a Minkowski center c of C and the translation
+    t, with sigma = -1 when mirrored and +1 otherwise:
+
+        (1+s(C)) c - C in s(C) C            (c is a Minkowski center of C)
+        (1+s(K)) t - K in s(K) K            (with ``mutual``)
+        t - sigma r c + sigma r C in K      (inner inclusion)
+        R c - t + K in R C                  (outer inclusion)
+    """
     K, C = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(K, C)
     circ = circumradius(K, C)
     if circ is None:
         return False
     R = circ.value
-    if mirrored:
-        r = inradius(K, negate(C)).value
-        inner_sign = -ONE
-    else:
-        r = inradius(K, C).value
-        inner_sign = ONE
+    sigma, sigma_C = (-ONE, negate(C)) if mirrored else (ONE, C)
+    r = inradius(K, sigma_C).value
     builder = lp.ProgramBuilder()
     c_vars = builder.add_vars(n, free=True)
     t_vars = builder.add_vars(n, free=True)
-    center_polytope_constraints(builder, C, c_vars)
+    sC = asymmetry(C).s
+    _add_containment(builder, [{c: ONE + sC} for c in c_vars], negate(C), C, sC)
     if mutual:
-        center_polytope_constraints(builder, K, t_vars)
-    # inner: inner_sign * r * (w - c) + t in K, for every gauge vertex w
-    rho = -inner_sign * r
-    inner = [{c: rho, t: ONE} for c, t in zip(c_vars, t_vars)]
-    for w in C.vertices:
-        builder.add_hull_membership(K.vertices, inner, tuple(rho * x for x in w), scale=-ONE)
-    # outer: v - t in R(C - c), i.e. v - t + R c = R * (convex comb of C)
+        sK = asymmetry(K).s
+        _add_containment(builder, [{t: ONE + sK} for t in t_vars], negate(K), K, sK)
+    inner = [{t: ONE, c: -sigma * r} for c, t in zip(c_vars, t_vars)]
+    _add_containment(builder, inner, scale(sigma_C, r), K, ONE)
     outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
-    for v in K.vertices:
-        builder.add_hull_membership(C.vertices, outer, tuple(-x for x in v), scale=-R)
+    _add_containment(builder, outer, K, C, R)
     return lp.feasible_point(builder.build()) is not None
+
+
+def _add_containment(
+    builder: lp.ProgramBuilder, lhs, points: VPolytope, container: VPolytope, factor
+) -> None:
+    """Constrain ``lhs + p`` to ``factor * container`` for every vertex p of
+    ``points``; ``lhs[k]`` is coordinate k as a ``{variable: coefficient}``
+    dict.
+
+    A full-dimensional container gives one row per facet g.x <= b,
+
+        g.lhs <= factor b - h(points, g),
+
+    since the inclusion over all p is decided by the largest g.p.  A flat
+    container has no facets and gets one hull-membership block per point."""
+    halves = facets(container)
+    if halves is None:
+        for p in points.vertices:
+            builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
+        return
+    for g, b in halves:
+        row = {builder.add_var(): ONE}
+        for gk, coord in zip(g, lhs):
+            if gk:
+                for var, coef in coord.items():
+                    row[var] = row.get(var, ZERO) + gk * coef
+        builder.add_row(row, factor * b - support(points, g)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the library's LP machinery so that tests
-cross-check results through a second route: 2D hulls via exact monotone
-chain, simplex membership via barycentric coordinates from a direct linear
-solve.
+The oracles here cross-check results through a second route: 2D hulls via
+exact monotone chain and simplex membership via barycentric coordinates from
+a direct linear solve (both without LPs), and the inradius from its own
+containment LP rather than from the circumradius.
 """
 
 import sys
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import strategies as st
 
 from gaugeradii import lp
-from gaugeradii.bodies import VPolytope
+from gaugeradii.bodies import VPolytope, canonicalize, check_same_dim
+from gaugeradii.radii import DegenerateGaugeError
 from gaugeradii.ratcore import ONE, ZERO, rat, solve_linear, vec
 
 
@@ -65,6 +66,24 @@ def solve_counter(monkeypatch):
     monkeypatch.setattr(lp, "solve", counting)
     counter.reset()
     return counter
+
+
+def inradius_by_lp(body, gauge):
+    """r(body, gauge) from its own containment LP: maximize lambda subject to
+    lambda*c + t in the body for every gauge vertex c."""
+    body, gauge = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(body, gauge)
+    builder = lp.ProgramBuilder()
+    t = builder.add_vars(n, free=True)
+    lam = builder.add_var(objective=-ONE)  # maximize lambda
+    for c in gauge.vertices:
+        lhs = [{t[k]: ONE, lam: c[k]} for k in range(n)]
+        builder.add_hull_membership(body.vertices, lhs, (ZERO,) * n, scale=-ONE)
+    out = lp.solve(builder.build())
+    if out.status == lp.UNBOUNDED:
+        raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
+    assert out.status == lp.OPTIMAL
+    return -out.value, tuple(out.primal[v] for v in t)
 
 
 def hull2d(points):

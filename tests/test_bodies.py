@@ -19,13 +19,13 @@ from gaugeradii.bodies import (
     contains_point,
     difference_body,
     enumerate_vertices,
+    facets,
     intersect,
     is_centrally_symmetric,
     is_simplex,
     minkowski_sum,
     negate,
     normalize_halfspace,
-    polygon_facet_balance,
     same_vertex_set,
     scale,
     simplex_hrep,
@@ -34,7 +34,7 @@ from gaugeradii.bodies import (
     vertex_centroid,
 )
 from gaugeradii.constructions import SplitMix64, random_vpolytope
-from gaugeradii.ratcore import rat, vec
+from gaugeradii.ratcore import ONE, det, rat, vdot, vec, vneg, vsub
 
 HEXAGON = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
 
@@ -165,6 +165,66 @@ def test_simplex_hrep_rejects_degenerate():
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
+def simplex_hrep_by_cofactors(body):
+    """Oracle: the facet of a simplex opposite each canonical vertex in turn,
+    its normal from cofactor determinants, oriented by that vertex."""
+    s = canonicalize(body)
+    n = s.dim
+    halves = []
+    for i in range(n + 1):
+        rest = [v for k, v in enumerate(s.vertices) if k != i]
+        dirs = [vsub(v, rest[0]) for v in rest[1:]]
+        normal = tuple(
+            (ONE if j % 2 == 0 else -ONE)
+            * (det([[d[k] for k in range(n) if k != j] for d in dirs]) if dirs else ONE)
+            for j in range(n)
+        )
+        offset = vdot(normal, rest[0])
+        if vdot(normal, s.vertices[i]) > offset:
+            normal, offset = vneg(normal), -offset
+        halves.append(normalize_halfspace(Halfspace(normal, offset)))
+    return tuple(halves)
+
+
+def test_simplex_hrep_is_the_simplex_case_of_facets():
+    rng = SplitMix64(1618)
+    for trial in range(60):
+        n = 2 + trial % 2
+        body = V([rng.point(n, 4) for _ in range(n + 1)])
+        if not is_simplex(body):
+            continue
+        halves = simplex_hrep(body).halfspaces
+        assert halves == simplex_hrep_by_cofactors(body)  # same tuple, same order
+        assert set(facets(body)) == set(halves)
+
+
+def test_facets_round_trip_random_bodies():
+    """The facets of random bodies enumerate back to their canonical
+    vertices; in the plane there is one facet per hull edge."""
+    rng = SplitMix64(4242)
+    for trial in range(40):
+        n = 2 + trial % 2
+        body = random_vpolytope(n, n + 1 + trial % 5, 4, 0, rng=rng)
+        halves = facets(body)
+        assert all(normalize_halfspace(h) == h for h in halves)
+        assert len(set(halves)) == len(halves)
+        assert enumerate_vertices(HPolytope(n, halves)).vertices == body.vertices
+        if n == 2:
+            assert len(halves) == len(hull2d(body.vertices))
+
+
+def test_facets_none_for_flat_bodies(square):
+    assert facets(square) is not None
+    for flat in (
+        V([(0, 0)]),
+        V([(0, 0), (2, 1)]),
+        V([(0, 0), (1, 1), (2, 2)]),
+        V([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+        V([(0, 0, 1), (1, 0, 1), (0, 1, 1)]),
+    ):
+        assert facets(flat) is None
+
+
 def test_is_simplex(triangle, square):
     assert is_simplex(triangle)
     assert not is_simplex(square)
@@ -222,19 +282,6 @@ def test_intersect_dedupes(triangle):
 def test_centroid(triangle):
     assert vertex_centroid(triangle) == vec((0, 0))
     assert vertex_centroid(V([(0, 0), (1, 0), (0, 1)])) == vec(("1/3", "1/3"))
-
-
-def test_polygon_facet_balance(square, triangle):
-    assert polygon_facet_balance(square)
-    assert polygon_facet_balance(difference_body(triangle))
-    rng = SplitMix64(31)
-    for _ in range(10):
-        assert polygon_facet_balance(random_vpolytope(2, 6, 8, 0, rng=rng))
-
-
-def test_polygon_facet_balance_planar_only():
-    with pytest.raises(DimensionMismatchError):
-        polygon_facet_balance(V([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
 def test_is_centrally_symmetric(square, triangle):

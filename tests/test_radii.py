@@ -10,12 +10,10 @@ containment at exactly 8/3.
 import pytest
 from hypothesis import given, settings
 
-from conftest import V, body_gauge_pairs, in_translated_dilate
-from gaugeradii import lp
+from conftest import V, body_gauge_pairs, in_translated_dilate, inradius_by_lp
 from gaugeradii.bodies import (
     DimensionMismatchError,
     canonicalize,
-    check_same_dim,
     contains_point,
     difference_body,
     negate,
@@ -46,7 +44,7 @@ from gaugeradii.radii import (
     jung_ratio,
     sym_gauge_norm,
 )
-from gaugeradii.ratcore import ONE, ZERO, rat, vadd, vec
+from gaugeradii.ratcore import rat, vadd, vec
 
 
 def seeded_pairs(count, seed, dim=2, verts=4):
@@ -91,9 +89,11 @@ def test_circumradius_infinite_for_flat_gauge(square):
 def test_inradius(square, triangle):
     assert inradius(square, square).value == 1
     assert inradius(square, triangle).value == 1
-    res = inradius(triangle, scale(square, "1/2"))
-    # r(K, C) R(C, K) = 1; ``inradius_by_lp`` below is the independent route
-    assert res.value * circumradius(scale(square, "1/2"), triangle).value == 1
+    half = scale(square, "1/2")
+    # r(K, C) R(C, K) = 1, with r from its own LP
+    value, _ = inradius_by_lp(triangle, half)
+    assert value * circumradius(half, triangle).value == 1
+    assert inradius(triangle, half).value == value
 
 
 def test_inradius_rejects_point_gauge(square):
@@ -103,7 +103,9 @@ def test_inradius_rejects_point_gauge(square):
 
 def test_reciprocity_random():
     for body, gauge in seeded_pairs(8, 21):
-        assert inradius(body, gauge).value * circumradius(gauge, body).value == 1
+        value, _ = inradius_by_lp(body, gauge)
+        assert value * circumradius(gauge, body).value == 1
+        assert inradius(body, gauge).value == value
 
 
 def test_witness_translations_certify_values():
@@ -179,6 +181,38 @@ def test_minkowski_center_checks(triangle):
     assert is_minkowski_center(shifted, (5, "1/2"))
     for body, _ in seeded_pairs(5, 13):
         assert is_minkowski_center(body, asymmetry(body).center)
+
+
+def is_minkowski_center_by_lps(body, point):
+    """Oracle: -(K - c) in s(K)(K - c), one membership LP per vertex."""
+    k = canonicalize(body)
+    s = asymmetry(k).s
+    shifted = tuple((1 + s) * x for x in vec(point))
+    target = scale(k, s)
+    return all(contains_point(target, tuple(a - b for a, b in zip(shifted, v))) for v in k.vertices)
+
+
+def test_minkowski_center_facet_signs_match_membership_lps():
+    """The per-facet sign test agrees with the membership LPs at the
+    center, nearby points and the vertices of random bodies, and the
+    membership LPs still decide flat bodies."""
+    bodies = [body for pair in seeded_pairs(6, 77) for body in pair]
+    bodies += [body for pair in seeded_pairs(4, 78, dim=3, verts=5) for body in pair]
+    bodies += [V([(0, 0), (2, 0)]), V([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), V([(1, 2)])]
+    seen = set()
+    for body in bodies:
+        center = asymmetry(body).center
+        points = [center, *canonicalize(body).vertices]
+        for k in range(body.dim):
+            for eps in (rat("1/7"), rat("-1/50")):
+                points.append(tuple(x + eps if j == k else x for j, x in enumerate(center)))
+        for p in points:
+            got = is_minkowski_center(body, p)
+            assert got == is_minkowski_center_by_lps(body, p)
+            seen.add(got)
+    assert seen == {True, False}
+    with pytest.raises(DimensionMismatchError):
+        is_minkowski_center(V([(1, 0), (0, 1), (-1, -1)]), (0, 0, 0))
 
 
 def test_breadth(square, triangle):
@@ -267,25 +301,7 @@ def test_constant_width(square, triangle):
 
 
 # ---------------------------------------------------------------------------
-# the inradius LP as an oracle for r(K, C) = 1/R(C, K)
-
-
-def inradius_by_lp(body, gauge):
-    """r(body, gauge) from its own containment LP: maximize lambda subject to
-    lambda*c + t in the body for every gauge vertex c."""
-    body, gauge = canonicalize(body), canonicalize(gauge)
-    n = check_same_dim(body, gauge)
-    builder = lp.ProgramBuilder()
-    t = builder.add_vars(n, free=True)
-    lam = builder.add_var(objective=-ONE)  # maximize lambda
-    for c in gauge.vertices:
-        lhs = [{t[k]: ONE, lam: c[k]} for k in range(n)]
-        builder.add_hull_membership(body.vertices, lhs, (ZERO,) * n, scale=-ONE)
-    out = lp.solve(builder.build())
-    if out.status == lp.UNBOUNDED:
-        raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
-    assert out.status == lp.OPTIMAL
-    return -out.value, tuple(out.primal[v] for v in t)
+# the inradius LP (``inradius_by_lp``) as an oracle for r(K, C) = 1/R(C, K)
 
 
 def inscribes(body, gauge, value, translation):

@@ -27,6 +27,7 @@ from gaugeradii.constructions import (
     random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
+    spiked_difference_pair,
     standard_centered_simplex,
     triangle_mix_gauge,
 )
@@ -242,6 +243,128 @@ def test_sandwich_pair_concentricities():
 
 def test_concentricity_with_flat_gauge(square):
     assert not is_minkowski_concentric(square, V([(0, 0), (1, 0)]))
+
+
+def center_polytope_by_hulls(builder, body, c_vars):
+    """Oracle rows: c_vars in the Minkowski-center polytope of the body, as
+    (1+s)c - v in s*K for every vertex v, one hull-membership block each."""
+    k = canonicalize(body)
+    s = asymmetry(k).s
+    lhs = [{c: ONE + s} for c in c_vars]
+    for v in k.vertices:
+        builder.add_hull_membership(k.vertices, lhs, v, scale=-s)
+
+
+def concentric_by_hulls(body, gauge, mirrored, mutual):
+    """Oracle: the concentricity LP in vertex form, every inclusion written
+    point by point with convex-weight columns."""
+    K, C = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(K, C)
+    circ = circumradius(K, C)
+    if circ is None:
+        return False
+    R = circ.value
+    inner_sign = -ONE if mirrored else ONE
+    r = inradius(K, negate(C) if mirrored else C).value
+    builder = lp.ProgramBuilder()
+    c_vars = builder.add_vars(n, free=True)
+    t_vars = builder.add_vars(n, free=True)
+    center_polytope_by_hulls(builder, C, c_vars)
+    if mutual:
+        center_polytope_by_hulls(builder, K, t_vars)
+    # inner: inner_sign * r * (w - c) + t in K, for every gauge vertex w
+    rho = -inner_sign * r
+    inner = [{c: rho, t: ONE} for c, t in zip(c_vars, t_vars)]
+    for w in C.vertices:
+        builder.add_hull_membership(K.vertices, inner, tuple(rho * x for x in w), scale=-ONE)
+    # outer: v - t in R(C - c), i.e. v - t + R c = R * (convex comb of C)
+    outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
+    for v in K.vertices:
+        builder.add_hull_membership(C.vertices, outer, tuple(-x for x in v), scale=-R)
+    return lp.feasible_point(builder.build()) is not None
+
+
+CONCENTRICITY_MODES = {
+    (False, False): is_minkowski_concentric,
+    (True, False): is_mirrored_concentric,
+    (True, True): lambda K, C: is_mirrored_concentric(K, C, mutual=True),
+    (False, True): are_mutually_concentric,
+}
+
+
+def assert_concentricity_matches_hulls(body, gauge):
+    """Equal answers (or exception types) in all four (mirrored, mutual)
+    modes; returns the facet-form answers."""
+    got = []
+    for (mirrored, mutual), decide in CONCENTRICITY_MODES.items():
+        answer = outcome(decide, body, gauge)
+        assert answer == outcome(concentric_by_hulls, body, gauge, mirrored, mutual), (
+            body, gauge, mirrored, mutual
+        )
+        got.append(answer)
+    return got
+
+
+def concentricity_cases():
+    for n, grid in ((2, (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0"))), (3, (("1", "1/2"),))):
+        for lam, mu in grid:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    yield S, pair.gauge
+                    yield pair.gauge, S
+    for lam in ("0", "1/4", "1/3", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        gauge = translate(pair.gauge, (1, -2))  # Minkowski centers off the origin
+        for S in (pair.simplex, negate(pair.simplex)):
+            yield S, gauge
+            yield gauge, S
+    pair = spiked_difference_pair(3)
+    yield pair.simplex, pair.gauge
+    yield pair.gauge, pair.simplex
+    yield from random_pair_suite(30, 20240817)  # acceptance pairs 0-29
+
+
+def flat_concentricity_cases():
+    square = V([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    return [
+        (V([(0, 0), (1, 0)]), square),  # flat body, full-dimensional gauge
+        (V([(-1, 0), (1, "1/2")]), V([(1, 0), (0, 1), (-1, -1)])),
+        (V([(0, 0, 0), (2, 0, 0), (0, 1, 0)]), standard_centered_simplex(3)),
+        (V([(3, 2)]), square),  # one-point body
+        (V([(0, 1), (2, 1)]), V([(0, 0), (3, 0)])),  # parallel flat pair
+        (V([(0, 0, 1), (1, 0, 1), (0, 1, 1)]), V([(0, 0, 0), (1, 0, 0), (0, 2, 0)])),
+        (square, V([(0, 0), (1, 0)])),  # flat gauge
+    ]
+
+
+def test_facet_concentricity_matches_hull_oracle():
+    """Facet rows decide every concentricity predicate as the vertex-form LP
+    does, on the sandwich grid for +-S both ways round, the mixed-triangle
+    grid with the gauge moved off the origin, the spiked pair and acceptance
+    pairs 0-29."""
+    seen = set()
+    count = 0
+    for body, gauge in concentricity_cases():
+        seen.update(assert_concentricity_matches_hulls(body, gauge))
+        count += 1
+    assert seen == {True, False}
+    print(f"PASS: {count} pairs x 4 modes equal to the vertex-form LP")
+
+
+def test_facet_concentricity_flat_bodies_match_hull_oracle():
+    seen = set()
+    for body, gauge in flat_concentricity_cases():
+        seen.update(assert_concentricity_matches_hulls(body, gauge))
+    assert seen == {True, False}
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_facet_concentricity_matches_hull_oracle_hypothesis(pair):
+    body, gauge = pair
+    assert_concentricity_matches_hulls(body, gauge)
+    assert_concentricity_matches_hulls(gauge, body)
 
 
 # ---------------------------------------------------------------------------
