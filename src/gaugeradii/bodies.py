@@ -2,15 +2,22 @@
 
 The vertex representation is primary: the radii downstream reduce to
 containment LPs over vertex lists.  Halfspace representations come from exact
-desk-scale brute force, since general V/H conversion is out of scope here:
-``facets`` keeps the hyperplanes through n vertices that have every vertex on
-one side (a simplex's n+1 facets are its special case), and
+desk-scale routines, since general V/H conversion is out of scope here:
+``facets`` reads a polygon's edges off its counter-clockwise ring and, from
+three dimensions on, keeps the hyperplanes through n vertices that have every
+vertex on one side (a simplex's n+1 facets are its special case);
 ``enumerate_vertices`` goes back from halfspaces to vertices.
 
 Bodies are immutable value objects; operations are pure functions, so results
-may be shared freely and cached.  ``canonicalize`` removes every point lying
-in the hull of the others (one membership LP per point) and sorts the rest,
-which makes vertex-set equality of polytopes a plain tuple comparison.
+may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
+points and sorts them, which makes vertex-set equality of polytopes a plain
+tuple comparison: in the plane by Andrew's monotone chain, from three
+dimensions on with one membership LP per point.
+
+Planar hulls and facets, and widths in any dimension, are decided on
+``integer_image``: the points times the lcm of their denominators, so every
+sign and dot product is a Python int operation, and a ``Rational`` is formed
+only for a result.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import lp
@@ -29,7 +37,6 @@ from .ratcore import (
     Vec,
     det,
     is_zero_vec,
-    rank,
     rat,
     rat_str,
     solve_linear,
@@ -141,6 +148,32 @@ def support(body: VPolytope, direction) -> tuple:
     return best, tuple(argmax)
 
 
+def integer_image(points) -> tuple:
+    """``(den, images)``: ``den`` is the lcm of the denominators of every
+    coordinate of ``points``, and ``images`` lists the points times ``den``
+    as int tuples.  Since ``den > 0``, orders, signs and dot products of the
+    points are those of their images, up to a positive factor."""
+    den = math.lcm(*(q.denominator for p in points for q in p))
+    return den, [tuple(q.numerator * (den // q.denominator) for q in p) for p in points]
+
+
+def integer_width(images, a) -> int:
+    """max a.p - min a.p over int points ``images``, for an int vector a."""
+    dots = [sum(map(mul, a, p)) for p in images]
+    return max(dots) - min(dots)
+
+
+def width(body: VPolytope, direction) -> Rational:
+    """h(K, a) + h(K, -a), the extent of the body along a, from the integer
+    images of its vertices and of a."""
+    a = vec(direction)
+    if len(a) != body.dim:
+        raise DimensionMismatchError("direction length does not match body dimension")
+    da, (ai,) = integer_image([a])
+    den, images = integer_image(body.vertices)
+    return Rational(integer_width(images, ai), den * da)
+
+
 def _in_hull(point: Vec, points: list) -> bool:
     """Membership in conv(points) via a feasibility LP over convex weights."""
     builder = lp.ProgramBuilder()
@@ -162,15 +195,46 @@ def contains_point(body, point) -> bool:
 # canonical forms
 
 
+def _ccw_ring(images) -> list:
+    """Indices of the extreme points among sorted, distinct planar int
+    points, counter-clockwise from the first (Andrew's monotone chain).
+    Popping on a cross product <= 0 drops the points inside an edge, so a
+    collinear set gives its two ends."""
+
+    def chain(order):
+        hull = []
+        for i in order:
+            x, y = images[i]
+            while len(hull) >= 2:
+                (ox, oy), (ax, ay) = images[hull[-2]], images[hull[-1]]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(i)
+        return hull
+
+    if len(images) < 3:
+        return list(range(len(images)))
+    return chain(range(len(images)))[:-1] + chain(reversed(range(len(images))))[:-1]
+
+
 @lru_cache(maxsize=None)
 def canonicalize(body: VPolytope) -> VPolytope:
     """Drop every point inside the hull of the others, dedupe and sort.
 
-    Removing a non-extreme point never changes the hull, so a single pass is
-    enough; the surviving points are exactly the extreme ones.
+    In the plane the extreme points are the ring of ``_ccw_ring`` on the
+    sorted integer images.  From three dimensions on, each point is tested
+    for membership in the hull of the others: removing a non-extreme point
+    never changes the hull, so a single pass is enough, and the surviving
+    points are exactly the extreme ones.
     """
     if body.canonical:
         return body
+    if body.dim == 2:
+        # equal images are equal points, so the dict also drops duplicates
+        by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
+        ring = _ccw_ring([image for image, _ in by_image])
+        return VPolytope(2, tuple(by_image[i][1] for i in sorted(ring)), canonical=True)
     pts = list(dict.fromkeys(body.vertices))
     if len(pts) > 1:
         i = 0
@@ -269,11 +333,13 @@ def vertex_centroid(body: VPolytope) -> Vec:
 
 
 def is_simplex(body: VPolytope) -> bool:
+    """n + 1 canonical vertices and n + 1 ``facets``; the same test
+    ``simplex_hrep`` makes, so the facets are found once for both."""
     k = canonicalize(body)
     if len(k.vertices) != k.dim + 1:
         return False
-    base = k.vertices[0]
-    return rank([vsub(v, base) for v in k.vertices[1:]]) == k.dim
+    halves = facets(k)
+    return halves is not None and len(halves) == k.dim + 1
 
 
 def normalize_halfspace(half: Halfspace) -> Halfspace:
@@ -316,15 +382,19 @@ def facets(body: VPolytope) -> tuple | None:
     normalized halfspaces ``normal . x <= offset``, one per facet; None when
     the body is flat.
 
-    Brute force over the n-subsets of canonical vertices: a hyperplane
-    through n affinely independent vertices is a facet hyperplane exactly
-    when every vertex lies on one side of it, and the body is flat when every
-    vertex lies on it or no such subset exists.  A facet with more than n
-    vertices is met once per n-subset and kept once.  Subsets run in
-    reverse lexicographic order, so the facets of a simplex come out opposite
-    its vertices in vertex order.
+    The facets come in the order in which a walk over the n-subsets of
+    canonical vertex indices, in reverse lexicographic order, first meets
+    them; so the facets of a simplex come out opposite its vertices in vertex
+    order.  A polygon's edges are read off its counter-clockwise ring
+    (``_polygon_edges``).  From three dimensions on, that walk is a brute
+    force: a hyperplane through n affinely independent vertices is a facet
+    hyperplane exactly when every vertex lies on one side of it, and the
+    body is flat when every vertex lies on it or no such subset exists.  A
+    facet with more than n vertices is met once per n-subset and kept once.
     """
     k = canonicalize(body)
+    if k.dim == 2:
+        return _polygon_edges(k)
     n = k.dim
     verts = k.vertices
     found = {}
@@ -345,6 +415,29 @@ def facets(body: VPolytope) -> tuple | None:
             normal, offset = vneg(normal), -offset
         found.setdefault(normalize_halfspace(Halfspace(normal, offset)), None)
     return tuple(found) or None  # no n affinely independent vertices
+
+
+def _polygon_edges(polygon: VPolytope) -> tuple | None:
+    """The normalized edges of a canonical polygon, None for a flat one.
+
+    Along the counter-clockwise ring, the edge from p to q has the outward
+    primitive int normal (dy, -dx) of d = q - p and the offset normal . p,
+    both on the integer images; edges sort by their index pairs, descending,
+    as ``facets`` orders them."""
+    den, images = integer_image(polygon.vertices)
+    ring = _ccw_ring(images)
+    if len(ring) < 3:
+        return None
+    edges = []
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        (px, py), (qx, qy) = images[i], images[j]
+        a, b = qy - py, px - qx
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        half = Halfspace((Rational(a), Rational(b)), Rational(a * px + b * py, den))
+        edges.append(((min(i, j), max(i, j)), half))
+    edges.sort(reverse=True)
+    return tuple(half for _, half in edges)
 
 
 def simplex_hrep(body: VPolytope) -> HPolytope:

@@ -25,10 +25,13 @@ from .bodies import (
     check_same_dim,
     contains_point,
     facets,
+    integer_image,
+    integer_width,
     is_centrally_symmetric,
     negate,
     scale,
     support,
+    width,
 )
 from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vdot, vec, vneg, vscale
 
@@ -130,7 +133,16 @@ def inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
 
 def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     """Norm of z in the symmetrized gauge (C - C)/2: the least rho with
-    z in (rho/2)(C - C).  None when z leaves the span of C - C."""
+    z in (rho/2)(C - C).  None when z leaves the span of C - C.
+
+    For a full-dimensional planar gauge this is, with no LP,
+
+        max over the facet normals g of C of  2 |g.z| / (h(C, g) + h(C, -g)),
+
+    since every edge of C - C = C + (-C) is parallel to an edge of C or -C,
+    so the facet normals of (C - C)/2 are among the +-g, with support values
+    (h(C, g) + h(C, -g))/2.  The fractions are compared on integer images.
+    Flat gauges and dimensions >= 3 solve a small LP."""
     zv = vec(z)
     if len(zv) != gauge.dim:
         raise ValueError("vector length does not match gauge dimension")
@@ -141,6 +153,19 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
 
 @lru_cache(maxsize=None)
 def _sym_gauge_norm(zv: Vec, gauge: VPolytope) -> Rational | None:
+    halves = facets(gauge) if gauge.dim == 2 else None
+    if halves is not None:
+        dz, (zi,) = integer_image([zv])
+        dc, images = integer_image(gauge.vertices)
+        # 2|g.z| / (h(C, g) + h(C, -g)) = 2 dc |g.zi| / (dz W), W the integer width
+        best_num, best_w = 0, 1
+        for g, _ in halves:
+            gi = (g[0].numerator, g[1].numerator)
+            num = abs(gi[0] * zi[0] + gi[1] * zi[1])
+            w = integer_width(images, gi)
+            if num * best_w > best_num * w:
+                best_num, best_w = num, w
+        return Rational(2 * dc * best_num, dz * best_w)
     # z = sum nu_j c_j - sum nu'_j c_j with sum nu = sum nu' = rho/2;
     # minimizing rho = sum nu + sum nu' under the balance row gives the norm.
     n = gauge.dim
@@ -188,13 +213,14 @@ def _diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
 
 def breadth(body: VPolytope, gauge: VPolytope, direction) -> Rational:
-    """s-breadth: 2 h(K - K, s) / h(C - C, s), via support sums."""
+    """s-breadth: 2 h(K - K, s) / h(C - C, s), via ``width``, since
+    h(K - K, s) = h(K, s) + h(K, -s)."""
     d = vec(direction)
     if is_zero_vec(d):
         raise ValueError("breadth needs a nonzero direction")
     check_same_dim(body, gauge)
-    num = support(body, d)[0] + support(body, tuple(-x for x in d))[0]
-    den = support(gauge, d)[0] + support(gauge, tuple(-x for x in d))[0]
+    num = width(body, d)
+    den = width(gauge, d)
     if den == 0:
         raise DegenerateGaugeError("gauge has zero breadth in this direction")
     return 2 * num / den

@@ -55,6 +55,8 @@ def rat(value) -> Rational:
     """
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int, Rational or 'p/q' string")
+    if isinstance(value, Rational):  # already reduced; no copy
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     return Rational(value)

@@ -45,6 +45,7 @@ from .bodies import (
     simplex_hrep,
     support,
     translate,
+    width,
 )
 from .radii import (
     asymmetry,
@@ -523,7 +524,10 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
     of C' both intersection halves impose the same facet constraints
     a_f . c <= b_f - h(D C', a_f)/(n+1).  No C' is built, by
 
-        D(S,C') = D(S,C)/2    and    h(C', a) = h(C, a) + h(C, -a).
+        D(S,C') = D(S,C)/2    and    h(C', a) = h(C, a) + h(C, -a),
+
+    the second read off ``width``.  In the plane neither D(S, C) nor the
+    hull of S solves an LP, so the feasibility LP is the only solve.
 
     Returns (complete, witness c or None).
     """
@@ -538,7 +542,7 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
     c_vars = builder.add_vars(n, free=True)
     for half in hrep.halfspaces:
         a = half.normal
-        h = D2 * (support(gauge, a)[0] + support(gauge, tuple(-x for x in a))[0])
+        h = D2 * width(gauge, a)
         slack = builder.add_var()
         row = {c_vars[k]: a[k] for k in range(n) if a[k]}
         row[slack] = ONE

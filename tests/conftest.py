@@ -3,18 +3,30 @@
 The oracles here cross-check results through a second route: 2D hulls via
 exact monotone chain and simplex membership via barycentric coordinates from
 a direct linear solve (both without LPs), and the inradius from its own
-containment LP rather than from the circumradius.
+containment LP rather than from the circumradius.  The planar hull, facets
+and (C - C)/2 norm, which the library computes on integer images, are checked
+against the general routes they replaced: one membership LP per point, brute
+force over vertex pairs, and the norm LP.
 """
 
+import itertools
 import sys
 
 import pytest
 from hypothesis import strategies as st
 
 from gaugeradii import lp
-from gaugeradii.bodies import VPolytope, canonicalize, check_same_dim
+from gaugeradii.bodies import (
+    Halfspace,
+    VPolytope,
+    _cofactor_normal,
+    canonicalize,
+    check_same_dim,
+    normalize_halfspace,
+)
+from gaugeradii.constructions import SplitMix64
 from gaugeradii.radii import DegenerateGaugeError
-from gaugeradii.ratcore import ONE, ZERO, rat, solve_linear, vec
+from gaugeradii.ratcore import ONE, ZERO, is_zero_vec, rat, solve_linear, vdot, vec, vneg
 
 
 def V(points):
@@ -86,6 +98,76 @@ def inradius_by_lp(body, gauge):
     return -out.value, tuple(out.primal[v] for v in t)
 
 
+def _in_hull_by_lp(point, points):
+    builder = lp.ProgramBuilder()
+    builder.add_hull_membership(points, [{}] * len(point), point)
+    return lp.feasible_point(builder.build()) is not None
+
+
+def canonicalize_by_lp(body):
+    """The extreme points of the body, sorted: each point is dropped when one
+    membership LP puts it in the hull of the others, in a single pass."""
+    pts = list(dict.fromkeys(body.vertices))
+    if len(pts) > 1:
+        i = 0
+        while i < len(pts):
+            p = pts.pop(i)
+            if _in_hull_by_lp(p, pts):
+                continue
+            pts.insert(i, p)
+            i += 1
+    return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
+
+
+def facets_by_subsets(body):
+    """The normalized facets of a full-dimensional body, None for a flat one,
+    by brute force over n-subsets of the vertices of ``canonicalize_by_lp``,
+    in reverse lexicographic subset order, each facet kept where first met."""
+    verts = canonicalize_by_lp(body).vertices
+    n = body.dim
+    found = {}
+    for subset in reversed(list(itertools.combinations(range(len(verts)), n))):
+        normal = _cofactor_normal([verts[i] for i in subset])
+        if is_zero_vec(normal):
+            continue
+        offset = vdot(normal, verts[subset[0]])
+        sides = {
+            (x > offset) - (x < offset)
+            for x in (vdot(normal, v) for i, v in enumerate(verts) if i not in subset)
+        }
+        if sides <= {0}:
+            return None
+        if sides >= {-1, 1}:
+            continue
+        if 1 in sides:
+            normal, offset = vneg(normal), -offset
+        found.setdefault(normalize_halfspace(Halfspace(normal, offset)), None)
+    return tuple(found) or None
+
+
+def sym_gauge_norm_by_lp(z, gauge):
+    """The (C - C)/2 norm of z from its LP: minimize sum nu + sum nu' subject
+    to z = sum nu_j c_j - sum nu'_j c_j and sum nu = sum nu'; None when
+    infeasible (z outside the span of C - C)."""
+    zv = vec(z)
+    verts = canonicalize_by_lp(gauge).vertices
+    builder = lp.ProgramBuilder()
+    plus = builder.add_vars(len(verts), objective=ONE)
+    minus = builder.add_vars(len(verts), objective=ONE)
+    for k in range(gauge.dim):
+        row = {}
+        for p, m, c in zip(plus, minus, verts):
+            if c[k]:
+                row[p] = c[k]
+                row[m] = -c[k]
+        builder.add_row(row, zv[k])
+    balance = {p: ONE for p in plus}
+    balance.update({m: -ONE for m in minus})
+    builder.add_row(balance, ZERO)
+    out = lp.solve(builder.build())
+    return None if out.status == lp.INFEASIBLE else out.value
+
+
 def hull2d(points):
     """Exact convex hull of 2D points (Andrew monotone chain), ccw order
     starting at the lexicographic minimum.  Oracle only; no LPs involved."""
@@ -129,6 +211,25 @@ def in_translated_dilate(point, translation, factor, simplex_vertices):
     shifted = [a - b for a, b in zip(vec(point), vec(translation))]
     scaled = [[f * x for x in vec(v)] for v in simplex_vertices]
     return barycentric_inside(shifted, scaled)
+
+
+def planar_point_sets(count, seed):
+    """``count`` seeded planar point lists of 1 to 8 points, coordinates in
+    [-2, 2] over denominators up to 1, 2, 3 or 4 in turn, so repeated points
+    are common; every third list lies on one line, and every fourth repeats
+    one of its points."""
+    rng = SplitMix64(seed)
+    for trial in range(count):
+        size, den_bound = 1 + rng.below(8), 1 + trial % 4
+        if trial % 3 == 0:
+            base, step = rng.point(2, 2, den_bound), rng.point(2, 2, den_bound)
+            ts = [rng.rational(2, den_bound) for _ in range(size)]
+            pts = [tuple(b + t * d for b, d in zip(base, step)) for t in ts]
+        else:
+            pts = [rng.point(2, 2, den_bound) for _ in range(size)]
+        if trial % 4 == 0:
+            pts.append(pts[rng.below(size)])
+        yield V(pts)
 
 
 @st.composite

@@ -1,10 +1,24 @@
 """Polytope operations: support, Minkowski algebra, canonical forms, facet
 structure and enumeration, cross-checked against the LP-free oracles in
-conftest (2D hulls, barycentric membership)."""
+conftest (2D hulls, barycentric membership) and, for the planar hull, facets
+and norm, against the LP and brute-force routes they replaced."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import V, barycentric_inside, hull2d
+from conftest import (
+    V,
+    barycentric_inside,
+    canonicalize_by_lp,
+    facets_by_subsets,
+    hull2d,
+    planar_point_sets,
+    small_bodies,
+    sym_gauge_norm_by_lp,
+)
 from gaugeradii.bodies import (
     DegenerateSimplexError,
     DimensionMismatchError,
@@ -32,9 +46,11 @@ from gaugeradii.bodies import (
     support,
     translate,
     vertex_centroid,
+    width,
 )
 from gaugeradii.constructions import SplitMix64, random_vpolytope
-from gaugeradii.ratcore import ONE, det, rat, vdot, vec, vneg, vsub
+from gaugeradii.radii import sym_gauge_norm
+from gaugeradii.ratcore import ONE, det, rank, rat, vdot, vec, vneg, vsub
 
 HEXAGON = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
 
@@ -155,6 +171,7 @@ def test_simplex_hrep_rejects_degenerate():
         n = 2 + trial % 2
         body = V([tuple(rng.below(3) - 1 for _ in range(n)) for _ in range(n + 1)])
         simplex = is_simplex(body)
+        assert simplex == is_simplex_by_rank(body)
         flat_but_long = not simplex and len(canonicalize(body).vertices) == n + 1
         if simplex:
             assert len(simplex_hrep(body).halfspaces) == n + 1
@@ -163,6 +180,13 @@ def test_simplex_hrep_rejects_degenerate():
                 simplex_hrep(body)
         outcomes.add((simplex, flat_but_long))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def is_simplex_by_rank(body):
+    """Oracle: n + 1 canonical vertices whose differences have rank n."""
+    k = canonicalize(body)
+    base = k.vertices[0]
+    return len(k.vertices) == k.dim + 1 and rank([vsub(v, base) for v in k.vertices[1:]]) == k.dim
 
 
 def simplex_hrep_by_cofactors(body):
@@ -211,6 +235,49 @@ def test_facets_round_trip_random_bodies():
         assert enumerate_vertices(HPolytope(n, halves)).vertices == body.vertices
         if n == 2:
             assert len(halves) == len(hull2d(body.vertices))
+
+
+def test_planar_hull_and_facets_match_oracles():
+    """On 3,000 seeded planar sets the monotone-chain hull and the edges read
+    off its ring equal the LP hull and the brute-force facets: the same
+    tuples in the same order, for one and two points, repeats, collinear
+    sets and non-integer coordinates."""
+    shapes = Counter()
+    for body in planar_point_sets(3000, 31415):
+        k = canonicalize(body)
+        assert k == canonicalize_by_lp(body)
+        halves = facets(body)
+        assert halves == facets_by_subsets(body)
+        distinct = len(set(body.vertices))
+        if halves is not None:
+            shapes["polygon"] += 1
+        else:
+            shapes[("point", "segment", "collinear")[min(distinct, 3) - 1]] += 1
+        shapes["repeats"] += distinct < len(body.vertices)
+        shapes["fractions"] += any(x.denominator > 1 for v in body.vertices for x in v)
+    assert set(shapes) == {"polygon", "point", "segment", "collinear", "repeats", "fractions"}
+    assert min(shapes.values()) >= 100, shapes
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_bodies(2), st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 2))
+def test_planar_routes_match_oracles_hypothesis(body, z):
+    assert canonicalize(body) == canonicalize_by_lp(body)
+    assert facets(body) == facets_by_subsets(body)
+    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
+
+
+def test_width_is_the_support_sum():
+    """h(K, a) + h(K, -a) on integer images equals the support sum, in 2-D
+    and 3-D, for directions with denominators of their own."""
+    rng = SplitMix64(1729)
+    for trial in range(300):
+        n = 2 + trial % 2
+        body = V([rng.point(n, 3, 4) for _ in range(1 + rng.below(6))])
+        a = rng.point(n, 3, 5)
+        assert width(body, a) == support(body, a)[0] + support(body, vneg(a))[0]
+    with pytest.raises(DimensionMismatchError):
+        width(body, (1,) * (n + 1))
 
 
 def test_facets_none_for_flat_bodies(square):

@@ -201,12 +201,13 @@ def test_certify_emits_valid_certificate(capsys, body_files, tmp_path):
 
 def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch, solve_counter):
     """``extract`` ends in ``validate``, so ``certify`` does not validate
-    again: with cold caches, square in triangle takes 15 LP solves and prints
-    exactly this report."""
+    again: with cold caches, square in triangle takes 8 LP solves (the
+    circumradius, the weight LP and two membership LPs per contact; the
+    planar hulls take none) and prints exactly this report."""
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["certify", "--body", "square.json", "--gauge", "triangle.json"])
     assert code == 0
-    assert solve_counter.count == 15
+    assert solve_counter.count == 8
     expected = {
         "arguments": {"body": "square.json", "gauge": "triangle.json"},
         "command": "certify",

@@ -10,7 +10,14 @@ containment at exactly 8/3.
 import pytest
 from hypothesis import given, settings
 
-from conftest import V, body_gauge_pairs, in_translated_dilate, inradius_by_lp
+from conftest import (
+    V,
+    body_gauge_pairs,
+    in_translated_dilate,
+    inradius_by_lp,
+    planar_point_sets,
+    sym_gauge_norm_by_lp,
+)
 from gaugeradii.bodies import (
     DimensionMismatchError,
     canonicalize,
@@ -44,7 +51,7 @@ from gaugeradii.radii import (
     jung_ratio,
     sym_gauge_norm,
 )
-from gaugeradii.ratcore import rat, vadd, vec
+from gaugeradii.ratcore import rat, vadd, vec, vsub
 
 
 def seeded_pairs(count, seed, dim=2, verts=4):
@@ -128,6 +135,21 @@ def test_sym_gauge_norm(triangle):
     # the ray through (1,-1) leaves S-S on the edge 2x - y = 3
     assert sym_gauge_norm((2, -2), triangle) == 4
     assert sym_gauge_norm((-2, 2), triangle) == 4
+
+
+def test_planar_sym_gauge_norm_matches_lp_oracle():
+    """On 3,000 seeded planar gauges, flat ones included, the closed-form
+    norm over the facet normals equals the norm LP, for a random z with its
+    own denominators and for a difference of two gauge points."""
+    rng = SplitMix64(27182)
+    outcomes = set()
+    for gauge in planar_point_sets(3000, 16180):
+        pts = gauge.vertices
+        for z in (rng.point(2, 3, 5), vsub(pts[rng.below(len(pts))], pts[0])):
+            got = sym_gauge_norm(z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, gauge)
+            outcomes.add("none" if got is None else "zero" if got == 0 else "positive")
+    assert outcomes == {"none", "zero", "positive"}
 
 
 def test_norm_is_twice_segment_circumradius(triangle):

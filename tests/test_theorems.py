@@ -451,10 +451,11 @@ def test_simplex_complete_matches_difference_body_oracle():
 
 
 def test_simplex_complete_solve_count(triangle, square, solve_counter):
-    """D(S, C) takes one LP per edge of S and the witness one more: with cold
-    caches, C(n+1, 2) + 1 solves and no difference body."""
+    """The witness takes one LP.  D(S, C) takes none in the plane and one per
+    edge of S from three dimensions on: with cold caches, 1 solve for a
+    triangle and C(n+1, 2) + 1 for a 3-D simplex, and no difference body."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
-    for simplex, gauge, solves in ((triangle, square, 4), (pair.simplex, pair.gauge, 7)):
+    for simplex, gauge, solves in ((triangle, square, 1), (pair.simplex, pair.gauge, 7)):
         simplex, gauge = canonicalize(simplex), canonicalize(gauge)
         solve_counter.reset()
         simplex_complete(simplex, gauge)
@@ -621,8 +622,9 @@ def test_condition_vectors_match_inclusion_chain_oracles():
 
 def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
-    caches the simplex vector takes 13 solves and builds no difference body;
-    the triangle vector takes 34 and builds none either."""
+    caches the simplex vector takes 13 solves on a 3-D pair and builds no
+    difference body; the triangle vector takes 7, with planar hulls, facets
+    and norms free of LPs, and builds none either."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
@@ -633,7 +635,7 @@ def test_condition_vectors_solve_count(solve_counter):
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
     solve_counter.reset()
     assert triangle_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 34
+    assert solve_counter.count == 7
     assert difference_body.cache_info().misses == 0
 
 
@@ -818,14 +820,18 @@ def test_constant_width_matches_difference_body_oracle_hypothesis(pair, factor):
 
 
 def test_constant_width_and_extended_jung_solve_count(triangle, square, solve_counter):
-    """With cold caches, constant width takes one LP per distinct vertex
-    difference of each body (3 for the triangle, 4 for the square) and builds
-    no difference body; the extended-Jung chain builds only C - C."""
+    """With cold caches, constant width builds no difference body.  In the
+    plane it takes no LP; in 3-D one per distinct vertex difference of each
+    body (6 for the simplex, 9 for the octahedron).  The extended-Jung chain
+    builds only C - C."""
     triangle, square = canonicalize(triangle), canonicalize(square)
-    solve_counter.reset()
-    assert not is_constant_width(triangle, square)
-    assert solve_counter.count == 3 + 4
-    assert difference_body.cache_info().misses == 0
+    simplex = canonicalize(standard_centered_simplex(3))
+    octahedron = canonicalize(V([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
+    for body, gauge, solves in ((triangle, square, 0), (simplex, octahedron, 6 + 9)):
+        solve_counter.reset()
+        assert not is_constant_width(body, gauge)
+        assert solve_counter.count == solves
+        assert difference_body.cache_info().misses == 0
     solve_counter.reset()
     assert eval_chain("extended-jung", square, triangle).holds
     assert difference_body.cache_info().misses == 1
