@@ -1,7 +1,8 @@
 """Polytope representations and Minkowski algebra over exact rationals.
 
 The vertex representation is primary: the radii downstream reduce to
-containment LPs over vertex lists.  Halfspace representations come from exact
+containment LPs over vertex lists, or over the facets of a full-dimensional
+gauge computed from them.  Halfspace representations come from exact
 desk-scale routines, since general V/H conversion is out of scope here:
 ``facets`` reads a polygon's edges off its counter-clockwise ring and, from
 three dimensions on, keeps the hyperplanes through n vertices that have every
@@ -14,10 +15,12 @@ points and sorts them, which makes vertex-set equality of polytopes a plain
 tuple comparison: in the plane by Andrew's monotone chain, from three
 dimensions on with one membership LP per point.
 
-Planar hulls and facets, and widths in any dimension, are decided on
-``integer_image``: the points times the lcm of their denominators, so every
-sign and dot product is a Python int operation, and a ``Rational`` is formed
-only for a result.
+Hulls in the plane, facets, widths and the full-dimension test
+``spans_space`` are decided on ``integer_image``: the points times the lcm
+of their denominators, so every sign and dot product is a Python int
+operation, and a ``Rational`` is formed only for a result.  Membership in a
+full-dimensional polygon is a sign test per edge; other vertex bodies solve
+a hull-membership LP.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .ratcore import (
     Rational,
     Vec,
     det,
-    is_zero_vec,
     rat,
     rat_str,
     solve_linear,
@@ -72,6 +74,9 @@ class VPolytope:
 
     ``canonical`` is True once no listed point is in the convex hull of the
     others and the list is sorted lexicographically.
+
+    The hash is the one the dataclass would compute, taken once here: bodies
+    key every memo cache, and hashing a ``Rational`` costs a modular inverse.
     """
 
     dim: int
@@ -86,6 +91,10 @@ class VPolytope:
                 raise DimensionMismatchError(
                     f"point of length {len(v)} in a {self.dim}-dimensional body"
                 )
+        object.__setattr__(self, "_hash", hash((self.dim, self.vertices, self.canonical)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_points(cls, points: Iterable, dim: int | None = None) -> "VPolytope":
@@ -157,6 +166,11 @@ def integer_image(points) -> tuple:
     return den, [tuple(q.numerator * (den // q.denominator) for q in p) for p in points]
 
 
+def integer_support(images, a) -> int:
+    """max a.p over int points ``images``, for an int vector a."""
+    return max(sum(map(mul, a, p)) for p in images)
+
+
 def integer_width(images, a) -> int:
     """max a.p - min a.p over int points ``images``, for an int vector a."""
     dots = [sum(map(mul, a, p)) for p in images]
@@ -174,6 +188,28 @@ def width(body: VPolytope, direction) -> Rational:
     return Rational(integer_width(images, ai), den * da)
 
 
+def spans_space(points) -> bool:
+    """True when the affine hull of ``points`` is the whole space.
+
+    Decided on integer images by fraction-free elimination of the
+    differences to the first point: each step keeps one nonzero difference
+    and replaces every other by a combination with a zero in its leading
+    coordinate (in the plane, their cross products with it), and the hull
+    is full exactly when that succeeds once per coordinate."""
+    _, images = integer_image(points)
+    base = images[0]
+    rows = [[a - b for a, b in zip(p, base)] for p in images[1:]]
+    for _ in base:
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            return False
+        pivot = rows.pop()
+        c = next(j for j, a in enumerate(pivot) if a)
+        p = pivot[c]
+        rows = [[p * a - r[c] * b for a, b in zip(r, pivot)] for r in rows]
+    return True
+
+
 def _in_hull(point: Vec, points: list) -> bool:
     """Membership in conv(points) via a feasibility LP over convex weights."""
     builder = lp.ProgramBuilder()
@@ -182,13 +218,19 @@ def _in_hull(point: Vec, points: list) -> bool:
 
 
 def contains_point(body, point) -> bool:
-    """Exact membership test for either representation."""
+    """Exact membership test for either representation.  A full-dimensional
+    polygon takes one sign test per edge of its ``facets``; other vertex
+    bodies solve a hull-membership LP."""
     x = vec(point)
     if len(x) != body.dim:
         raise DimensionMismatchError("point length does not match body dimension")
     if isinstance(body, HPolytope):
-        return all(vdot(h.normal, x) <= h.offset for h in body.halfspaces)
-    return _in_hull(x, list(body.vertices))
+        halves = body.halfspaces
+    else:
+        halves = facets(body) if body.dim == 2 else None
+        if halves is None:
+            return _in_hull(x, list(body.vertices))
+    return all(vdot(g, x) <= b for g, b in halves)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +403,18 @@ def normalize_halfspace(half: Halfspace) -> Halfspace:
     )
 
 
-def _cofactor_normal(points: list) -> Vec:
-    """A normal of the affine hull of n points in R^n from cofactor
-    determinants of their differences to the first; zero exactly when the
-    points are affinely dependent."""
-    base = points[0]
-    dirs = [vsub(v, base) for v in points[1:]]  # (n-1) x n
-    n = len(base)
-    normal = []
-    for j in range(n):
-        minor = [[d[k] for k in range(n) if k != j] for d in dirs]
-        sign = ONE if j % 2 == 0 else -ONE
-        normal.append(sign * (det(minor) if minor else ONE))
-    return tuple(normal)
+def _cofactor_normal(dirs: list) -> list:
+    """A normal of the span of n - 1 int vectors in Z^n: their cross
+    product in three dimensions, and in general the signed cofactor
+    determinants; zero exactly when the vectors are dependent."""
+    if len(dirs) == 2 and len(dirs[0]) == 3:
+        (a1, a2, a3), (b1, b2, b3) = dirs
+        return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    if not dirs:
+        return [1]
+    return [
+        (-1) ** j * int(det([d[:j] + d[j + 1 :] for d in dirs])) for j in range(len(dirs[0]))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -387,34 +428,43 @@ def facets(body: VPolytope) -> tuple | None:
     them; so the facets of a simplex come out opposite its vertices in vertex
     order.  A polygon's edges are read off its counter-clockwise ring
     (``_polygon_edges``).  From three dimensions on, that walk is a brute
-    force: a hyperplane through n affinely independent vertices is a facet
-    hyperplane exactly when every vertex lies on one side of it, and the
-    body is flat when every vertex lies on it or no such subset exists.  A
-    facet with more than n vertices is met once per n-subset and kept once.
+    force on the integer images of the vertices: a hyperplane through n
+    affinely independent vertices, with the int normal ``_cofactor_normal``
+    of their differences, is a facet hyperplane exactly when every vertex
+    lies on one side of it, and the body is flat when every vertex lies on
+    it or no such subset exists.  A facet with more than n vertices is met
+    once per n-subset and kept once.  The normal is made primitive, and the
+    offset is the image offset over the lcm of the denominators.
     """
     k = canonicalize(body)
     if k.dim == 2:
         return _polygon_edges(k)
-    n = k.dim
-    verts = k.vertices
+    den, images = integer_image(k.vertices)
     found = {}
-    for subset in reversed(list(itertools.combinations(range(len(verts)), n))):
-        normal = _cofactor_normal([verts[i] for i in subset])
-        if is_zero_vec(normal):
+    for subset in reversed(list(itertools.combinations(range(len(images)), k.dim))):
+        base = images[subset[0]]
+        normal = _cofactor_normal(
+            [[a - b for a, b in zip(images[i], base)] for i in subset[1:]]
+        )
+        if not any(normal):
             continue
-        offset = vdot(normal, verts[subset[0]])
+        offset = sum(map(mul, normal, base))
         sides = {
             (x > offset) - (x < offset)
-            for x in (vdot(normal, v) for i, v in enumerate(verts) if i not in subset)
+            for x in (sum(map(mul, normal, p)) for i, p in enumerate(images) if i not in subset)
         }
         if sides <= {0}:  # every vertex on this hyperplane
             return None
         if sides >= {-1, 1}:
             continue
+        g = math.gcd(*normal)
         if 1 in sides:  # every vertex on the far side: flip
-            normal, offset = vneg(normal), -offset
-        found.setdefault(normalize_halfspace(Halfspace(normal, offset)), None)
-    return tuple(found) or None  # no n affinely independent vertices
+            g = -g
+        found.setdefault((tuple(a // g for a in normal), offset // g), None)
+    return tuple(
+        Halfspace(tuple(map(Rational, normal)), Rational(offset, den))
+        for normal, offset in found
+    ) or None  # no n affinely independent vertices
 
 
 def _polygon_edges(polygon: VPolytope) -> tuple | None:

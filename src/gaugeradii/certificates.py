@@ -7,10 +7,10 @@ most n+1 contact points of K on the boundary of the scaled gauge, an outer
 normal of the gauge at each, and positive convex weights under which the
 normals sum to zero.
 
-Extraction takes the contacts that ``radii.circumradius`` reads off its one
-LP dual — the equality block of each body vertex carries its candidate
-normal, and the free translation variable forces the weighted normals to
-cancel — and prunes them with one small weight LP.  There is no second solve
+Extraction takes the contacts that ``radii.circumradius`` reads off the dual
+of its vertex-form LP — the equality block of each body vertex carries its
+candidate normal, and the free translation variable forces the weighted
+normals to cancel — and prunes them with one small weight LP.  There is no second solve
 and no repair step: a certificate that fails validation is an error.  The
 validator shares *nothing* with extraction: it rechecks every condition from
 the vertex data alone and is the ground truth whenever the two disagree.
@@ -50,7 +50,8 @@ def validate(body: VPolytope, scaled_gauge: VPolytope, cert: ContainmentCertific
     Requires 2..n+1 contacts, each a point of the body lying on the boundary
     of the scaled gauge with its normal supporting there, and positive
     weights summing to one under which the normals vanish.  Needs only
-    support evaluations and membership LPs — nothing from extraction.
+    support evaluations and membership tests (``contains_point``: sign tests
+    per edge in the plane, LPs otherwise) — nothing from extraction.
     """
     n = body.dim
     k = cert.count
@@ -85,7 +86,7 @@ def extract(body: VPolytope, gauge: VPolytope) -> ContainmentCertificate:
     """Certificate for the optimal containment achieved at R(body, gauge).
 
     The contacts and their normals are those of ``circumradius(...).attaining``
-    (its cached dual), so the circumradius LP is solved at most once.  One
+    (the cached vertex-form dual), so that LP is solved at most once.  One
     small feasibility LP then selects a basic convex combination of the
     normals summing to zero, which prunes the contact count to at most n+1
     (Caratheodory, done by the LP returning a basic solution).  A certificate

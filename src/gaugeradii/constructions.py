@@ -36,8 +36,9 @@ from .bodies import (
     negate,
     scale,
     simplex_hrep,
+    spans_space,
 )
-from .ratcore import ONE, ZERO, Rational, rank, rat, rat_str, vsub
+from .ratcore import ONE, ZERO, Rational, rat, rat_str
 
 
 class NoSpikePointError(ValueError):
@@ -218,7 +219,7 @@ def random_vpolytope(
     rng = rng if rng is not None else SplitMix64(seed)
     for _attempt in range(500):
         pts = [rng.point(dim, coordinate_bound, den_bound) for _ in range(vertex_count)]
-        if rank([vsub(p, pts[0]) for p in pts[1:]]) == dim:
+        if spans_space(pts):
             return canonicalize(VPolytope(dim, tuple(pts)))
     raise ExhaustedRedrawsError("could not draw a full-dimensional body")
 
@@ -266,6 +267,6 @@ def random_simplex(dim: int, coordinate_bound: int, rng: SplitMix64) -> VPolytop
     points are already the canonical vertex list."""
     for _attempt in range(500):
         pts = [rng.point(dim, coordinate_bound) for _ in range(dim + 1)]
-        if rank([vsub(p, pts[0]) for p in pts[1:]]) == dim:
+        if spans_space(pts):
             return VPolytope(dim, tuple(sorted(pts)), canonical=True)
     raise ExhaustedRedrawsError("could not draw a nondegenerate simplex")

@@ -4,9 +4,17 @@ with respect to a (possibly non-symmetric) polytopal gauge body, all exact.
 The circumradius R(K, C) — the least dilation factor of C that can cover a
 translate of K — is the workhorse: the inradius is its reciprocal with the
 roles swapped, the asymmetry is R(-K, K), and translative containment tests
-throughout the library are "circumradius <= 1".  Each functional returns an
-exact optimum together with a witness translation, so every value can be
-re-certified independently.
+throughout the library are "circumradius <= 1".
+
+Against a full-dimensional gauge the value comes from the facet form: one LP
+row per facet of C and n + 1 variables, with the support values of K taken
+on integer images.  Each functional also returns a witness: a translation,
+the contacts of an optimal containment, or a Minkowski center.  Those come
+from the vertex-form LP, one hull-membership block per vertex of K, which
+is solved only when a caller first reads a witness; its dual is what
+``certificates.extract`` reads.  A flat gauge has no facets and takes the
+vertex form for its value too.  Every value can be re-certified
+independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.
@@ -14,7 +22,6 @@ suite touches the same radii many times over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import lp
@@ -26,6 +33,7 @@ from .bodies import (
     contains_point,
     facets,
     integer_image,
+    integer_support,
     integer_width,
     is_centrally_symmetric,
     negate,
@@ -40,25 +48,61 @@ class DegenerateGaugeError(ValueError):
     """The gauge body cannot measure anything (e.g. a single point)."""
 
 
-@dataclass(frozen=True)
 class RadiiResult:
     """An exact radius value with its certifying data.
 
     ``translation`` is the witness shift of the defining containment;
     ``attaining`` is operation-specific: the ``(vertex, normal)`` contacts
-    read off the LP dual for the circumradius, the diametral vertex pair for
-    the diameter, None otherwise.
+    read off the vertex-form LP dual for the circumradius, the diametral
+    vertex pair for the diameter, None otherwise.  Given ``witness``, a
+    function returning ``(translation, attaining)``, both are computed on
+    their first read and kept: a caller who reads only ``value`` never pays
+    for the LP that finds them.
     """
 
-    value: Rational
-    translation: tuple | None = None
-    attaining: tuple | None = None
+    __slots__ = ("value", "_witness", "_data")
+
+    def __init__(self, value: Rational, translation=None, attaining=None, *, witness=None):
+        self.value = value
+        self._witness = witness
+        self._data = (translation, attaining)
+
+    def _read(self) -> tuple:
+        if self._witness is not None:
+            self._data, self._witness = self._witness(), None
+        return self._data
+
+    @property
+    def translation(self) -> tuple | None:
+        return self._read()[0]
+
+    @property
+    def attaining(self) -> tuple | None:
+        return self._read()[1]
+
+    def __repr__(self) -> str:
+        return f"RadiiResult(value={self.value})"
 
 
-@dataclass(frozen=True)
 class AsymmetryResult:
-    s: Rational
-    center: tuple
+    """s(K) with one Minkowski center; given ``witness``, a function
+    returning the center, it is computed on its first read and kept."""
+
+    __slots__ = ("s", "_witness", "_center")
+
+    def __init__(self, s: Rational, center=None, *, witness=None):
+        self.s = s
+        self._witness = witness
+        self._center = center
+
+    @property
+    def center(self) -> tuple:
+        if self._witness is not None:
+            self._center, self._witness = self._witness(), None
+        return self._center
+
+    def __repr__(self) -> str:
+        return f"AsymmetryResult(s={self.s})"
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +110,8 @@ class AsymmetryResult:
 
 
 def circumradius_program(body: VPolytope, gauge: VPolytope):
-    """Build the containment LP for R(body, gauge): minimize lambda subject to
-    v_i in t + lambda*gauge for every body vertex v_i, one
+    """Build the vertex-form containment LP for R(body, gauge): minimize
+    lambda subject to v_i in t + lambda*gauge for every body vertex v_i, one
     ``add_hull_membership`` block per vertex."""
     n = check_same_dim(body, gauge)
     builder = lp.ProgramBuilder()
@@ -81,12 +125,57 @@ def circumradius_program(body: VPolytope, gauge: VPolytope):
 
 def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     """R(body, gauge); None when no dilate of the gauge can cover the body
-    (the affine hulls are incompatible)."""
+    (the affine hulls are incompatible).
+
+    Against a full-dimensional gauge the value is the optimum of the facet
+    form, one row per facet g.x <= b of the gauge,
+
+        minimize lambda  subject to  g.t + b lambda >= h(body, g),
+
+    with t free and lambda >= 0: n + 1 variables, whatever the body.  Such a
+    gauge covers every body, so the result is never None.  The translation
+    and the contacts are read off the vertex-form LP
+    (``circumradius_program``), solved on their first read only; its optimum
+    is the same value, and its dual gives ``attaining``.  A flat gauge has
+    no facets and takes the vertex form for everything."""
     return _circumradius(canonicalize(body), canonicalize(gauge))
 
 
 @lru_cache(maxsize=None)
 def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
+    check_same_dim(body, gauge)
+    halves = facets(gauge)
+    if halves is None:
+        return _circumradius_by_vertices(body, gauge)
+
+    def witness():
+        res = _circumradius_by_vertices(body, gauge)
+        return res.translation, res.attaining
+
+    return RadiiResult(_facet_circumradius(body, halves), witness=witness)
+
+
+def _facet_circumradius(body: VPolytope, halves) -> Rational:
+    """The facet-form optimum; each row reads g.t + b lambda - slack =
+    h(body, g), the support value taken on the body's integer images (the
+    facet normals are primitive int vectors)."""
+    den, images = integer_image(body.vertices)
+    builder = lp.ProgramBuilder()
+    t = builder.add_vars(body.dim, free=True)
+    lam = builder.add_var(objective=ONE)
+    for g, b in halves:
+        row = {tk: gk for tk, gk in zip(t, g) if gk}
+        row[lam] = b
+        row[builder.add_var()] = -ONE
+        h = integer_support(images, [q.numerator for q in g])
+        builder.add_row(row, Rational(h, den))
+    out = lp.solve(builder.build())
+    if out.status != lp.OPTIMAL:  # a full-dimensional gauge covers every body
+        raise RuntimeError("facet-form circumradius LP must have an optimum")
+    return out.value
+
+
+def _circumradius_by_vertices(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     program, (t_vars, lam_var) = circumradius_program(body, gauge)
     out = lp.solve(program)
     if out.status == lp.INFEASIBLE:
@@ -116,15 +205,16 @@ def inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
     translate of the body, read off R(gauge, body) = 1/rho.
 
     gauge in t + R*body means rho*gauge - rho*t in body, so the witness is
-    -rho*t.  No dilate of the body covering the gauge means the body is flat
-    across the gauge: rho = 0, witnessed by the first canonical vertex."""
+    -rho*t, computed on its first read.  No dilate of the body covering the
+    gauge means the body is flat across the gauge: rho = 0, witnessed by the
+    first canonical vertex."""
     res = circumradius(gauge, body)
     if res is None:
         return RadiiResult(ZERO, canonicalize(body).vertices[0])
     if res.value == 0:
         raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
     rho = ONE / res.value
-    return RadiiResult(rho, vscale(-rho, res.translation))
+    return RadiiResult(rho, witness=lambda: (vscale(-rho, res.translation), None))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +334,9 @@ def jung_ratio(body: VPolytope, gauge: VPolytope) -> Rational | None:
 def asymmetry(body: VPolytope) -> AsymmetryResult:
     """Minkowski asymmetry s(K) = R(-K, K) with one Minkowski center.
 
-    The center follows from the witness translation: -K in t + sK means
-    -(K - c) in s(K - c) for c = -t/(1 + s).  Centers are not unique in
+    The center follows from the witness translation, on its first read:
+    -K in t + sK means -(K - c) in s(K - c) for c = -t/(1 + s).  A symmetric
+    body has s = 1 and its center, with no LP.  Centers are not unique in
     general; predicates quantifying over centers must use the full center
     polytope, never just this one: ``is_minkowski_center`` tests a point
     against it, and the concentricity LPs of ``theorems`` carry its rows.
@@ -262,8 +353,7 @@ def _asymmetry(body: VPolytope) -> AsymmetryResult:
     if result is None:
         raise ValueError("asymmetry needs a full-dimensional body")
     s = result.value
-    center = vscale(-ONE / (ONE + s), result.translation)
-    return AsymmetryResult(s, center)
+    return AsymmetryResult(s, witness=lambda: vscale(-ONE / (ONE + s), result.translation))
 
 
 def is_minkowski_center(body: VPolytope, point) -> bool:

@@ -2,11 +2,12 @@
 
 The oracles here cross-check results through a second route: 2D hulls via
 exact monotone chain and simplex membership via barycentric coordinates from
-a direct linear solve (both without LPs), and the inradius from its own
-containment LP rather than from the circumradius.  The planar hull, facets
-and (C - C)/2 norm, which the library computes on integer images, are checked
+a direct linear solve (both without LPs), the inradius from its own
+containment LP rather than from the circumradius, and the circumradius from
+the vertex-form LP rather than the facet form.  The hulls, facets and
+(C - C)/2 norm, which the library computes on integer images, are checked
 against the general routes they replaced: one membership LP per point, brute
-force over vertex pairs, and the norm LP.
+force over vertex subsets with rational cofactor normals, and the norm LP.
 """
 
 import itertools
@@ -19,14 +20,24 @@ from gaugeradii import lp
 from gaugeradii.bodies import (
     Halfspace,
     VPolytope,
-    _cofactor_normal,
     canonicalize,
     check_same_dim,
     normalize_halfspace,
 )
 from gaugeradii.constructions import SplitMix64
 from gaugeradii.radii import DegenerateGaugeError
-from gaugeradii.ratcore import ONE, ZERO, is_zero_vec, rat, solve_linear, vdot, vec, vneg
+from gaugeradii.ratcore import (
+    ONE,
+    ZERO,
+    det,
+    is_zero_vec,
+    rat,
+    solve_linear,
+    vdot,
+    vec,
+    vneg,
+    vsub,
+)
 
 
 def V(points):
@@ -98,6 +109,25 @@ def inradius_by_lp(body, gauge):
     return -out.value, tuple(out.primal[v] for v in t)
 
 
+def circumradius_by_vertices(body, gauge):
+    """R(body, gauge) and a witness translation from the vertex-form LP:
+    minimize lambda subject to v in t + lambda*conv(gauge) for every body
+    vertex v; None when infeasible (no dilate of a flat gauge covers the
+    body)."""
+    body, gauge = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(body, gauge)
+    builder = lp.ProgramBuilder()
+    t = builder.add_vars(n, free=True)
+    lam = builder.add_var(objective=ONE)
+    for v in body.vertices:
+        builder.add_hull_membership(gauge.vertices, [{tk: ONE} for tk in t], v, mass=lam)
+    out = lp.solve(builder.build())
+    if out.status == lp.INFEASIBLE:
+        return None
+    assert out.status == lp.OPTIMAL
+    return out.value, tuple(out.primal[v] for v in t)
+
+
 def _in_hull_by_lp(point, points):
     builder = lp.ProgramBuilder()
     builder.add_hull_membership(points, [{}] * len(point), point)
@@ -119,6 +149,20 @@ def canonicalize_by_lp(body):
     return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
 
 
+def cofactor_normal(points):
+    """A normal of the affine hull of n points in R^n from cofactor
+    determinants of their differences to the first, over rationals; zero
+    exactly when the points are affinely dependent."""
+    base = points[0]
+    dirs = [vsub(v, base) for v in points[1:]]
+    normal = []
+    for j in range(len(base)):
+        minor = [[d[k] for k in range(len(base)) if k != j] for d in dirs]
+        sign = ONE if j % 2 == 0 else -ONE
+        normal.append(sign * (det(minor) if minor else ONE))
+    return tuple(normal)
+
+
 def facets_by_subsets(body):
     """The normalized facets of a full-dimensional body, None for a flat one,
     by brute force over n-subsets of the vertices of ``canonicalize_by_lp``,
@@ -127,7 +171,7 @@ def facets_by_subsets(body):
     n = body.dim
     found = {}
     for subset in reversed(list(itertools.combinations(range(len(verts)), n))):
-        normal = _cofactor_normal([verts[i] for i in subset])
+        normal = cofactor_normal([verts[i] for i in subset])
         if is_zero_vec(normal):
             continue
         offset = vdot(normal, verts[subset[0]])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     V,
+    _in_hull_by_lp,
     barycentric_inside,
     canonicalize_by_lp,
     facets_by_subsets,
@@ -43,6 +44,7 @@ from gaugeradii.bodies import (
     same_vertex_set,
     scale,
     simplex_hrep,
+    spans_space,
     support,
     translate,
     vertex_centroid,
@@ -265,6 +267,86 @@ def test_planar_routes_match_oracles_hypothesis(body, z):
     assert canonicalize(body) == canonicalize_by_lp(body)
     assert facets(body) == facets_by_subsets(body)
     assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
+
+
+def spatial_point_sets(seed):
+    """Seeded 3-D point lists: boxes and cubes, prisms over random polygons,
+    difference bodies (facets with more than three vertices), random sets,
+    coplanar and collinear sets, and repeated points."""
+    rng = SplitMix64(seed)
+    for trial in range(12):
+        a, b, c = (1 + rng.below(3) for _ in range(3))
+        lo = rng.point(3, 2, 2)
+        yield V([tuple(o + d for o, d in zip(lo, (x, y, z))) for x in (0, a) for y in (0, b) for z in (0, c)])
+        base = [rng.point(2, 3) for _ in range(3 + rng.below(4))]
+        h = rng.rational(2, 3) or rat(1)
+        yield V([(x, y, z) for x, y in base for z in (0, h)])
+        body = random_vpolytope(3, 4 + trial % 3, 3, 0, rng=rng)
+        yield difference_body(body)
+        pts = [rng.point(3, 2, 1 + trial % 4) for _ in range(4 + rng.below(5))]
+        yield V(pts + [pts[rng.below(len(pts))]])
+        u, w, p = rng.point(3, 2), rng.point(3, 2), rng.point(3, 2)
+        ts = [(rng.rational(2), rng.rational(2)) for _ in range(3 + rng.below(4))]
+        yield V([tuple(pk + t * uk + r * wk for pk, uk, wk in zip(p, u, w)) for t, r in ts])
+        yield V([tuple(pk + t * uk for pk, uk in zip(p, u)) for t, _ in ts])
+
+
+def test_spatial_facets_match_subset_oracle():
+    """From three dimensions on the facets found on integer images equal the
+    brute force over rational cofactor normals: the same tuple in the same
+    order, or None for the flat sets."""
+    shapes = Counter()
+    for body in spatial_point_sets(2718):
+        halves = facets(body)
+        assert halves == facets_by_subsets(body)
+        shapes["flat" if halves is None else "solid"] += 1
+        shapes["big facet"] += halves is not None and any(
+            sum(vdot(g, v) == b for v in canonicalize(body).vertices) > 3 for g, b in halves
+        )
+    assert min(shapes.values()) >= 12, shapes
+    segment = V([(2,), ("-1/2",), (1,)])
+    unit_4d = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    for body in (segment, V([(0, 0, 0, 0), (1, 1, 1, 1)] + unit_4d)):
+        assert facets(body) == facets_by_subsets(body) is not None
+
+
+def test_planar_contains_point_matches_hull_lp():
+    """Edge sign tests for full-dimensional polygons, the hull LP for flat
+    ones: the same answer as a membership LP, boundary points included."""
+    rng = SplitMix64(577)
+    inside = Counter()
+    for body in planar_point_sets(400, 1123):
+        points = [rng.point(2, 2, 1 + rng.below(4)) for _ in range(4)] + list(body.vertices[:2])
+        for p in points:
+            got = contains_point(body, p)
+            assert got == _in_hull_by_lp(p, list(body.vertices))
+            inside[(facets(body) is not None, got)] += 1
+    assert min(inside.values()) >= 50, inside
+
+
+def test_body_hash_is_the_dataclass_hash():
+    """Taken once, equal to the hash of the field tuple, so equal bodies
+    hash alike and no cache or set changes its iteration order."""
+    for body in list(planar_point_sets(50, 8)) + list(spatial_point_sets(9)):
+        for b in (body, canonicalize(body)):
+            assert hash(b) == hash((b.dim, b.vertices, b.canonical))
+            assert hash(VPolytope(b.dim, b.vertices, b.canonical)) == hash(b)
+
+
+def test_spans_space_matches_rank():
+    """Full dimension on integer images equals the rational rank test, on
+    sets of 1 to 6 points in 1 to 4 dimensions, many of them flat."""
+    rng = SplitMix64(3141)
+    seen = Counter()
+    for trial in range(2000):
+        n = 1 + trial % 4
+        pts = [rng.point(n, 1 + trial % 3, 1 + rng.below(3)) for _ in range(1 + rng.below(6))]
+        if trial % 5 == 0 and len(pts) > 2:  # push the last point into the span of the others
+            pts[-1] = tuple(a + rng.rational(2) * (b - a) for a, b in zip(pts[0], pts[1]))
+        full = rank([vsub(p, pts[0]) for p in pts[1:]]) == n if len(pts) > 1 else False
+        assert spans_space(pts) == full
+        seen[full] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_width_is_the_support_sum():

@@ -201,13 +201,15 @@ def test_certify_emits_valid_certificate(capsys, body_files, tmp_path):
 
 def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch, solve_counter):
     """``extract`` ends in ``validate``, so ``certify`` does not validate
-    again: with cold caches, square in triangle takes 8 LP solves (the
-    circumradius, the weight LP and two membership LPs per contact; the
-    planar hulls take none) and prints exactly this report."""
+    again: with cold caches, square in triangle takes 3 LP solves (the
+    facet-form circumradius value, the vertex-form LP that gives the
+    translation and the contacts, and the weight LP; the planar hulls and
+    the membership tests of ``validate``, sign checks per edge, take none)
+    and prints exactly this report."""
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["certify", "--body", "square.json", "--gauge", "triangle.json"])
     assert code == 0
-    assert solve_counter.count == 8
+    assert solve_counter.count == 3
     expected = {
         "arguments": {"body": "square.json", "gauge": "triangle.json"},
         "command": "certify",

@@ -3,6 +3,7 @@ randomness (including the splitmix64 known-answer vectors)."""
 
 import pytest
 
+from gaugeradii import constructions
 from gaugeradii.bodies import (
     VPolytope,
     canonicalize,
@@ -20,6 +21,7 @@ from gaugeradii.constructions import (
     SplitMix64,
     pair_from_json,
     random_nonsymmetric_vpolytope,
+    random_pair_suite,
     random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
@@ -140,6 +142,37 @@ def test_random_vpolytope_full_dimensional(dim):
         base = body.vertices[0]
         assert rank([vsub(v, base) for v in body.vertices[1:]]) == dim
         assert is_centrally_symmetric(difference_body(body))[0]
+
+
+def seeded_draws():
+    """The acceptance stream and the draws of ``explore`` (one simplex, then
+    one gauge of dim + 2 points, per trial) for seeds 1 to 5 in 2-D and 3-D,
+    then the same with coordinates in [-1, 1], where redraws are common."""
+    draws = random_pair_suite(200, 20240817)
+    for bound in (4, 1):
+        for seed in range(1, 6):
+            for dim in (2, 3):
+                rng = SplitMix64(seed)
+                for _ in range(40):
+                    simplex = random_simplex(dim, bound, rng)
+                    draws.append((simplex, random_vpolytope(dim, dim + 2, bound, 0, rng=rng)))
+    return draws
+
+
+def test_full_dimension_decisions_match_rank_route(monkeypatch):
+    """Every accept or redraw decision on integer images is the one the
+    rational rank test makes, so the drawn bodies are the same."""
+    draws = seeded_draws()
+    redraws = []
+
+    def by_rank(pts):
+        full = rank([vsub(p, pts[0]) for p in pts[1:]]) == len(pts[0])
+        redraws.append(not full)
+        return full
+
+    monkeypatch.setattr(constructions, "spans_space", by_rank)
+    assert seeded_draws() == draws
+    assert sum(redraws) >= 50
 
 
 def test_random_simplex_is_canonical():

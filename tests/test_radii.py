@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from conftest import (
     V,
     body_gauge_pairs,
+    circumradius_by_vertices,
     in_translated_dilate,
     inradius_by_lp,
     planar_point_sets,
@@ -419,3 +420,85 @@ def test_inradius_reuses_the_circumradius(triangle, square, solve_counter):
         warm = solve_counter.count
         inradius(body, gauge)
         assert solve_counter.count == warm
+
+
+# ---------------------------------------------------------------------------
+# the vertex-form LP (``circumradius_by_vertices``) as an oracle for the
+# facet-form circumradius value
+
+
+def compare_with_vertex_form(body, gauge):
+    """Assert R(body, gauge) equals the vertex-form LP in value, or both are
+    None, and that the witness translation is the one that LP lands on."""
+    expected = circumradius_by_vertices(body, gauge)
+    res = circumradius(body, gauge)
+    if expected is None:
+        assert res is None
+        return
+    assert (res.value, res.translation) == expected
+
+
+def test_facet_circumradius_matches_vertex_form_on_acceptance_pairs():
+    """All 200 acceptance pairs, 100 of them 3-D: R(K, C) and R(C, K), and K
+    against C - C, -C and -K."""
+    for body, gauge in random_pair_suite(200, 20240817):
+        for a, b in (
+            (body, gauge),
+            (gauge, body),
+            (body, difference_body(gauge)),
+            (body, negate(gauge)),
+            (body, negate(body)),
+        ):
+            compare_with_vertex_form(a, b)
+
+
+def test_facet_circumradius_degenerate_cases(square):
+    """Flat and one-point bodies, gauges that miss the origin, flat gauges
+    (both routes give None) and one-point gauges."""
+    cube = V([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    far_triangle = V([(5, 5), (7, 5), (5, 8)])
+    cases = flat_cases() + [(gauge, body) for body, gauge in flat_cases()]
+    cases += [
+        (V([(3, "1/2")]), square),
+        (V([(1, 2, 3)]), cube),
+        (square, far_triangle),
+        (far_triangle, translate(square, (-9, 4))),
+        (cube, translate(standard_centered_simplex(3), (4, 4, "-7/2"))),
+        (V([(0, 0), (1, 0)]), V([(5, 5)])),
+        (square, V([(0, 0)])),
+        (V([(2, 2)]), V([(0, 0)])),
+    ]
+    nones = 0
+    for body, gauge in cases:
+        compare_with_vertex_form(body, gauge)
+        nones += circumradius(body, gauge) is None
+    assert nones >= 5
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_facet_circumradius_matches_vertex_form_hypothesis(pair):
+    body, gauge = pair
+    compare_with_vertex_form(body, gauge)
+    compare_with_vertex_form(gauge, body)
+
+
+def test_values_solve_no_witness_lp(triangle, square, solve_counter):
+    """A value takes the one facet-form LP; the witness LP runs on the first
+    read of a translation, contacts or center, and once only."""
+    body = V([(0, 0), (2, 1), (1, 3)])
+    circumradius(body, square).value
+    assert solve_counter.count == 1
+    res = circumradius(body, square)
+    res.translation, res.attaining, res.translation
+    assert solve_counter.count == 2
+    solve_counter.reset()
+    inr = inradius(square, triangle)
+    assert solve_counter.count == 1
+    inr.translation, inr.translation
+    assert solve_counter.count == 2
+    solve_counter.reset()
+    asym = asymmetry(body)
+    assert solve_counter.count == 1
+    asym.center, asym.center
+    assert solve_counter.count == 2

@@ -623,8 +623,10 @@ def test_condition_vectors_match_inclusion_chain_oracles():
 def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
     caches the simplex vector takes 13 solves on a 3-D pair and builds no
-    difference body; the triangle vector takes 7, with planar hulls, facets
-    and norms free of LPs, and builds none either."""
+    difference body; the triangle vector takes 8, with planar hulls, facets
+    and norms free of LPs, and builds none either: 7 facet-form values (two
+    asymmetries, three translative factors, two inradii) and the one
+    vertex-form LP whose translation gives the triangle's Minkowski center."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
@@ -635,7 +637,7 @@ def test_condition_vectors_solve_count(solve_counter):
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
     solve_counter.reset()
     assert triangle_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 7
+    assert solve_counter.count == 8
     assert difference_body.cache_info().misses == 0
 
 
