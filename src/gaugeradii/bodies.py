@@ -449,16 +449,20 @@ def facets(body: VPolytope) -> tuple | None:
         if not any(normal):
             continue
         offset = sum(map(mul, normal, base))
-        sides = {
-            (x > offset) - (x < offset)
-            for x in (sum(map(mul, normal, p)) for i, p in enumerate(images) if i not in subset)
-        }
-        if sides <= {0}:  # every vertex on this hyperplane
-            return None
-        if sides >= {-1, 1}:
+        below = above = False
+        for i, p in enumerate(images):
+            if i not in subset:
+                x = sum(map(mul, normal, p))
+                below |= x < offset
+                above |= x > offset
+                if below and above:  # stop at the first vertex on the far side
+                    break
+        if below and above:  # vertices on both sides: no facet
             continue
+        if not (below or above):  # every vertex on this hyperplane
+            return None
         g = math.gcd(*normal)
-        if 1 in sides:  # every vertex on the far side: flip
+        if above:  # every vertex on the far side: flip
             g = -g
         found.setdefault((tuple(a // g for a in normal), offset // g), None)
     return tuple(

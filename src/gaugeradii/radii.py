@@ -6,15 +6,16 @@ translate of K — is the workhorse: the inradius is its reciprocal with the
 roles swapped, the asymmetry is R(-K, K), and translative containment tests
 throughout the library are "circumradius <= 1".
 
-Against a full-dimensional gauge the value comes from the facet form: one LP
-row per facet of C and n + 1 variables, with the support values of K taken
-on integer images.  Each functional also returns a witness: a translation,
-the contacts of an optimal containment, or a Minkowski center.  Those come
-from the vertex-form LP, one hull-membership block per vertex of K, which
-is solved only when a caller first reads a witness; its dual is what
-``certificates.extract`` reads.  A flat gauge has no facets and takes the
-vertex form for its value too.  Every value can be re-certified
-independently.
+Against a full-dimensional gauge the value comes from the facet form, the
+least lambda with g.t + lambda b >= h(K, g) on every facet g.x <= b of C,
+solved as its dual: one column per facet of C and n + 1 rows, with the
+support values of K taken on integer images.  Each functional also returns
+a witness: a translation, the contacts of an optimal containment, or a
+Minkowski center.  Those come from the vertex-form LP, one hull-membership
+block per vertex of K, which is solved only when a caller first reads a
+witness; its dual is what ``certificates.extract`` reads.  A flat gauge has
+no facets and takes the vertex form for its value too.  Every value can be
+re-certified independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.
@@ -132,9 +133,10 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
         minimize lambda  subject to  g.t + b lambda >= h(body, g),
 
-    with t free and lambda >= 0: n + 1 variables, whatever the body.  Such a
-    gauge covers every body, so the result is never None.  The translation
-    and the contacts are read off the vertex-form LP
+    with t free and lambda >= 0, and it is solved as its dual
+    (``_facet_circumradius``): one column per facet and n + 1 rows, whatever
+    the body.  Such a gauge covers every body, so the result is never None.
+    The translation and the contacts are read off the vertex-form LP
     (``circumradius_program``), solved on their first read only; its optimum
     is the same value, and its dual gives ``attaining``.  A flat gauge has
     no facets and takes the vertex form for everything."""
@@ -156,23 +158,28 @@ def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
 
 def _facet_circumradius(body: VPolytope, halves) -> Rational:
-    """The facet-form optimum; each row reads g.t + b lambda - slack =
-    h(body, g), the support value taken on the body's integer images (the
-    facet normals are primitive int vectors)."""
+    """The facet-form optimum, read off its LP dual: one column y_g >= 0 per
+    facet g.x <= b of the gauge and n + 1 rows,
+
+        R = max sum_g y_g h(body, g)  subject to  sum_g y_g g = 0,  sum_g y_g b = 1.
+
+    The last row is an equality because the primal's lambda >= 0 is implied:
+    the normals of a full-dimensional gauge balance with positive weights, so
+    no lambda < 0 is feasible.  The support values are taken on the body's
+    integer images (the facet normals are primitive int vectors)."""
     den, images = integer_image(body.vertices)
     builder = lp.ProgramBuilder()
-    t = builder.add_vars(body.dim, free=True)
-    lam = builder.add_var(objective=ONE)
-    for g, b in halves:
-        row = {tk: gk for tk, gk in zip(t, g) if gk}
-        row[lam] = b
-        row[builder.add_var()] = -ONE
-        h = integer_support(images, [q.numerator for q in g])
-        builder.add_row(row, Rational(h, den))
+    ys = [
+        builder.add_var(objective=-integer_support(images, [q.numerator for q in g]))
+        for g, _ in halves
+    ]
+    for k in range(body.dim):
+        builder.add_row({y: g[k] for y, (g, _) in zip(ys, halves) if g[k]}, ZERO)
+    builder.add_row({y: b for y, (_, b) in zip(ys, halves) if b}, ONE)
     out = lp.solve(builder.build())
     if out.status != lp.OPTIMAL:  # a full-dimensional gauge covers every body
         raise RuntimeError("facet-form circumradius LP must have an optimum")
-    return out.value
+    return -out.value / den
 
 
 def _circumradius_by_vertices(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:

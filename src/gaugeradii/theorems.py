@@ -12,12 +12,13 @@ Design rules observed throughout:
   of K against C - C, and R(C - C, C).  Elsewhere they are written through
   the radii, e.g. K - K = D(K, C)/2 (C - C) as D(K, C) D(C, K) = 4.
 * Predicates of the form "there exists a Minkowski center c ..." are decided
-  by one joint feasibility LP over the full center polytope.  Minkowski
-  centers are not unique, so testing only the returned center would be wrong.
-  Each inclusion of such an LP is one row per facet of its container, with
-  the support value of the contained set on the right; only a flat
-  container, which has no facets, is written vertex by vertex with convex
-  weight columns.
+  by one LP over the full center polytope.  Minkowski centers are not
+  unique, so testing only the returned center would be wrong.  Each
+  inclusion is one row per facet of its container, with the support value
+  of the contained set on the right, and the system of rows is decided by
+  its Farkas LP, which has 2n + 1 rows whatever the number of facets.  Only
+  a flat container, which has no facets, is written vertex by vertex with
+  convex weight columns, and then the system itself is solved.
 * Completeness is decided only where an exact criterion exists: simplices
   (via the symmetrized-gauge characterization) and constant-width bodies.
   Everything else reports "undecidable" rather than guessing.
@@ -36,6 +37,8 @@ from .bodies import (
     contains_point,
     difference_body,
     facets,
+    integer_image,
+    integer_support,
     is_centrally_symmetric,
     is_simplex,
     minkowski_sum,
@@ -448,13 +451,27 @@ def are_mutually_concentric(body: VPolytope, gauge: VPolytope) -> bool:
 
 
 def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutual: bool) -> bool:
-    """One feasibility LP over a Minkowski center c of C and the translation
-    t, with sigma = -1 when mirrored and +1 otherwise:
+    """Is there a Minkowski center c of C and a translation t with, for
+    sigma = -1 when mirrored and +1 otherwise,
 
         (1+s(C)) c - C in s(C) C            (c is a Minkowski center of C)
         (1+s(K)) t - K in s(K) K            (with ``mutual``)
         t - sigma r c + sigma r C in K      (inner inclusion)
-        R c - t + K in R C                  (outer inclusion)
+        R c - t + K in R C                  (outer inclusion)?
+
+    When K and C are full-dimensional, every inclusion is one row
+    a.(c, t) <= b per facet of its container (``_facet_rows``), and the
+    system is decided on the small side of Farkas' lemma: it has no solution
+    exactly when some y >= 0 with A^T y = 0 has b.y < 0.  So one LP with
+    2n + 1 rows and one column per row of the system,
+
+        minimize b.y  subject to  A^T y = 0,  sum y = 1,  y >= 0,
+
+    decides it: feasible iff that LP is infeasible or its optimum is >= 0
+    (exactly 0 on concentric equality pairs).  A flat container has no
+    facets; then the system itself is solved as a feasibility LP over
+    (c, t), with one hull-membership block per point of that container's
+    inclusions (``_add_containment``).
     """
     K, C = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(K, C)
@@ -464,46 +481,68 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     R = circ.value
     sigma, sigma_C = (-ONE, negate(C)) if mirrored else (ONE, C)
     r = inradius(K, sigma_C).value
-    builder = lp.ProgramBuilder()
-    c_vars = builder.add_vars(n, free=True)
-    t_vars = builder.add_vars(n, free=True)
+    c_vars, t_vars = range(n), range(n, 2 * n)
     sC = asymmetry(C).s
-    _add_containment(builder, [{c: ONE + sC} for c in c_vars], negate(C), C, sC)
+    inclusions = [([{c: ONE + sC} for c in c_vars], negate(C), C, sC)]
     if mutual:
         sK = asymmetry(K).s
-        _add_containment(builder, [{t: ONE + sK} for t in t_vars], negate(K), K, sK)
+        inclusions.append(([{t: ONE + sK} for t in t_vars], negate(K), K, sK))
     inner = [{t: ONE, c: -sigma * r} for c, t in zip(c_vars, t_vars)]
-    _add_containment(builder, inner, scale(sigma_C, r), K, ONE)
+    inclusions.append((inner, scale(sigma_C, r), K, ONE))
     outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
-    _add_containment(builder, outer, K, C, R)
-    return lp.feasible_point(builder.build()) is not None
+    inclusions.append((outer, K, C, R))
+    if facets(K) is None or facets(C) is None:
+        builder = lp.ProgramBuilder()
+        builder.add_vars(2 * n, free=True)  # c_vars, then t_vars
+        for inclusion in inclusions:
+            _add_containment(builder, *inclusion)
+        return lp.feasible_point(builder.build()) is not None
+    rows = [row for inclusion in inclusions for row in _facet_rows(*inclusion)]
+    builder = lp.ProgramBuilder()
+    ys = [builder.add_var(objective=b) for _, b in rows]
+    for j in range(2 * n):
+        builder.add_row({y: a[j] for y, (a, _) in zip(ys, rows) if a.get(j)}, ZERO)
+    builder.add_row({y: ONE for y in ys}, ONE)
+    out = lp.solve(builder.build())
+    return out.status == lp.INFEASIBLE or out.value >= 0
+
+
+def _facet_rows(lhs, points: VPolytope, container: VPolytope, factor):
+    """``lhs + p in factor * container`` for every vertex p of ``points``, as
+    one ``(coefficients, bound)`` pair per facet g.x <= b of a
+    full-dimensional container,
+
+        g.lhs <= factor b - h(points, g),
+
+    since the inclusion over all p is decided by the largest g.p; ``lhs[k]``
+    is coordinate k as a ``{variable: coefficient}`` dict.  The support
+    values are taken on integer images of the points (the facet normals are
+    primitive int vectors)."""
+    den, images = integer_image(points.vertices)
+    for g, b in facets(container):
+        coeffs = {}
+        for gk, coord in zip(g, lhs):
+            if gk:
+                for var, coef in coord.items():
+                    coeffs[var] = coeffs.get(var, ZERO) + gk * coef
+        h = integer_support(images, [q.numerator for q in g])
+        yield coeffs, factor * b - Rational(h, den)
 
 
 def _add_containment(
     builder: lp.ProgramBuilder, lhs, points: VPolytope, container: VPolytope, factor
 ) -> None:
-    """Constrain ``lhs + p`` to ``factor * container`` for every vertex p of
-    ``points``; ``lhs[k]`` is coordinate k as a ``{variable: coefficient}``
-    dict.
-
-    A full-dimensional container gives one row per facet g.x <= b,
-
-        g.lhs <= factor b - h(points, g),
-
-    since the inclusion over all p is decided by the largest g.p.  A flat
-    container has no facets and gets one hull-membership block per point."""
-    halves = facets(container)
-    if halves is None:
+    """Add ``lhs + p in factor * container`` for every vertex p of
+    ``points`` to a program over (c, t): a full-dimensional container gives
+    its ``_facet_rows``, each with a slack column, and a flat one, which has
+    no facets, one hull-membership block per point."""
+    if facets(container) is None:
         for p in points.vertices:
             builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
         return
-    for g, b in halves:
-        row = {builder.add_var(): ONE}
-        for gk, coord in zip(g, lhs):
-            if gk:
-                for var, coef in coord.items():
-                    row[var] = row.get(var, ZERO) + gk * coef
-        builder.add_row(row, factor * b - support(points, g)[0])
+    for coeffs, bound in _facet_rows(lhs, points, container, factor):
+        coeffs[builder.add_var()] = ONE
+        builder.add_row(coeffs, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ The oracles here cross-check results through a second route: 2D hulls via
 exact monotone chain and simplex membership via barycentric coordinates from
 a direct linear solve (both without LPs), the inradius from its own
 containment LP rather than from the circumradius, and the circumradius from
-the vertex-form LP rather than the facet form.  The hulls, facets and
-(C - C)/2 norm, which the library computes on integer images, are checked
-against the general routes they replaced: one membership LP per point, brute
-force over vertex subsets with rational cofactor normals, and the norm LP.
+the vertex-form LP rather than the facet form.  The circumradius value and
+the concentricity predicates, which the library decides on the small side of
+LP duality, are checked against the primal programs they replaced, one row
+per facet.  The hulls, facets and (C - C)/2 norm, which the library computes
+on integer images, are checked against the general routes they replaced: one
+membership LP per point, brute force over vertex subsets with rational
+cofactor normals, and the norm LP.
 """
 
 import itertools
@@ -22,10 +25,20 @@ from gaugeradii.bodies import (
     VPolytope,
     canonicalize,
     check_same_dim,
+    facets,
+    negate,
     normalize_halfspace,
+    scale,
+    support,
+    translate,
 )
-from gaugeradii.constructions import SplitMix64
-from gaugeradii.radii import DegenerateGaugeError
+from gaugeradii.constructions import (
+    SplitMix64,
+    simplex_sandwich_pair,
+    spiked_difference_pair,
+    triangle_mix_gauge,
+)
+from gaugeradii.radii import DegenerateGaugeError, asymmetry, circumradius, inradius
 from gaugeradii.ratcore import (
     ONE,
     ZERO,
@@ -66,14 +79,17 @@ def clear_caches():
 
 class SolveCounter:
     """``count`` is the number of ``lp.solve`` calls since the last
-    ``reset``, which also empties every cache so the count starts cold."""
+    ``reset``, which also empties every cache so the count starts cold;
+    ``shapes`` lists the (rows, columns) of each of those programs."""
 
     def __init__(self):
         self.count = 0
+        self.shapes = []
 
     def reset(self):
         clear_caches()
         self.count = 0
+        self.shapes = []
 
 
 @pytest.fixture
@@ -84,6 +100,7 @@ def solve_counter(monkeypatch):
 
     def counting(program):
         counter.count += 1
+        counter.shapes.append((program.num_rows, program.num_vars))
         return solve(program)
 
     monkeypatch.setattr(lp, "solve", counting)
@@ -126,6 +143,77 @@ def circumradius_by_vertices(body, gauge):
         return None
     assert out.status == lp.OPTIMAL
     return out.value, tuple(out.primal[v] for v in t)
+
+
+def circumradius_by_facet_rows(body, gauge):
+    """R(body, gauge) from the facet-form primal LP against a
+    full-dimensional gauge: minimize lambda subject to
+    g.t + b lambda - slack = h(body, g) for every facet g.x <= b of the
+    gauge, t free and lambda >= 0, one row per facet; the support values are
+    rational."""
+    body, gauge = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(body, gauge)
+    halves = facets(gauge)
+    assert halves is not None, "the facet form needs a full-dimensional gauge"
+    builder = lp.ProgramBuilder()
+    t = builder.add_vars(n, free=True)
+    lam = builder.add_var(objective=ONE)
+    for g, b in halves:
+        row = {tk: gk for tk, gk in zip(t, g) if gk}
+        row[lam] = b
+        row[builder.add_var()] = -ONE
+        builder.add_row(row, support(body, g)[0])
+    out = lp.solve(builder.build())
+    assert out.status == lp.OPTIMAL
+    return out.value
+
+
+def _containment_by_facet_rows(builder, lhs, points, container, factor):
+    """``lhs + p in factor * container`` for every vertex p of ``points``:
+    one row g.lhs + slack = factor b - h(points, g) per facet g.x <= b of a
+    full-dimensional container, one hull-membership block per point of a
+    flat one."""
+    halves = facets(container)
+    if halves is None:
+        for p in points.vertices:
+            builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
+        return
+    for g, b in halves:
+        row = {builder.add_var(): ONE}
+        for gk, coord in zip(g, lhs):
+            if gk:
+                for var, coef in coord.items():
+                    row[var] = row.get(var, ZERO) + gk * coef
+        builder.add_row(row, factor * b - support(points, g)[0])
+
+
+def concentric_by_facet_rows(body, gauge, mirrored, mutual):
+    """The concentricity predicate from the primal feasibility LP over a
+    Minkowski center c of the gauge and a translation t: every inclusion of
+    ``theorems._concentric_feasible`` written as its rows over (c, t), one
+    per facet of a full-dimensional container, with rational support
+    values."""
+    K, C = canonicalize(body), canonicalize(gauge)
+    n = check_same_dim(K, C)
+    circ = circumradius(K, C)
+    if circ is None:
+        return False
+    R = circ.value
+    sigma, sigma_C = (-ONE, negate(C)) if mirrored else (ONE, C)
+    r = inradius(K, sigma_C).value
+    builder = lp.ProgramBuilder()
+    c_vars = builder.add_vars(n, free=True)
+    t_vars = builder.add_vars(n, free=True)
+    sC = asymmetry(C).s
+    _containment_by_facet_rows(builder, [{c: ONE + sC} for c in c_vars], negate(C), C, sC)
+    if mutual:
+        sK = asymmetry(K).s
+        _containment_by_facet_rows(builder, [{t: ONE + sK} for t in t_vars], negate(K), K, sK)
+    inner = [{t: ONE, c: -sigma * r} for c, t in zip(c_vars, t_vars)]
+    _containment_by_facet_rows(builder, inner, scale(sigma_C, r), K, ONE)
+    outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
+    _containment_by_facet_rows(builder, outer, K, C, R)
+    return lp.feasible_point(builder.build()) is not None
 
 
 def _in_hull_by_lp(point, points):
@@ -274,6 +362,26 @@ def planar_point_sets(count, seed):
         if trial % 4 == 0:
             pts.append(pts[rng.below(size)])
         yield V(pts)
+
+
+def family_pairs():
+    """(simplex, gauge) pairs of the paper's families: S and -S against the
+    sandwich gauge on a small (lambda, mu) grid, in the plane and in space,
+    both variants; S and -S against the mixed-triangle gauge moved off the
+    origin; and the spiked pair in space."""
+    for n, grid in ((2, (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0"))), (3, (("1", "1/2"),))):
+        for lam, mu in grid:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    yield S, pair.gauge
+    for lam in ("0", "1/4", "1/3", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        gauge = translate(pair.gauge, (1, -2))  # Minkowski centers off the origin
+        for S in (pair.simplex, negate(pair.simplex)):
+            yield S, gauge
+    pair = spiked_difference_pair(3)
+    yield pair.simplex, pair.gauge
 
 
 @st.composite

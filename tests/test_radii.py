@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from conftest import (
     V,
     body_gauge_pairs,
+    circumradius_by_facet_rows,
     circumradius_by_vertices,
+    family_pairs,
     in_translated_dilate,
     inradius_by_lp,
     planar_point_sets,
@@ -24,6 +26,7 @@ from gaugeradii.bodies import (
     canonicalize,
     contains_point,
     difference_body,
+    facets,
     negate,
     same_vertex_set,
     scale,
@@ -37,6 +40,7 @@ from gaugeradii.constructions import (
     random_pair_suite,
     random_vpolytope,
     simplex_sandwich_pair,
+    spiked_difference_pair,
     standard_centered_simplex,
     triangle_mix_gauge,
 )
@@ -502,3 +506,66 @@ def test_values_solve_no_witness_lp(triangle, square, solve_counter):
     assert solve_counter.count == 1
     asym.center, asym.center
     assert solve_counter.count == 2
+
+
+# ---------------------------------------------------------------------------
+# the facet-form primal LP (``circumradius_by_facet_rows``) as an oracle for
+# the circumradius value, which is read off its (n + 1)-row dual
+
+
+def compare_with_facet_rows(body, gauge) -> bool:
+    """Assert R(body, gauge) equals the optimum of the primal facet-row LP;
+    False, with no comparison, for a flat gauge, which has no facets."""
+    if facets(canonicalize(gauge)) is None:
+        return False
+    assert circumradius(body, gauge).value == circumradius_by_facet_rows(body, gauge), (
+        body, gauge
+    )
+    return True
+
+
+def test_dual_circumradius_matches_facet_rows_on_acceptance_pairs():
+    """All 200 acceptance pairs, 100 of them 3-D: R(K, C) and R(C, K), and K
+    against C - C, -C and -K."""
+    for body, gauge in random_pair_suite(200, 20240817):
+        for a, b in (
+            (body, gauge),
+            (gauge, body),
+            (body, difference_body(gauge)),
+            (body, negate(gauge)),
+            (body, negate(body)),
+        ):
+            assert compare_with_facet_rows(a, b)
+
+
+def test_dual_circumradius_matches_facet_rows_on_families():
+    """The sandwich grid, the moved mixed-triangle grid and the spiked pair,
+    both ways round and against the mirrored gauge."""
+    for simplex, gauge in family_pairs():
+        for a, b in ((simplex, gauge), (gauge, simplex), (simplex, negate(gauge))):
+            assert compare_with_facet_rows(a, b)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_dual_circumradius_matches_facet_rows_hypothesis(pair):
+    body, gauge = pair
+    compare_with_facet_rows(body, gauge)
+    compare_with_facet_rows(gauge, body)
+
+
+def test_value_lp_has_n_plus_one_rows(square, solve_counter):
+    """The value LP against a full-dimensional gauge has n + 1 rows and one
+    column per facet of the gauge, in the plane and in space."""
+    cube = V([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    spiked = spiked_difference_pair(3)
+    cases = (
+        (V([(0, 0), (2, 1), (1, 3)]), square, 4),
+        (standard_centered_simplex(3), cube, 6),
+        (spiked.simplex, spiked.gauge, len(facets(spiked.gauge))),
+    )
+    for body, gauge, facet_count in cases:
+        body, gauge = canonicalize(body), canonicalize(gauge)
+        solve_counter.reset()
+        circumradius(body, gauge).value
+        assert solve_counter.shapes == [(body.dim + 1, facet_count)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, body_gauge_pairs
+from conftest import V, body_gauge_pairs, concentric_by_facet_rows, family_pairs
 from gaugeradii import lp
 from gaugeradii.bodies import (
     DegenerateSimplexError,
@@ -14,6 +14,7 @@ from gaugeradii.bodies import (
     canonicalize,
     check_same_dim,
     difference_body,
+    facets,
     negate,
     same_vertex_set,
     scale,
@@ -27,7 +28,6 @@ from gaugeradii.constructions import (
     random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
-    spiked_difference_pair,
     standard_centered_simplex,
     triangle_mix_gauge,
 )
@@ -292,13 +292,13 @@ CONCENTRICITY_MODES = {
 }
 
 
-def assert_concentricity_matches_hulls(body, gauge):
-    """Equal answers (or exception types) in all four (mirrored, mutual)
-    modes; returns the facet-form answers."""
+def assert_concentricity_matches(oracle, body, gauge):
+    """Answers (or exception types) equal to the oracle's in all four
+    (mirrored, mutual) modes; returns the library's answers."""
     got = []
     for (mirrored, mutual), decide in CONCENTRICITY_MODES.items():
         answer = outcome(decide, body, gauge)
-        assert answer == outcome(concentric_by_hulls, body, gauge, mirrored, mutual), (
+        assert answer == outcome(oracle, body, gauge, mirrored, mutual), (
             body, gauge, mirrored, mutual
         )
         got.append(answer)
@@ -306,22 +306,9 @@ def assert_concentricity_matches_hulls(body, gauge):
 
 
 def concentricity_cases():
-    for n, grid in ((2, (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0"))), (3, (("1", "1/2"),))):
-        for lam, mu in grid:
-            for variant in ("min", "max"):
-                pair = simplex_sandwich_pair(n, lam, mu, variant)
-                for S in (pair.simplex, negate(pair.simplex)):
-                    yield S, pair.gauge
-                    yield pair.gauge, S
-    for lam in ("0", "1/4", "1/3", "1/2", "2/3", "1"):
-        pair = triangle_mix_gauge(lam)
-        gauge = translate(pair.gauge, (1, -2))  # Minkowski centers off the origin
-        for S in (pair.simplex, negate(pair.simplex)):
-            yield S, gauge
-            yield gauge, S
-    pair = spiked_difference_pair(3)
-    yield pair.simplex, pair.gauge
-    yield pair.gauge, pair.simplex
+    for S, gauge in family_pairs():
+        yield S, gauge
+        yield gauge, S
     yield from random_pair_suite(30, 20240817)  # acceptance pairs 0-29
 
 
@@ -346,7 +333,7 @@ def test_facet_concentricity_matches_hull_oracle():
     seen = set()
     count = 0
     for body, gauge in concentricity_cases():
-        seen.update(assert_concentricity_matches_hulls(body, gauge))
+        seen.update(assert_concentricity_matches(concentric_by_hulls, body, gauge))
         count += 1
     assert seen == {True, False}
     print(f"PASS: {count} pairs x 4 modes equal to the vertex-form LP")
@@ -355,7 +342,7 @@ def test_facet_concentricity_matches_hull_oracle():
 def test_facet_concentricity_flat_bodies_match_hull_oracle():
     seen = set()
     for body, gauge in flat_concentricity_cases():
-        seen.update(assert_concentricity_matches_hulls(body, gauge))
+        seen.update(assert_concentricity_matches(concentric_by_hulls, body, gauge))
     assert seen == {True, False}
 
 
@@ -363,8 +350,77 @@ def test_facet_concentricity_flat_bodies_match_hull_oracle():
 @given(body_gauge_pairs())
 def test_facet_concentricity_matches_hull_oracle_hypothesis(pair):
     body, gauge = pair
-    assert_concentricity_matches_hulls(body, gauge)
-    assert_concentricity_matches_hulls(gauge, body)
+    assert_concentricity_matches(concentric_by_hulls, body, gauge)
+    assert_concentricity_matches(concentric_by_hulls, gauge, body)
+
+
+# ---------------------------------------------------------------------------
+# the primal facet-row LP (``concentric_by_facet_rows``) as an oracle for the
+# (2n + 1)-row Farkas LP that decides concentricity
+
+
+def test_dual_concentricity_matches_facet_rows_on_acceptance_pairs():
+    """All 200 acceptance pairs, 100 of them 3-D: K against C and C against
+    K, and K against C - C, -C and -K."""
+    seen = set()
+    for body, gauge in random_pair_suite(200, 20240817):
+        for a, b in (
+            (body, gauge),
+            (gauge, body),
+            (body, difference_body(gauge)),
+            (body, negate(gauge)),
+            (body, negate(body)),
+        ):
+            seen.update(assert_concentricity_matches(concentric_by_facet_rows, a, b))
+    assert seen == {True, False}
+
+
+def test_dual_concentricity_matches_facet_rows_on_families():
+    """The sandwich grid, the moved mixed-triangle grid and the spiked pair,
+    both ways round; the concentric pairs among them are the equality cases
+    where the Farkas optimum is exactly 0."""
+    seen = set()
+    for simplex, gauge in family_pairs():
+        seen.update(assert_concentricity_matches(concentric_by_facet_rows, simplex, gauge))
+        seen.update(assert_concentricity_matches(concentric_by_facet_rows, gauge, simplex))
+    assert seen == {True, False}
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_dual_concentricity_matches_facet_rows_hypothesis(pair):
+    body, gauge = pair
+    assert_concentricity_matches(concentric_by_facet_rows, body, gauge)
+    assert_concentricity_matches(concentric_by_facet_rows, gauge, body)
+
+
+def test_concentricity_lp_has_2n_plus_one_rows(solve_counter):
+    """With K and C full-dimensional, the predicate's own LP, solved after
+    the radius values (n + 1 rows each), has 2n + 1 rows and one column per
+    facet row of the system: two blocks of facets of C (center polytope,
+    outer inclusion), one of K (inner), one more of K with ``mutual``."""
+    for n in (2, 3):
+        pair = simplex_sandwich_pair(n, "1", "1/2")
+        K, C = canonicalize(pair.simplex), canonicalize(pair.gauge)
+        fK, fC = len(facets(K)), len(facets(C))
+        for (mirrored, mutual), decide in CONCENTRICITY_MODES.items():
+            solve_counter.reset()
+            assert decide(K, C)
+            *values, program = solve_counter.shapes
+            assert all(rows == n + 1 for rows, _ in values)
+            assert program == (2 * n + 1, 2 * fC + (1 + mutual) * fK)
+
+
+def test_flat_container_solves_the_primal(square, solve_counter):
+    """A flat body has no facets, so the system over (c, t) is solved as it
+    stands.  For a segment in the square: 4 + 3 + 4 rows (the center
+    polytope of C, one hull-membership block for the single point of
+    0*C in K, the outer inclusion) and 4 + 4 + 2 + 4 columns (c and t, the
+    slacks of the two facet blocks, the weights on K's two vertices)."""
+    K, C = canonicalize(V([(0, 0), (1, 0)])), canonicalize(square)
+    solve_counter.reset()
+    is_minkowski_concentric(K, C)
+    assert solve_counter.shapes[-1] == (11, 14)
 
 
 # ---------------------------------------------------------------------------
