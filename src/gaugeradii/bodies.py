@@ -214,7 +214,7 @@ def _in_hull(point: Vec, points: list) -> bool:
     """Membership in conv(points) via a feasibility LP over convex weights."""
     builder = lp.ProgramBuilder()
     builder.add_hull_membership(points, [{}] * len(point), point)
-    return lp.feasible_point(builder.build()) is not None
+    return lp.solve(builder.build()).status == lp.OPTIMAL
 
 
 def contains_point(body, point) -> bool:
@@ -531,18 +531,25 @@ def _hrep_support(region: HPolytope, direction: Vec):
     return -out.value
 
 
-def enumerate_vertices(region: HPolytope, *, max_dim: int = 4, max_halfspaces: int = 16) -> VPolytope:
+# Size guard of ``enumerate_vertices``: its subset loop grows as C(m, n).
+ENUMERATION_MAX_DIM = 4
+ENUMERATION_MAX_HALFSPACES = 16
+
+
+def enumerate_vertices(region: HPolytope) -> VPolytope:
     """Brute-force vertex enumeration of a bounded low-dimensional H-polytope.
 
     Solves the square system of every dim-subset of halfspaces and keeps the
     feasible unique solutions; each such point sits on dim independent active
     constraints and is therefore a vertex, and every vertex arises this way.
+    Regions beyond ``ENUMERATION_MAX_DIM`` dimensions or
+    ``ENUMERATION_MAX_HALFSPACES`` halfspaces raise ``ScaleGuardError``.
     """
     n = region.dim
-    if n > max_dim or len(region.halfspaces) > max_halfspaces:
+    if n > ENUMERATION_MAX_DIM or len(region.halfspaces) > ENUMERATION_MAX_HALFSPACES:
         raise ScaleGuardError(
-            f"enumeration guard: dim {n} (max {max_dim}), "
-            f"{len(region.halfspaces)} halfspaces (max {max_halfspaces})"
+            f"enumeration guard: dim {n} (max {ENUMERATION_MAX_DIM}), "
+            f"{len(region.halfspaces)} halfspaces (max {ENUMERATION_MAX_HALFSPACES})"
         )
     for k in range(n):
         for sgn in (ONE, -ONE):

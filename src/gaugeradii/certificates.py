@@ -47,11 +47,15 @@ class ContainmentCertificate:
 def validate(body: VPolytope, scaled_gauge: VPolytope, cert: ContainmentCertificate) -> bool:
     """Exact check of all certificate conditions against the vertex data.
 
-    Requires 2..n+1 contacts, each a point of the body lying on the boundary
-    of the scaled gauge with its normal supporting there, and positive
-    weights summing to one under which the normals vanish.  Needs only
-    support evaluations and membership tests (``contains_point``: sign tests
-    per edge in the plane, LPs otherwise) — nothing from extraction.
+    Requires every vertex of the body to lie in the scaled gauge, 2..n+1
+    contacts, each a point of the body on the boundary of the scaled gauge
+    with its normal supporting there, and positive weights summing to one
+    under which the normals vanish.  The containment bounds the circumradius
+    from above and the balanced contacts bound it from below, so together
+    they prove the containment optimal; a contact lies in the scaled gauge
+    because it lies in the body.  Needs only support evaluations and
+    membership tests (``contains_point``: sign tests per edge in the plane,
+    LPs otherwise) — nothing from extraction.
     """
     n = body.dim
     k = cert.count
@@ -69,8 +73,10 @@ def validate(body: VPolytope, scaled_gauge: VPolytope, cert: ContainmentCertific
             balance[i] += w * a[i]
     if not all(x == 0 for x in balance):
         return False
+    if not all(contains_point(scaled_gauge, v) for v in body.vertices):
+        return False
     for p, a in zip(cert.contacts, cert.normals):
-        if not contains_point(body, p) or not contains_point(scaled_gauge, p):
+        if not contains_point(body, p):
             return False
         if vdot(a, p) != support(scaled_gauge, a)[0]:
             return False

@@ -432,20 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--body", help="body JSON file (vertex representation)")
-        p.add_argument("--gauge", help="gauge JSON file (vertex representation)")
+    def add_common(p, *, files: bool, approx: bool):
+        """--out, and --body/--gauge and --approx where the command reads them."""
+        if files:
+            p.add_argument("--body", help="body JSON file (vertex representation)")
+            p.add_argument("--gauge", help="gauge JSON file (vertex representation)")
         p.add_argument("--out", help="also write the report to this file")
-        p.add_argument("--approx", action="store_true",
-                       help="append decimal renderings (labeled non-normative)")
+        if approx:
+            p.add_argument("--approx", action="store_true",
+                           help="append decimal renderings (labeled non-normative)")
 
     p = sub.add_parser("compute", help="radii/asymmetry of a body with respect to a gauge")
-    add_common(p)
+    add_common(p, files=True, approx=True)
     p.add_argument("--which", help="comma list from R,r,D,s,center,jung (default: all)")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    add_common(p)
+    add_common(p, files=True, approx=False)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--pair", help="ExamplePair JSON file (as written by construct)")
     p.add_argument("--family", choices=FAMILY_CHOICES)
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="write a family instance to JSON")
-    add_common(p)
+    add_common(p, files=False, approx=False)
     p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--lambda", dest="lam", help="family parameter lambda (rational)")
     p.add_argument("--mu", help="family parameter mu (rational)")
@@ -468,11 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("certify", help="emit a validated containment certificate")
-    add_common(p)
+    add_common(p, files=True, approx=True)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("explore", help="search the open extremal-simplex question")
-    add_common(p)
+    add_common(p, files=False, approx=False)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dim", type=_int_at_least(2), default=2)

@@ -209,16 +209,16 @@ def random_vpolytope(
     coordinate_bound: int,
     seed: int,
     *,
-    den_bound: int = 3,
     rng: SplitMix64 | None = None,
 ) -> VPolytope:
-    """Deterministic full-dimensional random body: ``vertex_count`` draws,
-    redrawn until the affine hull is all of R^dim, then canonicalized."""
+    """Deterministic full-dimensional random body: ``vertex_count`` draws
+    with denominators up to 3, redrawn until the affine hull is all of
+    R^dim, then canonicalized."""
     if dim < 2 or vertex_count < dim + 1:
         raise ValueError("need dim >= 2 and at least dim+1 points")
     rng = rng if rng is not None else SplitMix64(seed)
     for _attempt in range(500):
-        pts = [rng.point(dim, coordinate_bound, den_bound) for _ in range(vertex_count)]
+        pts = [rng.point(dim, coordinate_bound) for _ in range(vertex_count)]
         if spans_space(pts):
             return canonicalize(VPolytope(dim, tuple(pts)))
     raise ExhaustedRedrawsError("could not draw a full-dimensional body")

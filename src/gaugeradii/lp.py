@@ -368,15 +368,6 @@ def verify_farkas(lp: LinearProgram, ray: Vec) -> bool:
     return vdot(lp.rhs, ray) > 0
 
 
-def feasible_point(lp: LinearProgram) -> tuple | None:
-    """Feasibility probe: some feasible point, or None."""
-    probe = LinearProgram(
-        objective=(ZERO,) * lp.num_vars, lhs=lp.lhs, rhs=lp.rhs, free=lp.free
-    )
-    out = solve(probe)
-    return out.primal if out.status == OPTIMAL else None
-
-
 def format_program(lp: LinearProgram) -> str:
     """Plain-text tableau dump for debugging."""
     lines = ["min " + "  ".join(str(q) for q in lp.objective)]

@@ -14,8 +14,10 @@ a witness: a translation, the contacts of an optimal containment, or a
 Minkowski center.  Those come from the vertex-form LP, one hull-membership
 block per vertex of K, which is solved only when a caller first reads a
 witness; its dual is what ``certificates.extract`` reads.  A flat gauge has
-no facets and takes the vertex form for its value too.  Every value can be
-re-certified independently.
+no facets and takes the vertex form for its value too.  The (C - C)/2 norm
+behind the diameter needs no LP of its own: it is a closed form over the
+edges of a full-dimensional planar gauge, and otherwise 2 R([0, z], C).
+Every value can be re-certified independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.
@@ -42,7 +44,7 @@ from .bodies import (
     support,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vdot, vec, vneg, vscale
+from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vdot, vec, vneg, vscale, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -239,7 +241,12 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     since every edge of C - C = C + (-C) is parallel to an edge of C or -C,
     so the facet normals of (C - C)/2 are among the +-g, with support values
     (h(C, g) + h(C, -g))/2.  The fractions are compared on integer images.
-    Flat gauges and dimensions >= 3 solve a small LP."""
+
+    Flat gauges and dimensions >= 3 take 2 R([0, z], C): the segment [0, z]
+    lies in t + lambda C exactly when z is in lambda (C - C), so the norm is
+    twice the circumradius of the segment, and None when that is None.
+    Against a full-dimensional gauge that is the (n + 1)-row facet-form
+    value LP of ``circumradius``."""
     zv = vec(z)
     if len(zv) != gauge.dim:
         raise ValueError("vector length does not match gauge dimension")
@@ -263,26 +270,9 @@ def _sym_gauge_norm(zv: Vec, gauge: VPolytope) -> Rational | None:
             if num * best_w > best_num * w:
                 best_num, best_w = num, w
         return Rational(2 * dc * best_num, dz * best_w)
-    # z = sum nu_j c_j - sum nu'_j c_j with sum nu = sum nu' = rho/2;
-    # minimizing rho = sum nu + sum nu' under the balance row gives the norm.
-    n = gauge.dim
-    builder = lp.ProgramBuilder()
-    plus = builder.add_vars(len(gauge.vertices), objective=ONE)
-    minus = builder.add_vars(len(gauge.vertices), objective=ONE)
-    for k in range(n):
-        row = {}
-        for p, m, c in zip(plus, minus, gauge.vertices):
-            if c[k]:
-                row[p] = c[k]
-                row[m] = -c[k]
-        builder.add_row(row, zv[k])
-    balance = {p: ONE for p in plus}
-    balance.update({m: -ONE for m in minus})
-    builder.add_row(balance, ZERO)
-    out = lp.solve(builder.build())
-    if out.status == lp.INFEASIBLE:
-        return None
-    return out.value
+    segment = VPolytope(gauge.dim, tuple(sorted((vzero(gauge.dim), zv))), canonical=True)
+    res = _circumradius(segment, gauge)
+    return None if res is None else 2 * res.value
 
 
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:

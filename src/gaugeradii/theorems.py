@@ -16,9 +16,14 @@ Design rules observed throughout:
   unique, so testing only the returned center would be wrong.  Each
   inclusion is one row per facet of its container, with the support value
   of the contained set on the right, and the system of rows is decided by
-  its Farkas LP, which has 2n + 1 rows whatever the number of facets.  Only
-  a flat container, which has no facets, is written vertex by vertex with
-  convex weight columns, and then the system itself is solved.
+  its Farkas LP, which has 2n + 1 rows whatever the number of facets.  When
+  the body or the gauge is flat, every inclusion is written vertex by
+  vertex instead, and then the system itself is solved.
+* Every containment written vertex by vertex, "x in t + mu conv(P)" with
+  convex weight columns over the points P, comes from one method,
+  ``lp.ProgramBuilder.add_hull_membership``: the gauge function, the flat
+  concentricity systems, and in ``radii`` and ``bodies`` the circumradius
+  witness LP and hull membership.
 * Completeness is decided only where an exact criterion exists: simplices
   (via the symmetrized-gauge characterization) and constant-width bodies.
   Everything else reports "undecidable" rather than guessing.
@@ -85,6 +90,8 @@ class OriginNotInGaugeError(ValueError):
 def gauge_value(z, body: VPolytope) -> Rational | None:
     """Gauge function of a body containing the origin: the least rho >= 0
     with z in rho * body.  None when z is outside the cone of the body.
+    One LP: a hull-membership block for z over the body's vertices, with
+    mass rho, minimizing rho.
 
     For non-symmetric bodies this is *not* a norm (gauge(z) != gauge(-z) in
     general) and deliberately not called a length.
@@ -98,9 +105,8 @@ def gauge_value(z, body: VPolytope) -> Rational | None:
     if is_zero_vec(zv):
         return ZERO
     builder = lp.ProgramBuilder()
-    nus = builder.add_vars(len(k.vertices), objective=ONE)
-    for i in range(k.dim):
-        builder.add_row({nu: v[i] for nu, v in zip(nus, k.vertices) if v[i]}, zv[i])
+    rho = builder.add_var(objective=ONE)
+    builder.add_hull_membership(k.vertices, [{}] * k.dim, zv, mass=rho)
     out = lp.solve(builder.build())
     return out.value if out.status == lp.OPTIMAL else None
 
@@ -468,10 +474,11 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
         minimize b.y  subject to  A^T y = 0,  sum y = 1,  y >= 0,
 
     decides it: feasible iff that LP is infeasible or its optimum is >= 0
-    (exactly 0 on concentric equality pairs).  A flat container has no
-    facets; then the system itself is solved as a feasibility LP over
-    (c, t), with one hull-membership block per point of that container's
-    inclusions (``_add_containment``).
+    (exactly 0 on concentric equality pairs).  When K or C is flat, the
+    system itself is solved as a feasibility LP over (c, t), every inclusion
+    written vertex by vertex: one hull-membership block per point of the
+    contained set, ``lhs + p = factor * (convex combination of the
+    container's vertices)``.
     """
     K, C = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(K, C)
@@ -494,9 +501,10 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     if facets(K) is None or facets(C) is None:
         builder = lp.ProgramBuilder()
         builder.add_vars(2 * n, free=True)  # c_vars, then t_vars
-        for inclusion in inclusions:
-            _add_containment(builder, *inclusion)
-        return lp.feasible_point(builder.build()) is not None
+        for lhs, points, container, factor in inclusions:
+            for p in points.vertices:
+                builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
+        return lp.solve(builder.build()).status == lp.OPTIMAL
     rows = [row for inclusion in inclusions for row in _facet_rows(*inclusion)]
     builder = lp.ProgramBuilder()
     ys = [builder.add_var(objective=b) for _, b in rows]
@@ -527,22 +535,6 @@ def _facet_rows(lhs, points: VPolytope, container: VPolytope, factor):
                     coeffs[var] = coeffs.get(var, ZERO) + gk * coef
         h = integer_support(images, [q.numerator for q in g])
         yield coeffs, factor * b - Rational(h, den)
-
-
-def _add_containment(
-    builder: lp.ProgramBuilder, lhs, points: VPolytope, container: VPolytope, factor
-) -> None:
-    """Add ``lhs + p in factor * container`` for every vertex p of
-    ``points`` to a program over (c, t): a full-dimensional container gives
-    its ``_facet_rows``, each with a slack column, and a flat one, which has
-    no facets, one hull-membership block per point."""
-    if facets(container) is None:
-        for p in points.vertices:
-            builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
-        return
-    for coeffs, bound in _facet_rows(lhs, points, container, factor):
-        coeffs[builder.add_var()] = ONE
-        builder.add_row(coeffs, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +578,10 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
         row = {c_vars[k]: a[k] for k in range(n) if a[k]}
         row[slack] = ONE
         builder.add_row(row, half.offset - h / (n + 1))
-    point = lp.feasible_point(builder.build())
-    if point is None:
+    out = lp.solve(builder.build())
+    if out.status != lp.OPTIMAL:
         return False, None
-    return True, tuple(point[v] for v in c_vars)
+    return True, tuple(out.primal[v] for v in c_vars)
 
 
 def is_equilateral(simplex: VPolytope, gauge: VPolytope) -> bool:

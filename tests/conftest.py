@@ -10,7 +10,9 @@ LP duality, are checked against the primal programs they replaced, one row
 per facet.  The hulls, facets and (C - C)/2 norm, which the library computes
 on integer images, are checked against the general routes they replaced: one
 membership LP per point, brute force over vertex subsets with rational
-cofactor normals, and the norm LP.
+cofactor normals, and the norm LP.  The norm LP also checks the norm taken
+as twice a segment's circumradius, and the cone LP checks the gauge
+function written as one hull-membership block.
 """
 
 import itertools
@@ -213,13 +215,13 @@ def concentric_by_facet_rows(body, gauge, mirrored, mutual):
     _containment_by_facet_rows(builder, inner, scale(sigma_C, r), K, ONE)
     outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
     _containment_by_facet_rows(builder, outer, K, C, R)
-    return lp.feasible_point(builder.build()) is not None
+    return lp.solve(builder.build()).status == lp.OPTIMAL
 
 
 def _in_hull_by_lp(point, points):
     builder = lp.ProgramBuilder()
     builder.add_hull_membership(points, [{}] * len(point), point)
-    return lp.feasible_point(builder.build()) is not None
+    return lp.solve(builder.build()).status == lp.OPTIMAL
 
 
 def canonicalize_by_lp(body):
@@ -298,6 +300,20 @@ def sym_gauge_norm_by_lp(z, gauge):
     builder.add_row(balance, ZERO)
     out = lp.solve(builder.build())
     return None if out.status == lp.INFEASIBLE else out.value
+
+
+def gauge_value_by_cone(z, body):
+    """The gauge function from its cone LP: minimize sum nu subject to
+    z = sum nu_j v_j over the vertices v_j of the body, nu >= 0; None when
+    infeasible (z outside the cone of the body)."""
+    zv = vec(z)
+    verts = canonicalize(body).vertices
+    builder = lp.ProgramBuilder()
+    nus = builder.add_vars(len(verts), objective=ONE)
+    for k in range(body.dim):
+        builder.add_row({nu: v[k] for nu, v in zip(nus, verts) if v[k]}, zv[k])
+    out = lp.solve(builder.build())
+    return out.value if out.status == lp.OPTIMAL else None
 
 
 def hull2d(points):

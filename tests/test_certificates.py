@@ -93,6 +93,24 @@ def test_validate_rejects_interior_contact(square, triangle):
     assert not validate(square, scaled, cert)
 
 
+def test_validate_requires_the_body_in_the_scaled_gauge():
+    """The contacts of an optimal containment bound R from below only; the
+    body must also lie in the scaled gauge.  The triangle's certificate at
+    R = 1, t = (1, 1) in the square is rejected once the body gains the
+    vertex (5, 5), which raises R to 5/2."""
+    triangle = V([(0, 0), (2, 0), (0, 2)])
+    square = V([(-1, -1), (-1, 1), (1, -1), (1, 1)])
+    res = circumradius(triangle, square)
+    assert (res.value, res.translation) == (1, (1, 1))
+    scaled = scaled_gauge_body(canonicalize(square), res.value, res.translation)
+    cert = extract(triangle, square)
+    assert validate(canonicalize(triangle), scaled, cert)
+    grown = canonicalize(V([(0, 0), (2, 0), (0, 2), (5, 5)]))
+    assert circumradius(grown, square).value == rat("5/2")
+    assert all(p in grown.vertices for p in cert.contacts)
+    assert not validate(grown, scaled, cert)
+
+
 def test_extract_rejects_infinite(square):
     with pytest.raises(ValueError):
         extract(square, V([(0, 0), (1, 0)]))

@@ -152,6 +152,25 @@ def test_out_of_range_counts_are_rejected(capsys, argv):
     assert "argument --dim" in err or "argument --trials" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "chains", "--family", "sandwich", "--approx"], "--approx"),
+    (["construct", "--family", "simplex", "--approx"], "--approx"),
+    (["explore", "--trials", "1", "--approx"], "--approx"),
+    (["construct", "--family", "simplex", "--body", "b.json"], "--body"),
+    (["construct", "--family", "simplex", "--gauge", "g.json"], "--gauge"),
+    (["explore", "--trials", "1", "--body", "b.json"], "--body"),
+    (["explore", "--trials", "1", "--gauge", "g.json"], "--gauge"),
+])
+def test_options_a_command_ignores_are_rejected(capsys, argv, flag):
+    """Only compute and certify read --approx, and only compute, certify and
+    verify read --body and --gauge; elsewhere they are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"unrecognized arguments: {flag}" in err
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     pair_path = tmp_path / "pair.json"
     code, _, _ = run(capsys, ["construct", "--family", "spiked", "--dim", "3",

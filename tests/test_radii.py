@@ -19,6 +19,7 @@ from conftest import (
     in_translated_dilate,
     inradius_by_lp,
     planar_point_sets,
+    small_bodies,
     sym_gauge_norm_by_lp,
 )
 from gaugeradii.bodies import (
@@ -155,6 +156,53 @@ def test_planar_sym_gauge_norm_matches_lp_oracle():
             assert got == sym_gauge_norm_by_lp(z, gauge)
             outcomes.add("none" if got is None else "zero" if got == 0 else "positive")
     assert outcomes == {"none", "zero", "positive"}
+
+
+def test_spatial_sym_gauge_norm_matches_lp_oracle():
+    """Every vertex difference of the 100 3-D acceptance pairs, against C,
+    -C and K: twice the segment's circumradius equals the norm LP."""
+    count = 0
+    for body, gauge in random_pair_suite(200, 20240817):
+        if body.dim != 3:
+            continue
+        verts = canonicalize(body).vertices
+        for g in (gauge, negate(gauge), body):
+            for i, v in enumerate(verts):
+                for w in verts[i + 1:]:
+                    z = vsub(w, v)
+                    assert sym_gauge_norm(z, g) == sym_gauge_norm_by_lp(z, g), (z, g)
+                    count += 1
+    assert count >= 100 * 3 * 6
+
+
+def test_flat_spatial_gauge_norms_match_lp_oracle():
+    """A segment, a triangle and a coplanar quadrilateral in space: z in the
+    span of C - C has a norm, z leaving it has None, as from the norm LP."""
+    rng = SplitMix64(4242)
+    outcomes = set()
+    for gauge in (
+        V([(0, 0, 0), (1, 2, 3)]),
+        V([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        V([(0, 0, 1), (2, 0, 1), (0, 1, 1), (2, 1, 1)]),
+    ):
+        pts = canonicalize(gauge).vertices
+        diffs = [vsub(p, pts[0]) for p in pts[1:]]
+        zs = diffs + [vadd(diffs[0], diffs[-1]), tuple(rat("-3/2") * x for x in diffs[-1])]
+        zs += [(0, 0, 1), (1, 0, 0)] + [rng.point(3, 3, 4) for _ in range(4)]
+        for z in zs:
+            got = sym_gauge_norm(z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, gauge), (z, gauge)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(small_bodies(3), small_bodies(3))
+def test_spatial_sym_gauge_norm_matches_lp_oracle_hypothesis(body, gauge):
+    pts = body.vertices
+    for p in pts[1:]:
+        z = vsub(p, pts[0])
+        assert sym_gauge_norm(z, gauge) == sym_gauge_norm_by_lp(z, gauge)
 
 
 def test_norm_is_twice_segment_circumradius(triangle):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, body_gauge_pairs, concentric_by_facet_rows, family_pairs
+from conftest import (
+    V,
+    body_gauge_pairs,
+    concentric_by_facet_rows,
+    family_pairs,
+    gauge_value_by_cone,
+)
 from gaugeradii import lp
 from gaugeradii.bodies import (
     DegenerateSimplexError,
@@ -21,6 +27,7 @@ from gaugeradii.bodies import (
     simplex_hrep,
     support,
     translate,
+    vertex_centroid,
 )
 from gaugeradii.constructions import (
     SplitMix64,
@@ -32,7 +39,7 @@ from gaugeradii.constructions import (
     triangle_mix_gauge,
 )
 from gaugeradii.radii import asymmetry, circumradius, diameter, inradius, is_constant_width
-from gaugeradii.ratcore import ONE, ZERO, rat, vec
+from gaugeradii.ratcore import ONE, ZERO, rat, vec, vneg
 from gaugeradii.theorems import (
     ChainReport,
     ConditionVector,
@@ -88,6 +95,43 @@ def test_gauge_value_basics(triangle):
 def test_gauge_value_outside_cone():
     segment = V([(0, 0), (1, 0)])
     assert gauge_value((0, 1), segment) is None
+
+
+def gauge_value_cases():
+    """Seeded 2-D and 3-D bodies moved to put the origin at their vertex
+    centroid (an interior point) and at a vertex (a pointed cone), then flat
+    bodies through the origin, each with z at the vertices, their negatives
+    and seeded points."""
+    rng = SplitMix64(31)
+    bodies = []
+    for trial in range(20):
+        dim = 2 + trial % 2
+        body = random_vpolytope(dim, dim + 2, 4, 0, rng=rng)
+        bodies.append(translate(body, vneg(vertex_centroid(body))))
+        bodies.append(translate(body, vneg(body.vertices[0])))
+    bodies += [
+        V([(-1, 0), (2, 0)]),
+        V([(0, 0), (1, 2)]),
+        V([(0, 0, 0), (1, 2, 3)]),
+        V([(-1, -1, 0), (2, 0, 0), (0, 1, 0)]),  # a flat triangle around 0
+        V([(0, 0, 0), (2, 0, 1), (0, 1, 0), (2, 1, 1)]),  # a flat square at 0
+    ]
+    for body in bodies:
+        zs = list(body.vertices) + [vneg(v) for v in body.vertices]
+        zs += [rng.point(body.dim, 3, 4) for _ in range(4)]
+        for z in zs:
+            yield z, body
+
+
+def test_gauge_value_matches_cone_oracle():
+    """The hull-membership block with mass rho gives the cone LP's value,
+    and None exactly where that LP is infeasible."""
+    seen = set()
+    for z, body in gauge_value_cases():
+        got = gauge_value(z, body)
+        assert got == gauge_value_by_cone(z, body), (z, body)
+        seen.add("none" if got is None else "zero" if got == 0 else "positive")
+    assert seen == {"none", "zero", "positive"}
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +325,7 @@ def concentric_by_hulls(body, gauge, mirrored, mutual):
     outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
     for v in K.vertices:
         builder.add_hull_membership(C.vertices, outer, tuple(-x for x in v), scale=-R)
-    return lp.feasible_point(builder.build()) is not None
+    return lp.solve(builder.build()).status == lp.OPTIMAL
 
 
 CONCENTRICITY_MODES = {
@@ -313,8 +357,12 @@ def concentricity_cases():
 
 
 def flat_concentricity_cases():
+    """Flat and one-point bodies and gauges; then a segment and a triangle
+    against planar and spatial gauges, each pair in both orders (the spatial
+    triangle is flat, the planar one is paired with a segment).  A flat body
+    in the symmetric square or cube is concentric at its center."""
     square = V([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    return [
+    cases = [
         (V([(0, 0), (1, 0)]), square),  # flat body, full-dimensional gauge
         (V([(-1, 0), (1, "1/2")]), V([(1, 0), (0, 1), (-1, -1)])),
         (V([(0, 0, 0), (2, 0, 0), (0, 1, 0)]), standard_centered_simplex(3)),
@@ -323,6 +371,19 @@ def flat_concentricity_cases():
         (V([(0, 0, 1), (1, 0, 1), (0, 1, 1)]), V([(0, 0, 0), (1, 0, 0), (0, 2, 0)])),
         (square, V([(0, 0), (1, 0)])),  # flat gauge
     ]
+    quadrilateral = V([(2, 0), (0, 1), (-1, 1), (-1, -2)])
+    spatial = V([(1, 0, 0), (0, 2, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)])
+    cube = V([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    segment2 = V([(0, 0), (1, 1)])
+    triangle2 = V([(0, 0), (3, 0), (1, 2)])
+    segment3 = V([(0, 0, 0), (1, -1, 1)])
+    triangle3 = V([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
+    for flat, full in (
+        (segment2, quadrilateral), (segment2, square), (segment2, triangle2),
+        (segment3, spatial), (segment3, cube), (triangle3, spatial), (triangle3, cube),
+    ):
+        cases += [(flat, full), (full, flat)]
+    return cases
 
 
 def test_facet_concentricity_matches_hull_oracle():
@@ -413,14 +474,17 @@ def test_concentricity_lp_has_2n_plus_one_rows(solve_counter):
 
 def test_flat_container_solves_the_primal(square, solve_counter):
     """A flat body has no facets, so the system over (c, t) is solved as it
-    stands.  For a segment in the square: 4 + 3 + 4 rows (the center
-    polytope of C, one hull-membership block for the single point of
-    0*C in K, the outer inclusion) and 4 + 4 + 2 + 4 columns (c and t, the
-    slacks of the two facet blocks, the weights on K's two vertices)."""
+    stands, every inclusion vertex by vertex: one hull-membership block of
+    n + 1 = 3 rows per point of a contained set.  For a segment in the
+    square that is 7 blocks, 21 rows: 4 for the center polytope of C (the
+    points of -C), 1 for the single point of 0*C in K, 2 for K in R*C.  The
+    columns are 4 + 16 + 2 + 8: c and t, then the weights on C's 4 vertices
+    in the 4 center blocks, on K's 2 vertices in the inner block, and on
+    C's 4 vertices in the 2 outer blocks."""
     K, C = canonicalize(V([(0, 0), (1, 0)])), canonicalize(square)
     solve_counter.reset()
     is_minkowski_concentric(K, C)
-    assert solve_counter.shapes[-1] == (11, 14)
+    assert solve_counter.shapes[-1] == (21, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +526,10 @@ def simplex_complete_by_difference_bodies(simplex, gauge):
         row = {c_vars[k]: half.normal[k] for k in range(n) if half.normal[k]}
         row[slack] = ONE
         builder.add_row(row, half.offset - h / (n + 1))
-    point = lp.feasible_point(builder.build())
-    if point is None:
+    out = lp.solve(builder.build())
+    if out.status != lp.OPTIMAL:
         return False, None
-    return True, tuple(point[v] for v in c_vars)
+    return True, tuple(out.primal[v] for v in c_vars)
 
 
 def completeness_cases():
