@@ -4,23 +4,25 @@ The vertex representation is primary: the radii downstream reduce to
 containment LPs over vertex lists, or over the facets of a full-dimensional
 gauge computed from them.  Halfspace representations come from exact
 desk-scale routines, since general V/H conversion is out of scope here:
-``facets`` reads a polygon's edges off its counter-clockwise ring and, from
-three dimensions on, keeps the hyperplanes through n vertices that have every
-vertex on one side (a simplex's n+1 facets are its special case);
-``enumerate_vertices`` goes back from halfspaces to vertices.
+``facets`` reads a polygon's edges off its counter-clockwise ring, a
+3-polytope's facets off its beneath-beyond hull and, from four dimensions
+on, keeps the hyperplanes through n vertices that have every vertex on one
+side (a simplex's n+1 facets are its special case); ``enumerate_vertices``
+goes back from halfspaces to vertices.
 
 Bodies are immutable value objects; operations are pure functions, so results
 may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
 points and sorts them, which makes vertex-set equality of polytopes a plain
-tuple comparison: in the plane by Andrew's monotone chain, from three
-dimensions on with one membership LP per point.
+tuple comparison: in the plane by Andrew's monotone chain, in space by the
+beneath-beyond hull, and for flat sets in space and from four dimensions on
+with one membership LP per point.
 
-Hulls in the plane, facets, widths and the full-dimension test
+Hulls in the plane and in space, facets, widths and the full-dimension test
 ``spans_space`` are decided on ``integer_image``: the points times the lcm
 of their denominators, so every sign and dot product is a Python int
 operation, and a ``Rational`` is formed only for a result.  Membership in a
-full-dimensional polygon is a sign test per edge; other vertex bodies solve
-a hull-membership LP.
+full-dimensional body in two or three dimensions is a sign test per facet;
+other vertex bodies solve a hull-membership LP.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .ratcore import (
     rat_str,
     solve_linear,
     vadd,
+    vcross,
     vdot,
     vec,
     vneg,
@@ -219,15 +222,15 @@ def _in_hull(point: Vec, points: list) -> bool:
 
 def contains_point(body, point) -> bool:
     """Exact membership test for either representation.  A full-dimensional
-    polygon takes one sign test per edge of its ``facets``; other vertex
-    bodies solve a hull-membership LP."""
+    vertex body in two or three dimensions takes one sign test per facet of
+    its ``facets``; other vertex bodies solve a hull-membership LP."""
     x = vec(point)
     if len(x) != body.dim:
         raise DimensionMismatchError("point length does not match body dimension")
     if isinstance(body, HPolytope):
         halves = body.halfspaces
     else:
-        halves = facets(body) if body.dim == 2 else None
+        halves = facets(body) if body.dim in (2, 3) else None
         if halves is None:
             return _in_hull(x, list(body.vertices))
     return all(vdot(g, x) <= b for g, b in halves)
@@ -260,15 +263,87 @@ def _ccw_ring(images) -> list:
     return chain(range(len(images)))[:-1] + chain(reversed(range(len(images))))[:-1]
 
 
+def _hull3(images) -> tuple | None:
+    """The convex hull of int points in Z^3 by beneath-beyond: ``(vertices,
+    planes)``, the ascending indices of the extreme points (the first of
+    equal images) and a dict from each facet's outward primitive plane
+    ``(normal, offset)`` to the ascending indices of the extreme points on
+    it; None when the points are flat.
+
+    It starts from a tetrahedron on the first affinely independent points.
+    Each further point drops the triangles it strictly sees and closes the
+    horizon with triangles to itself; a point that sees none is in the hull
+    so far.  The triangles merge by their primitive plane, and a point on
+    the final surface is extreme exactly when the normals of the planes
+    through it span R^3: one inside a facet or an edge lies on one or two.
+    """
+    first = {}
+    for i, p in enumerate(images):
+        first.setdefault(p, i)
+    pts = list(first)
+    faces = {}  # (i, j, k), counter-clockwise seen from outside -> (normal, offset)
+    edges = {}  # directed edge of a face -> that face
+
+    def normal(i, j, k):
+        a = pts[i]
+        return vcross([x - y for x, y in zip(pts[j], a)], [x - y for x, y in zip(pts[k], a)])
+
+    def add(i, j, k):
+        n = normal(i, j, k)
+        faces[i, j, k] = n, sum(map(mul, n, pts[i]))
+        edges[i, j] = edges[j, k] = edges[k, i] = (i, j, k)
+
+    try:  # a base triangle (0, 1, c) and an apex d off its plane
+        c = next(k for k in range(2, len(pts)) if any(normal(0, 1, k)))
+        n = normal(0, 1, c)
+        off = sum(map(mul, n, pts[0]))
+        d = next(k for k in range(c + 1, len(pts)) if sum(map(mul, n, pts[k])) != off)
+    except StopIteration:
+        return None
+    if sum(map(mul, n, pts[d])) > off:  # the apex above the base: turn the base over
+        add(0, c, 1), add(c, 0, d), add(1, c, d), add(0, 1, d)
+    else:
+        add(0, 1, c), add(1, 0, d), add(c, 1, d), add(0, c, d)
+    for q in range(2, len(pts)):
+        if q == c or q == d:
+            continue
+        x = pts[q]
+        seen = {f for f, (n, off) in faces.items() if sum(map(mul, n, x)) > off}
+        horizon = [
+            (u, v)
+            for i, j, k in seen
+            for u, v in ((i, j), (j, k), (k, i))
+            if edges[v, u] not in seen
+        ]
+        for f in seen:
+            del faces[f]
+        for u, v in horizon:
+            add(u, v, q)
+    planes = {}
+    for (i, j, k), (n, off) in faces.items():
+        g = math.gcd(*n)
+        planes.setdefault((tuple(a // g for a in n), off // g), set()).update((i, j, k))
+    through = {}  # the origin and the normals of the planes through a point
+    for (n, _), on in planes.items():
+        for i in on:
+            through.setdefault(i, [(0, 0, 0)]).append(n)
+    extreme = {i for i, normals in through.items() if spans_space(normals)}
+    index = list(first.values())
+    return [index[i] for i in sorted(extreme)], {
+        plane: [index[i] for i in sorted(on & extreme)] for plane, on in planes.items()
+    }
+
+
 @lru_cache(maxsize=None)
 def canonicalize(body: VPolytope) -> VPolytope:
     """Drop every point inside the hull of the others, dedupe and sort.
 
     In the plane the extreme points are the ring of ``_ccw_ring`` on the
-    sorted integer images.  From three dimensions on, each point is tested
-    for membership in the hull of the others: removing a non-extreme point
-    never changes the hull, so a single pass is enough, and the surviving
-    points are exactly the extreme ones.
+    sorted integer images, and in space the vertices of ``_hull3`` on the
+    integer images.  Flat sets in space and points from four dimensions on
+    are each tested for membership in the hull of the others: removing a
+    non-extreme point never changes the hull, so a single pass is enough,
+    and the surviving points are exactly the extreme ones.
     """
     if body.canonical:
         return body
@@ -277,6 +352,9 @@ def canonicalize(body: VPolytope) -> VPolytope:
         by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
         ring = _ccw_ring([image for image, _ in by_image])
         return VPolytope(2, tuple(by_image[i][1] for i in sorted(ring)), canonical=True)
+    hull = _hull3(integer_image(body.vertices)[1]) if body.dim == 3 else None
+    if hull is not None:
+        return VPolytope(3, tuple(sorted(body.vertices[i] for i in hull[0])), canonical=True)
     pts = list(dict.fromkeys(body.vertices))
     if len(pts) > 1:
         i = 0
@@ -404,12 +482,8 @@ def normalize_halfspace(half: Halfspace) -> Halfspace:
 
 
 def _cofactor_normal(dirs: list) -> list:
-    """A normal of the span of n - 1 int vectors in Z^n: their cross
-    product in three dimensions, and in general the signed cofactor
-    determinants; zero exactly when the vectors are dependent."""
-    if len(dirs) == 2 and len(dirs[0]) == 3:
-        (a1, a2, a3), (b1, b2, b3) = dirs
-        return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    """A normal of the span of n - 1 int vectors in Z^n: the signed
+    cofactor determinants; zero exactly when the vectors are dependent."""
     if not dirs:
         return [1]
     return [
@@ -427,19 +501,31 @@ def facets(body: VPolytope) -> tuple | None:
     canonical vertex indices, in reverse lexicographic order, first meets
     them; so the facets of a simplex come out opposite its vertices in vertex
     order.  A polygon's edges are read off its counter-clockwise ring
-    (``_polygon_edges``).  From three dimensions on, that walk is a brute
-    force on the integer images of the vertices: a hyperplane through n
-    affinely independent vertices, with the int normal ``_cofactor_normal``
-    of their differences, is a facet hyperplane exactly when every vertex
-    lies on one side of it, and the body is flat when every vertex lies on
-    it or no such subset exists.  A facet with more than n vertices is met
-    once per n-subset and kept once.  The normal is made primitive, and the
-    offset is the image offset over the lcm of the denominators.
+    (``_polygon_edges``).  A 3-polytope's facets are the planes of
+    ``_hull3``, sorted by their three largest vertex indices, descending.
+    Otherwise the walk is a brute force on the integer images of the
+    vertices: a hyperplane through n affinely independent vertices, with the
+    int normal ``_cofactor_normal`` of their differences, is a facet
+    hyperplane exactly when every vertex lies on one side of it, and the
+    body is flat when every vertex lies on it or no such subset exists.  A
+    facet with more than n vertices is met once per n-subset and kept once.
+    The normal is made primitive, and the offset is the image offset over
+    the lcm of the denominators.
     """
     k = canonicalize(body)
     if k.dim == 2:
         return _polygon_edges(k)
     den, images = integer_image(k.vertices)
+    if k.dim == 3:
+        # Any three vertices of a facet are affinely independent, so the
+        # walk first meets a facet at its three largest vertex indices.
+        hull = _hull3(images)
+        return None if hull is None else tuple(
+            Halfspace(tuple(map(Rational, normal)), Rational(offset, den))
+            for (normal, offset), _ in sorted(
+                hull[1].items(), key=lambda item: item[1][-3:], reverse=True
+            )
+        )
     found = {}
     for subset in reversed(list(itertools.combinations(range(len(images)), k.dim))):
         base = images[subset[0]]

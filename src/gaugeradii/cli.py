@@ -174,7 +174,9 @@ def _family_instance(args):
 
 def _verify_instances(args):
     """Yield (label, body, gauge) instances for the requested suite."""
-    if args.body and args.gauge:
+    if bool(args.body) != bool(args.gauge):
+        raise InputError("verify needs both --body and --gauge, or neither")
+    if args.body:
         body, _ = _load_body(args.body)
         gauge, _ = _load_body(args.gauge)
         yield "files", body, gauge

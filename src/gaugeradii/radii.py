@@ -15,8 +15,9 @@ Minkowski center.  Those come from the vertex-form LP, one hull-membership
 block per vertex of K, which is solved only when a caller first reads a
 witness; its dual is what ``certificates.extract`` reads.  A flat gauge has
 no facets and takes the vertex form for its value too.  The (C - C)/2 norm
-behind the diameter needs no LP of its own: it is a closed form over the
-edges of a full-dimensional planar gauge, and otherwise 2 R([0, z], C).
+behind the diameter needs no LP of its own: against a full-dimensional
+gauge in two or three dimensions it is a closed form over directions read
+off the gauge's facets and edges, and otherwise 2 R([0, z], C).
 Every value can be re-certified independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
@@ -25,7 +26,10 @@ suite touches the same radii many times over.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 from . import lp
 from .bodies import (
@@ -44,7 +48,7 @@ from .bodies import (
     support,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vdot, vec, vneg, vscale, vzero
+from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vcross, vdot, vec, vneg, vscale, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -234,45 +238,82 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     """Norm of z in the symmetrized gauge (C - C)/2: the least rho with
     z in (rho/2)(C - C).  None when z leaves the span of C - C.
 
-    For a full-dimensional planar gauge this is, with no LP,
+    For a full-dimensional gauge in two or three dimensions this is, with no
+    LP, the largest of
 
-        max over the facet normals g of C of  2 |g.z| / (h(C, g) + h(C, -g)),
+        2 |a.z| / (h(C, a) + h(C, -a))
 
-    since every edge of C - C = C + (-C) is parallel to an edge of C or -C,
-    so the facet normals of (C - C)/2 are among the +-g, with support values
-    (h(C, g) + h(C, -g))/2.  The fractions are compared on integer images.
+    over the directions a of ``_norm_directions``.  Each such ratio is at
+    most the norm, and the largest is attained at the facet normals of
+    C - C = C + (-C), which are among them.  The fractions are compared on
+    integer images.
 
-    Flat gauges and dimensions >= 3 take 2 R([0, z], C): the segment [0, z]
+    Flat gauges and dimensions >= 4 take 2 R([0, z], C): the segment [0, z]
     lies in t + lambda C exactly when z is in lambda (C - C), so the norm is
     twice the circumradius of the segment, and None when that is None.
     Against a full-dimensional gauge that is the (n + 1)-row facet-form
-    value LP of ``circumradius``."""
+    value LP of ``circumradius``, memoized there alone."""
     zv = vec(z)
     if len(zv) != gauge.dim:
         raise ValueError("vector length does not match gauge dimension")
     if is_zero_vec(zv):
         return ZERO
-    return _sym_gauge_norm(zv, canonicalize(gauge))
+    gauge = canonicalize(gauge)
+    if _norm_directions(gauge) is None:
+        segment = VPolytope(gauge.dim, tuple(sorted((vzero(gauge.dim), zv))), canonical=True)
+        res = _circumradius(segment, gauge)
+        return None if res is None else 2 * res.value
+    return _sym_gauge_norm(zv, gauge)
 
 
 @lru_cache(maxsize=None)
-def _sym_gauge_norm(zv: Vec, gauge: VPolytope) -> Rational | None:
-    halves = facets(gauge) if gauge.dim == 2 else None
-    if halves is not None:
-        dz, (zi,) = integer_image([zv])
-        dc, images = integer_image(gauge.vertices)
-        # 2|g.z| / (h(C, g) + h(C, -g)) = 2 dc |g.zi| / (dz W), W the integer width
-        best_num, best_w = 0, 1
-        for g, _ in halves:
-            gi = (g[0].numerator, g[1].numerator)
-            num = abs(gi[0] * zi[0] + gi[1] * zi[1])
-            w = integer_width(images, gi)
-            if num * best_w > best_num * w:
-                best_num, best_w = num, w
-        return Rational(2 * dc * best_num, dz * best_w)
-    segment = VPolytope(gauge.dim, tuple(sorted((vzero(gauge.dim), zv))), canonical=True)
-    res = _circumradius(segment, gauge)
-    return None if res is None else 2 * res.value
+def _norm_directions(gauge: VPolytope) -> tuple | None:
+    """``(den, [(a, w)])`` for a full-dimensional gauge in two or three
+    dimensions, None otherwise: ``den`` is the denominator of the gauge's
+    integer images, each a is a primitive int direction, one per line, and
+    w is the integer width of the images along a.
+
+    The directions are the facet normals of C and, in space, the cross
+    products of two nonparallel edge directions of C; an edge is a vertex
+    pair on two facets.  A facet of C + (-C) is the sum of faces of C and
+    -C with a common outer normal, so it has the normal of a facet of C or
+    -C, or it is the sum of two nonparallel edges, with their cross product
+    as normal (Fukuda, J. Symb. Comp. 38, 2004)."""
+    halves = facets(gauge) if gauge.dim in (2, 3) else None
+    if halves is None:
+        return None
+    den, images = integer_image(gauge.vertices)
+    normals = [[q.numerator for q in g] for g, _ in halves]
+    if gauge.dim == 3:
+        on = []  # the vertex indices on each facet
+        for a in normals:
+            dots = [sum(map(mul, a, p)) for p in images]
+            top = max(dots)
+            on.append({i for i, x in enumerate(dots) if x == top})
+        edges = {tuple(e) for f, g in combinations(on, 2) if len(e := f & g) == 2}
+        dirs = {_line([x - y for x, y in zip(images[j], images[i])]) for i, j in edges}
+        normals += [vcross(u, v) for u, v in combinations(dirs, 2)]
+    return den, [(a, integer_width(images, a)) for a in set(map(_line, normals))]
+
+
+def _line(a) -> tuple:
+    """The primitive int vector on the line of a nonzero int vector a, with
+    its first nonzero entry positive."""
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if next(x for x in a if x) > 0 else tuple(-x // g for x in a)
+
+
+@lru_cache(maxsize=None)
+def _sym_gauge_norm(zv: Vec, gauge: VPolytope) -> Rational:
+    dc, dirs = _norm_directions(gauge)
+    dz, (zi,) = integer_image([zv])
+    # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.zi| / (dz w), w the integer width
+    best_num, best_w = 0, 1
+    for a, w in dirs:
+        num = abs(sum(map(mul, a, zi)))
+        if num * best_w > best_num * w:
+            best_num, best_w = num, w
+    return Rational(2 * dc * best_num, dz * best_w)
 
 
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:

@@ -104,6 +104,11 @@ def vdot(u: Vec, v: Vec):
     return total
 
 
+def vcross(u: Vec, v: Vec) -> tuple:
+    """The cross product of two vectors in three dimensions."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def is_zero_vec(u: Vec) -> bool:
     return all(not a for a in u)
 
@@ -216,9 +221,3 @@ def det(matrix: Sequence[Sequence]):
             if f:
                 rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
     return sign * result
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    """Exact rank via elimination."""
-    rows = [[rat(x) for x in row] for row in matrix]
-    return len(_echelon(rows))

@@ -557,8 +557,9 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 
         D(S,C') = D(S,C)/2    and    h(C', a) = h(C, a) + h(C, -a),
 
-    the second read off ``width``.  In the plane neither D(S, C) nor the
-    hull of S solves an LP, so the feasibility LP is the only solve.
+    the second read off ``width``.  Against a full-dimensional gauge in two
+    or three dimensions neither D(S, C) nor the hull of S solves an LP, so
+    the feasibility LP is the only solve.
 
     Returns (complete, witness c or None).
     """

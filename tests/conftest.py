@@ -10,9 +10,11 @@ LP duality, are checked against the primal programs they replaced, one row
 per facet.  The hulls, facets and (C - C)/2 norm, which the library computes
 on integer images, are checked against the general routes they replaced: one
 membership LP per point, brute force over vertex subsets with rational
-cofactor normals, and the norm LP.  The norm LP also checks the norm taken
-as twice a segment's circumradius, and the cone LP checks the gauge
-function written as one hull-membership block.
+cofactor normals, membership LPs, and the norm LP, in the plane and in
+space.  The norm LP also checks the norm taken as twice a segment's
+circumradius, and the cone LP checks the gauge function written as one
+hull-membership block.  Full dimension is checked against an exact rank by
+fraction elimination.
 """
 
 import itertools
@@ -239,6 +241,23 @@ def canonicalize_by_lp(body):
     return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
 
 
+def rank(matrix):
+    """Exact rank of a rational matrix by Gaussian elimination over
+    fractions: the oracle for full-dimension and simplex tests."""
+    rows = [[rat(x) for x in row] for row in matrix]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def cofactor_normal(points):
     """A normal of the affine hull of n points in R^n from cofactor
     determinants of their differences to the first, over rationals; zero
@@ -406,6 +425,38 @@ def small_bodies(draw, dim):
     q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
     count = draw(st.integers(1, dim + 2))
     return V([draw(st.tuples(*[q] * dim)) for _ in range(count)])
+
+
+def lattice_bodies(dim):
+    """1 to 14 points of {-1, 0, 1}^dim over a common denominator 1, 2 or 3:
+    many repeated, collinear and coplanar points, and flat sets."""
+    point = st.tuples(*[st.integers(-1, 1)] * dim)
+    return st.builds(
+        lambda pts, den: V([tuple(rat(x) / den for x in p) for p in pts]),
+        st.lists(point, min_size=1, max_size=14),
+        st.integers(1, 3),
+    )
+
+
+def spatial_hull_cases(seed):
+    """Seeded 3-D point lists beyond ``test_bodies.spatial_point_sets``:
+    small-integer lattice sets in {-1, 0, 1}^3 (many coplanar points),
+    rational points, repeats, sets on one plane or line, and the 12-vertex
+    sandwich gauges with their reflections."""
+    rng = SplitMix64(seed)
+    for trial in range(30):
+        den = 1 + trial % 3
+        size = 4 + rng.below(11)
+        pts = [tuple(rat(rng.below(3) - 1) / den for _ in range(3)) for _ in range(size)]
+        yield V(pts + pts[: trial % 3])
+        yield V([rng.point(3, 3, 4) for _ in range(4 + rng.below(9))])
+        yield V([(x, y, rat(trial % 2)) for x, y, _ in pts])
+        yield V([(x, x, y) for x, y, _ in pts])
+    for lam, mu in (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0")):
+        for variant in ("min", "max"):
+            gauge = simplex_sandwich_pair(3, lam, mu, variant).gauge
+            yield gauge
+            yield negate(gauge)
 
 
 @st.composite

@@ -16,8 +16,11 @@ from conftest import (
     canonicalize_by_lp,
     facets_by_subsets,
     hull2d,
+    lattice_bodies,
     planar_point_sets,
+    rank,
     small_bodies,
+    spatial_hull_cases,
     sym_gauge_norm_by_lp,
 )
 from gaugeradii.bodies import (
@@ -52,7 +55,7 @@ from gaugeradii.bodies import (
 )
 from gaugeradii.constructions import SplitMix64, random_vpolytope
 from gaugeradii.radii import sym_gauge_norm
-from gaugeradii.ratcore import ONE, det, rank, rat, vdot, vec, vneg, vsub
+from gaugeradii.ratcore import ONE, det, rat, vadd, vdot, vec, vneg, vscale, vsub
 
 HEXAGON = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
 
@@ -291,23 +294,53 @@ def spatial_point_sets(seed):
         yield V([tuple(pk + t * uk for pk, uk in zip(p, u)) for t, _ in ts])
 
 
-def test_spatial_facets_match_subset_oracle():
-    """From three dimensions on the facets found on integer images equal the
-    brute force over rational cofactor normals: the same tuple in the same
-    order, or None for the flat sets."""
+def test_spatial_facets_match_subset_oracle(solve_counter):
+    """The beneath-beyond hull on integer images against the LP loop and the
+    brute force over rational cofactor normals, on the seeded sets of
+    ``spatial_point_sets`` and ``spatial_hull_cases``: the same vertex
+    tuple, the same facet tuple in the same order, or None for the flat
+    sets, and the same membership answer as a membership LP for vertices,
+    an edge midpoint, the vertex mean and random points.  A full 3-polytope
+    solves no LP for any of it; flat sets keep their LPs.  In one and four
+    dimensions the facets are the brute force's too."""
+    rng = SplitMix64(1618)
     shapes = Counter()
-    for body in spatial_point_sets(2718):
-        halves = facets(body)
+    for body in [*spatial_point_sets(2718), *spatial_hull_cases(3141)]:
+        solve_counter.reset()
+        k, halves = canonicalize(body), facets(body)
+        verts = k.vertices
+        probes = [*verts[:3], vertex_centroid(k), vscale(rat("1/2"), vadd(verts[0], verts[-1]))]
+        probes += [rng.point(3, 2, 1 + rng.below(3)) for _ in range(4)]
+        inside = [contains_point(body, p) for p in probes]
+        assert (solve_counter.count == 0) == (halves is not None)
+        assert k == canonicalize_by_lp(body)
         assert halves == facets_by_subsets(body)
+        assert inside == [_in_hull_by_lp(p, list(body.vertices)) for p in probes]
         shapes["flat" if halves is None else "solid"] += 1
+        shapes["dropped"] += len(verts) < len(set(body.vertices))
         shapes["big facet"] += halves is not None and any(
-            sum(vdot(g, v) == b for v in canonicalize(body).vertices) > 3 for g, b in halves
+            sum(vdot(g, v) == b for v in verts) > 3 for g, b in halves
         )
-    assert min(shapes.values()) >= 12, shapes
+        shapes["outside"] += not all(inside)
+    assert min(shapes.values()) >= 30, shapes
     segment = V([(2,), ("-1/2",), (1,)])
     unit_4d = [tuple(int(i == k) for i in range(4)) for k in range(4)]
     for body in (segment, V([(0, 0, 0, 0), (1, 1, 1, 1)] + unit_4d)):
         assert facets(body) == facets_by_subsets(body) is not None
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(small_bodies(3), lattice_bodies(3)),
+    st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * 3),
+)
+def test_spatial_routes_match_oracles_hypothesis(body, z):
+    k = canonicalize(body)
+    assert k == canonicalize_by_lp(body)
+    assert facets(body) == facets_by_subsets(body)
+    for p in (vec(z), vertex_centroid(k), vscale(rat("1/2"), vadd(k.vertices[0], k.vertices[-1]))):
+        assert contains_point(body, p) == _in_hull_by_lp(p, list(body.vertices))
+    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
 
 
 def test_planar_contains_point_matches_hull_lp():

@@ -123,6 +123,18 @@ def test_verify_needs_instances(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--body", "--gauge"])
+def test_verify_needs_body_and_gauge_together(capsys, body_files, flag):
+    """One of --body and --gauge alone is an input error, even when another
+    instance source is given, and nothing is verified."""
+    code, out, err = run(capsys, ["verify", "--suite", "chains", flag, body_files[0],
+                                  "--family", "sandwich"])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["status"] == "error"
+    assert report["error"] == "verify needs both --body and --gauge, or neither"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "chains", "--family", "random"],
     ["construct", "--family", "random", "--out", "x"],

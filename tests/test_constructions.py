@@ -3,6 +3,7 @@ randomness (including the splitmix64 known-answer vectors)."""
 
 import pytest
 
+from conftest import rank
 from gaugeradii import constructions
 from gaugeradii.bodies import (
     VPolytope,
@@ -30,7 +31,7 @@ from gaugeradii.constructions import (
     triangle_mix_gauge,
 )
 from gaugeradii.radii import asymmetry, circumradius
-from gaugeradii.ratcore import rank, vec, vsub
+from gaugeradii.ratcore import vec, vsub
 
 
 def test_standard_simplex_shape():

@@ -7,6 +7,8 @@ bound 3*rho >= 8 without any LP, and the barycentric oracle confirms the
 containment at exactly 8/3.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,11 +17,13 @@ from conftest import (
     body_gauge_pairs,
     circumradius_by_facet_rows,
     circumradius_by_vertices,
+    clear_caches,
     family_pairs,
     in_translated_dilate,
     inradius_by_lp,
     planar_point_sets,
     small_bodies,
+    spatial_hull_cases,
     sym_gauge_norm_by_lp,
 )
 from gaugeradii.bodies import (
@@ -47,6 +51,8 @@ from gaugeradii.constructions import (
 )
 from gaugeradii.radii import (
     DegenerateGaugeError,
+    _circumradius,
+    _sym_gauge_norm,
     asymmetry,
     breadth,
     circumradius,
@@ -160,7 +166,8 @@ def test_planar_sym_gauge_norm_matches_lp_oracle():
 
 def test_spatial_sym_gauge_norm_matches_lp_oracle():
     """Every vertex difference of the 100 3-D acceptance pairs, against C,
-    -C and K: twice the segment's circumradius equals the norm LP."""
+    -C and K: the closed form over facet normals and edge cross products
+    equals the norm LP."""
     count = 0
     for body, gauge in random_pair_suite(200, 20240817):
         if body.dim != 3:
@@ -173,6 +180,35 @@ def test_spatial_sym_gauge_norm_matches_lp_oracle():
                     assert sym_gauge_norm(z, g) == sym_gauge_norm_by_lp(z, g), (z, g)
                     count += 1
     assert count >= 100 * 3 * 6
+
+
+def test_spatial_sym_gauge_norm_matches_lp_oracle_on_hull_cases():
+    """The seeded 3-D sets of ``spatial_hull_cases`` as gauges, the 12-vertex
+    sandwich gauges and flat sets among them: the norm of vertex differences
+    and of a random vector equals the norm LP, None included."""
+    rng = SplitMix64(2024)
+    outcomes = Counter()
+    for gauge in spatial_hull_cases(577):
+        pts = canonicalize(gauge).vertices
+        zs = [vsub(p, pts[0]) for p in pts[1:4]] + [vsub(pts[-1], pts[1]), rng.point(3, 3, 5)]
+        for z in zs:
+            got = sym_gauge_norm(z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, gauge), (z, gauge)
+            outcomes["none" if got is None else "flat" if facets(gauge) is None else "solid"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_lp_route_norm_is_memoized_once():
+    """A flat 3-D gauge takes 2 R([0, z], C), memoized by the circumradius
+    alone; a full-dimensional one takes the closed form, memoized by the
+    norm alone."""
+    flat = V([(0, 0, 1), (2, 0, 1), (0, 1, 1), (2, 1, 1)])
+    cube = V([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    for gauge, on_lp_route in ((flat, True), (cube, False)):
+        clear_caches()
+        assert sym_gauge_norm((1, 1, 0), gauge) == 2 == sym_gauge_norm_by_lp((1, 1, 0), gauge)
+        assert _circumradius.cache_info().currsize == on_lp_route
+        assert _sym_gauge_norm.cache_info().currsize == (not on_lp_route)
 
 
 def test_flat_spatial_gauge_norms_match_lp_oracle():

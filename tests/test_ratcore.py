@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rank
 from gaugeradii.ratcore import (
     RationalParseError,
     det,
     parse_rational,
-    rank,
     rat,
     rat_str,
     solve_linear,

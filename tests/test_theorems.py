@@ -571,11 +571,11 @@ def test_simplex_complete_matches_difference_body_oracle():
 
 
 def test_simplex_complete_solve_count(triangle, square, solve_counter):
-    """The witness takes one LP.  D(S, C) takes none in the plane and one per
-    edge of S from three dimensions on: with cold caches, 1 solve for a
-    triangle and C(n+1, 2) + 1 for a 3-D simplex, and no difference body."""
+    """The witness takes one LP, and D(S, C) none, against a full-dimensional
+    gauge in the plane and in space: with cold caches, 1 solve for a
+    triangle and for a 3-D simplex, and no difference body."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
-    for simplex, gauge, solves in ((triangle, square, 1), (pair.simplex, pair.gauge, 7)):
+    for simplex, gauge, solves in ((triangle, square, 1), (pair.simplex, pair.gauge, 1)):
         simplex, gauge = canonicalize(simplex), canonicalize(gauge)
         solve_counter.reset()
         simplex_complete(simplex, gauge)
@@ -742,16 +742,17 @@ def test_condition_vectors_match_inclusion_chain_oracles():
 
 def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
-    caches the simplex vector takes 13 solves on a 3-D pair and builds no
-    difference body; the triangle vector takes 8, with planar hulls, facets
-    and norms free of LPs, and builds none either: 7 facet-form values (two
-    asymmetries, three translative factors, two inradii) and the one
-    vertex-form LP whose translation gives the triangle's Minkowski center."""
+    caches the simplex vector takes 7 solves on a 3-D pair, with hulls,
+    facets and norms in space free of LPs, and builds no difference body;
+    the triangle vector takes 8, with planar hulls, facets and norms free of
+    LPs, and builds none either: 7 facet-form values (two asymmetries, three
+    translative factors, two inradii) and the one vertex-form LP whose
+    translation gives the triangle's Minkowski center."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
     assert simplex_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 13
+    assert solve_counter.count == 7
     assert difference_body.cache_info().misses == 0
     pair = triangle_mix_gauge("1/4")
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
@@ -942,14 +943,13 @@ def test_constant_width_matches_difference_body_oracle_hypothesis(pair, factor):
 
 
 def test_constant_width_and_extended_jung_solve_count(triangle, square, solve_counter):
-    """With cold caches, constant width builds no difference body.  In the
-    plane it takes no LP; in 3-D one per distinct vertex difference of each
-    body (6 for the simplex, 9 for the octahedron).  The extended-Jung chain
-    builds only C - C."""
+    """With cold caches, constant width builds no difference body and, with
+    the norms of full-dimensional gauges free of LPs, takes no LP in the
+    plane or in 3-D.  The extended-Jung chain builds only C - C."""
     triangle, square = canonicalize(triangle), canonicalize(square)
     simplex = canonicalize(standard_centered_simplex(3))
     octahedron = canonicalize(V([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
-    for body, gauge, solves in ((triangle, square, 0), (simplex, octahedron, 6 + 9)):
+    for body, gauge, solves in ((triangle, square, 0), (simplex, octahedron, 0)):
         solve_counter.reset()
         assert not is_constant_width(body, gauge)
         assert solve_counter.count == solves
