@@ -4,40 +4,36 @@ The vertex representation is primary: the radii downstream reduce to
 containment LPs over vertex lists, or over the facets of a full-dimensional
 gauge computed from them.  Halfspace representations come from exact
 desk-scale routines, since general V/H conversion is out of scope here:
-``facets`` reads a polygon's edges off its counter-clockwise ring, a
-3-polytope's facets off its beneath-beyond hull and, from four dimensions
-on, keeps the hyperplanes through n vertices that have every vertex on one
-side (a simplex's n+1 facets are its special case); ``enumerate_vertices``
+``facets`` reads the facets off one convex hull, ``enumerate_vertices``
 goes back from halfspaces to vertices.
 
 Bodies are immutable value objects; operations are pure functions, so results
 may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
 points and sorts them, which makes vertex-set equality of polytopes a plain
-tuple comparison: in the plane by Andrew's monotone chain, in space by the
-beneath-beyond hull, and for flat sets in space and from four dimensions on
-with one membership LP per point.
+tuple comparison.
 
-Hulls in the plane and in space, facets, widths and the full-dimension test
+Hulls, facets, membership, widths and the full-dimension test
 ``spans_space`` are decided on ``integer_image``: the points times the lcm
 of their denominators, so every sign and dot product is a Python int
-operation, and a ``Rational`` is formed only for a result.  Membership in a
-full-dimensional body in two or three dimensions is a sign test per facet;
-other vertex bodies solve a hull-membership LP.
+operation, and a ``Rational`` is formed only for a result.  One hull,
+``_hull``, serves every dimension: Andrew's monotone chain in the plane,
+beneath-beyond elsewhere.  A flat set is hulled inside its affine hull,
+projected onto the coordinates that map it one-to-one.  Nothing here solves
+an LP.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from . import lp
 from .ratcore import (
     ONE,
-    ZERO,
     Rational,
     Vec,
     det,
@@ -191,48 +187,59 @@ def width(body: VPolytope, direction) -> Rational:
     return Rational(integer_width(images, ai), den * da)
 
 
-def spans_space(points) -> bool:
-    """True when the affine hull of ``points`` is the whole space.
+def _independent(rows, limit: int) -> tuple:
+    """Fraction-free elimination of int vectors, in order, until ``limit``
+    of them are kept: ``(kept, columns)``, the positions of the vectors
+    that are linearly independent of the kept ones before them, and the
+    coordinate each was pivoted on.  A kept vector is reduced to zero in
+    the earlier pivot coordinates, so the kept vectors restricted to the
+    pivot coordinates form an invertible triangular matrix."""
+    basis = []
+    kept = []
+    for pos, r in enumerate(rows):
+        if len(kept) == limit:
+            break
+        for b, c in basis:
+            f = r[c]
+            if f:
+                r = [b[c] * x - f * y for x, y in zip(r, b)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is not None:
+            basis.append((r, c))
+            kept.append(pos)
+    return kept, [c for _, c in basis]
 
-    Decided on integer images by fraction-free elimination of the
-    differences to the first point: each step keeps one nonzero difference
-    and replaces every other by a combination with a zero in its leading
-    coordinate (in the plane, their cross products with it), and the hull
-    is full exactly when that succeeds once per coordinate."""
-    _, images = integer_image(points)
+
+def _differences(images) -> list:
+    """The int differences of ``images[1:]`` to ``images[0]``."""
     base = images[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in images[1:]]
-    for _ in base:
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return False
-        pivot = rows.pop()
-        c = next(j for j, a in enumerate(pivot) if a)
-        p = pivot[c]
-        rows = [[p * a - r[c] * b for a, b in zip(r, pivot)] for r in rows]
-    return True
+    return [[a - b for a, b in zip(p, base)] for p in images[1:]]
 
 
-def _in_hull(point: Vec, points: list) -> bool:
-    """Membership in conv(points) via a feasibility LP over convex weights."""
-    builder = lp.ProgramBuilder()
-    builder.add_hull_membership(points, [{}] * len(point), point)
-    return lp.solve(builder.build()).status == lp.OPTIMAL
+def spans_space(points) -> bool:
+    """True when the affine hull of ``points`` is the whole space: the
+    differences of their integer images to the first are n independent
+    vectors under ``_independent``."""
+    _, images = integer_image(points)
+    return len(_independent(_differences(images), len(images[0]))[0]) == len(images[0])
 
 
 def contains_point(body, point) -> bool:
     """Exact membership test for either representation.  A full-dimensional
-    vertex body in two or three dimensions takes one sign test per facet of
-    its ``facets``; other vertex bodies solve a hull-membership LP."""
+    vertex body takes one sign test per facet of its ``facets``; a flat one
+    holds x exactly when x is one of its points or no extreme point of the
+    body and x together, on their common integer images."""
     x = vec(point)
     if len(x) != body.dim:
         raise DimensionMismatchError("point length does not match body dimension")
     if isinstance(body, HPolytope):
         halves = body.halfspaces
     else:
-        halves = facets(body) if body.dim in (2, 3) else None
+        halves = facets(body)
         if halves is None:
-            return _in_hull(x, list(body.vertices))
+            *points, xi = integer_image(body.vertices + (x,))[1]
+            pts = sorted({xi, *points})
+            return xi in points or pts.index(xi) not in _extreme(pts)
     return all(vdot(g, x) <= b for g, b in halves)
 
 
@@ -263,108 +270,120 @@ def _ccw_ring(images) -> list:
     return chain(range(len(images)))[:-1] + chain(reversed(range(len(images))))[:-1]
 
 
-def _hull3(images) -> tuple | None:
-    """The convex hull of int points in Z^3 by beneath-beyond: ``(vertices,
-    planes)``, the ascending indices of the extreme points (the first of
-    equal images) and a dict from each facet's outward primitive plane
-    ``(normal, offset)`` to the ascending indices of the extreme points on
-    it; None when the points are flat.
+def _cofactor_normal(dirs: list) -> list:
+    """A normal of the span of n - 1 int vectors in Z^n: the signed
+    cofactor determinants; zero exactly when the vectors are dependent."""
+    if not dirs:
+        return [1]
+    return [
+        (-1) ** j * int(det([d[:j] + d[j + 1 :] for d in dirs])) for j in range(len(dirs[0]))
+    ]
 
-    It starts from a tetrahedron on the first affinely independent points.
-    Each further point drops the triangles it strictly sees and closes the
-    horizon with triangles to itself; a point that sees none is in the hull
-    so far.  The triangles merge by their primitive plane, and a point on
+
+def _hull(pts) -> tuple | None:
+    """The convex hull of distinct int points in Z^n, sorted:
+    ``(vertices, planes)``, the ascending indices of the extreme points and
+    a dict from each facet's outward primitive plane ``(normal, offset)`` to
+    the ascending indices of the extreme points on it; None when the points
+    are flat.
+
+    In the plane the extreme points are the ``_ccw_ring``, and its edges
+    are the facets.  In any other dimension the hull is built
+    beneath-beyond, with faces that are simplices of n points: it starts
+    from a simplex on the first affinely independent points and turns
+    every face away from the sum of the simplex's points, which is n + 1
+    times an interior point.  Each further point drops the faces it
+    strictly sees and joins itself to the horizon: the ridges (faces less
+    one point) of exactly one seen face.  A point that sees none is in the
+    hull so far.  The faces merge by their primitive plane, and a point on
     the final surface is extreme exactly when the normals of the planes
-    through it span R^3: one inside a facet or an edge lies on one or two.
+    through it span R^n: one inside a lower face lies only on planes that
+    contain that face.
     """
-    first = {}
-    for i, p in enumerate(images):
-        first.setdefault(p, i)
-    pts = list(first)
-    faces = {}  # (i, j, k), counter-clockwise seen from outside -> (normal, offset)
-    edges = {}  # directed edge of a face -> that face
-
-    def normal(i, j, k):
-        a = pts[i]
-        return vcross([x - y for x, y in zip(pts[j], a)], [x - y for x, y in zip(pts[k], a)])
-
-    def add(i, j, k):
-        n = normal(i, j, k)
-        faces[i, j, k] = n, sum(map(mul, n, pts[i]))
-        edges[i, j] = edges[j, k] = edges[k, i] = (i, j, k)
-
-    try:  # a base triangle (0, 1, c) and an apex d off its plane
-        c = next(k for k in range(2, len(pts)) if any(normal(0, 1, k)))
-        n = normal(0, 1, c)
-        off = sum(map(mul, n, pts[0]))
-        d = next(k for k in range(c + 1, len(pts)) if sum(map(mul, n, pts[k])) != off)
-    except StopIteration:
+    n = len(pts[0])
+    if n == 2:
+        ring = _ccw_ring(pts)
+        if len(ring) < 3:
+            return None
+        planes = {}
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            (px, py), (qx, qy) = pts[i], pts[j]
+            a, b = qy - py, px - qx
+            g = math.gcd(a, b)
+            planes[(a // g, b // g), (a * px + b * py) // g] = [i, j] if i < j else [j, i]
+        return sorted(ring), planes
+    kept, _ = _independent(_differences(pts), n)
+    if len(kept) < n:
         return None
-    if sum(map(mul, n, pts[d])) > off:  # the apex above the base: turn the base over
-        add(0, c, 1), add(c, 0, d), add(1, c, d), add(0, 1, d)
-    else:
-        add(0, 1, c), add(1, 0, d), add(c, 1, d), add(0, c, d)
-    for q in range(2, len(pts)):
-        if q == c or q == d:
+    simplex = [0] + [i + 1 for i in kept]
+    inner = [sum(c) for c in zip(*(pts[i] for i in simplex))]
+    faces = {}  # a face's ascending point indices -> its outward (normal, offset)
+
+    def add(face):
+        a = pts[face[0]]
+        dirs = [[x - y for x, y in zip(pts[i], a)] for i in face[1:]]
+        normal = vcross(*dirs) if n == 3 else _cofactor_normal(dirs)
+        offset = sum(map(mul, normal, a))
+        if sum(map(mul, normal, inner)) > (n + 1) * offset:
+            normal, offset = [-x for x in normal], -offset
+        faces[face] = normal, offset
+
+    for i in simplex:
+        add(tuple(j for j in simplex if j != i))
+    for q, x in enumerate(pts):
+        if q in simplex:
             continue
-        x = pts[q]
-        seen = {f for f, (n, off) in faces.items() if sum(map(mul, n, x)) > off}
-        horizon = [
-            (u, v)
-            for i, j, k in seen
-            for u, v in ((i, j), (j, k), (k, i))
-            if edges[v, u] not in seen
-        ]
+        seen = [f for f, (a, b) in faces.items() if sum(map(mul, a, x)) > b]
+        ridges = Counter(r for f in seen for r in itertools.combinations(f, n - 1))
         for f in seen:
             del faces[f]
-        for u, v in horizon:
-            add(u, v, q)
+        for r, count in ridges.items():
+            if count == 1:
+                add(tuple(sorted(r + (q,))))
     planes = {}
-    for (i, j, k), (n, off) in faces.items():
-        g = math.gcd(*n)
-        planes.setdefault((tuple(a // g for a in n), off // g), set()).update((i, j, k))
-    through = {}  # the origin and the normals of the planes through a point
-    for (n, _), on in planes.items():
+    for face, (normal, offset) in faces.items():
+        g = math.gcd(*normal)
+        planes.setdefault((tuple(a // g for a in normal), offset // g), set()).update(face)
+    through = {}
+    for (normal, _), on in planes.items():
         for i in on:
-            through.setdefault(i, [(0, 0, 0)]).append(n)
-    extreme = {i for i, normals in through.items() if spans_space(normals)}
-    index = list(first.values())
-    return [index[i] for i in sorted(extreme)], {
-        plane: [index[i] for i in sorted(on & extreme)] for plane, on in planes.items()
-    }
+            through.setdefault(i, []).append(normal)
+    extreme = {i for i, normals in through.items() if len(_independent(normals, n)[0]) == n}
+    return sorted(extreme), {plane: sorted(on & extreme) for plane, on in planes.items()}
+
+
+def _extreme(pts) -> list:
+    """The ascending indices of the extreme points of distinct int points,
+    sorted, flat or not.  In the plane they are the ``_ccw_ring``, which
+    takes collinear sets too and needs no facet planes; elsewhere they are
+    the vertices of ``_hull``.  A flat set is projected onto the
+    coordinates its differences pivot on under ``_independent``: that
+    projection is one-to-one on its affine hull, so it keeps the extreme
+    points."""
+    if len(pts[0]) == 2:
+        return sorted(_ccw_ring(pts))
+    hull = _hull(pts)
+    if hull is not None:
+        return hull[0]
+    _, columns = _independent(_differences(pts), len(pts[0]))
+    if not columns:
+        return [0]
+    projected = [tuple(p[c] for c in columns) for p in pts]
+    order = sorted(range(len(pts)), key=projected.__getitem__)
+    return sorted(order[i] for i in _extreme([projected[i] for i in order]))
 
 
 @lru_cache(maxsize=None)
 def canonicalize(body: VPolytope) -> VPolytope:
-    """Drop every point inside the hull of the others, dedupe and sort.
-
-    In the plane the extreme points are the ring of ``_ccw_ring`` on the
-    sorted integer images, and in space the vertices of ``_hull3`` on the
-    integer images.  Flat sets in space and points from four dimensions on
-    are each tested for membership in the hull of the others: removing a
-    non-extreme point never changes the hull, so a single pass is enough,
-    and the surviving points are exactly the extreme ones.
-    """
+    """Drop every point inside the hull of the others, dedupe and sort: the
+    points at ``_extreme`` of the integer images, in any dimension and for
+    flat sets alike, with no LP."""
     if body.canonical:
         return body
-    if body.dim == 2:
-        # equal images are equal points, so the dict also drops duplicates
-        by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
-        ring = _ccw_ring([image for image, _ in by_image])
-        return VPolytope(2, tuple(by_image[i][1] for i in sorted(ring)), canonical=True)
-    hull = _hull3(integer_image(body.vertices)[1]) if body.dim == 3 else None
-    if hull is not None:
-        return VPolytope(3, tuple(sorted(body.vertices[i] for i in hull[0])), canonical=True)
-    pts = list(dict.fromkeys(body.vertices))
-    if len(pts) > 1:
-        i = 0
-        while i < len(pts):
-            p = pts.pop(i)
-            if _in_hull(p, pts):
-                continue
-            pts.insert(i, p)
-            i += 1
-    return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
+    # equal images are equal points, so the dict also drops duplicates
+    by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
+    extreme = _extreme([image for image, _ in by_image])
+    return VPolytope(body.dim, tuple(by_image[i][1] for i in extreme), canonical=True)
 
 
 def same_vertex_set(a: VPolytope, b: VPolytope) -> bool:
@@ -481,103 +500,40 @@ def normalize_halfspace(half: Halfspace) -> Halfspace:
     )
 
 
-def _cofactor_normal(dirs: list) -> list:
-    """A normal of the span of n - 1 int vectors in Z^n: the signed
-    cofactor determinants; zero exactly when the vectors are dependent."""
-    if not dirs:
-        return [1]
-    return [
-        (-1) ** j * int(det([d[:j] + d[j + 1 :] for d in dirs])) for j in range(len(dirs[0]))
-    ]
-
-
 @lru_cache(maxsize=None)
 def facets(body: VPolytope) -> tuple | None:
     """Exact facet description of a full-dimensional polytope: the
     normalized halfspaces ``normal . x <= offset``, one per facet; None when
     the body is flat.
 
-    The facets come in the order in which a walk over the n-subsets of
-    canonical vertex indices, in reverse lexicographic order, first meets
-    them; so the facets of a simplex come out opposite its vertices in vertex
-    order.  A polygon's edges are read off its counter-clockwise ring
-    (``_polygon_edges``).  A 3-polytope's facets are the planes of
-    ``_hull3``, sorted by their three largest vertex indices, descending.
-    Otherwise the walk is a brute force on the integer images of the
-    vertices: a hyperplane through n affinely independent vertices, with the
-    int normal ``_cofactor_normal`` of their differences, is a facet
-    hyperplane exactly when every vertex lies on one side of it, and the
-    body is flat when every vertex lies on it or no such subset exists.  A
-    facet with more than n vertices is met once per n-subset and kept once.
-    The normal is made primitive, and the offset is the image offset over
-    the lcm of the denominators.
+    The facets are the planes of ``_hull`` on the integer images of the
+    canonical vertices, each offset over the lcm of their denominators.
+    They come in the order in which a walk over the n-subsets of canonical
+    vertex indices, in reverse lexicographic order, would first meet them
+    through n affinely independent vertices, so a simplex's facets come out
+    opposite its vertices in vertex order.  That subset is the greedy one
+    from a facet's largest vertex index down, and the facets sort by it,
+    descending: up to three dimensions it is the facet's n largest indices.
     """
     k = canonicalize(body)
-    if k.dim == 2:
-        return _polygon_edges(k)
     den, images = integer_image(k.vertices)
-    if k.dim == 3:
-        # Any three vertices of a facet are affinely independent, so the
-        # walk first meets a facet at its three largest vertex indices.
-        hull = _hull3(images)
-        return None if hull is None else tuple(
-            Halfspace(tuple(map(Rational, normal)), Rational(offset, den))
-            for (normal, offset), _ in sorted(
-                hull[1].items(), key=lambda item: item[1][-3:], reverse=True
-            )
-        )
-    found = {}
-    for subset in reversed(list(itertools.combinations(range(len(images)), k.dim))):
-        base = images[subset[0]]
-        normal = _cofactor_normal(
-            [[a - b for a, b in zip(images[i], base)] for i in subset[1:]]
-        )
-        if not any(normal):
-            continue
-        offset = sum(map(mul, normal, base))
-        below = above = False
-        for i, p in enumerate(images):
-            if i not in subset:
-                x = sum(map(mul, normal, p))
-                below |= x < offset
-                above |= x > offset
-                if below and above:  # stop at the first vertex on the far side
-                    break
-        if below and above:  # vertices on both sides: no facet
-            continue
-        if not (below or above):  # every vertex on this hyperplane
-            return None
-        g = math.gcd(*normal)
-        if above:  # every vertex on the far side: flip
-            g = -g
-        found.setdefault((tuple(a // g for a in normal), offset // g), None)
+    hull = _hull(images)
+    if hull is None:
+        return None
+    n = k.dim
+
+    def first_subset(item):
+        on = item[1]
+        if len(on) == n:
+            return on
+        rest = on[-2::-1]
+        kept, _ = _independent(_differences([images[i] for i in on[::-1]]), n - 1)
+        return sorted([on[-1]] + [rest[i] for i in kept])
+
     return tuple(
         Halfspace(tuple(map(Rational, normal)), Rational(offset, den))
-        for normal, offset in found
-    ) or None  # no n affinely independent vertices
-
-
-def _polygon_edges(polygon: VPolytope) -> tuple | None:
-    """The normalized edges of a canonical polygon, None for a flat one.
-
-    Along the counter-clockwise ring, the edge from p to q has the outward
-    primitive int normal (dy, -dx) of d = q - p and the offset normal . p,
-    both on the integer images; edges sort by their index pairs, descending,
-    as ``facets`` orders them."""
-    den, images = integer_image(polygon.vertices)
-    ring = _ccw_ring(images)
-    if len(ring) < 3:
-        return None
-    edges = []
-    for i, j in zip(ring, ring[1:] + ring[:1]):
-        (px, py), (qx, qy) = images[i], images[j]
-        a, b = qy - py, px - qx
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        half = Halfspace((Rational(a), Rational(b)), Rational(a * px + b * py, den))
-        edges.append(((min(i, j), max(i, j)), half))
-    edges.sort(reverse=True)
-    return tuple(half for _, half in edges)
+        for (normal, offset), _ in sorted(hull[1].items(), key=first_subset, reverse=True)
+    )
 
 
 def simplex_hrep(body: VPolytope) -> HPolytope:
@@ -600,23 +556,6 @@ def intersect(a: HPolytope, b: HPolytope) -> HPolytope:
     return HPolytope(a.dim, tuple(seen))
 
 
-def _hrep_support(region: HPolytope, direction: Vec):
-    """max direction.x over the region, or None when unbounded."""
-    builder = lp.ProgramBuilder()
-    xs = [builder.add_var(objective=-direction[k], free=True) for k in range(region.dim)]
-    for h in region.halfspaces:
-        slack = builder.add_var()
-        row = {x: h.normal[k] for k, x in enumerate(xs) if h.normal[k]}
-        row[slack] = ONE
-        builder.add_row(row, h.offset)
-    out = lp.solve(builder.build())
-    if out.status == lp.UNBOUNDED:
-        return None
-    if out.status == lp.INFEASIBLE:
-        raise ValueError("empty halfspace intersection")
-    return -out.value
-
-
 # Size guard of ``enumerate_vertices``: its subset loop grows as C(m, n).
 ENUMERATION_MAX_DIM = 4
 ENUMERATION_MAX_HALFSPACES = 16
@@ -628,8 +567,12 @@ def enumerate_vertices(region: HPolytope) -> VPolytope:
     Solves the square system of every dim-subset of halfspaces and keeps the
     feasible unique solutions; each such point sits on dim independent active
     constraints and is therefore a vertex, and every vertex arises this way.
-    Regions beyond ``ENUMERATION_MAX_DIM`` dimensions or
-    ``ENUMERATION_MAX_HALFSPACES`` halfspaces raise ``ScaleGuardError``.
+    A nonempty region is bounded iff its normals positively span R^n, that
+    is, iff the origin lies strictly inside their hull, on the inner side of
+    every one of its ``facets``; a region whose normals fail that, empty or
+    not, raises ``UnboundedRegionError``.  Regions beyond
+    ``ENUMERATION_MAX_DIM`` dimensions or ``ENUMERATION_MAX_HALFSPACES``
+    halfspaces raise ``ScaleGuardError``.
     """
     n = region.dim
     if n > ENUMERATION_MAX_DIM or len(region.halfspaces) > ENUMERATION_MAX_HALFSPACES:
@@ -637,12 +580,10 @@ def enumerate_vertices(region: HPolytope) -> VPolytope:
             f"enumeration guard: dim {n} (max {ENUMERATION_MAX_DIM}), "
             f"{len(region.halfspaces)} halfspaces (max {ENUMERATION_MAX_HALFSPACES})"
         )
-    for k in range(n):
-        for sgn in (ONE, -ONE):
-            d = [ZERO] * n
-            d[k] = sgn
-            if _hrep_support(region, tuple(d)) is None:
-                raise UnboundedRegionError("halfspace intersection is unbounded")
+    normals = [h.normal for h in region.halfspaces]
+    halves = facets(VPolytope.from_points(normals, n)) if normals else None
+    if halves is None or any(offset <= 0 for _, offset in halves):
+        raise UnboundedRegionError("the halfspaces bound no polytope")
     found = {}
     for subset in itertools.combinations(region.halfspaces, n):
         res = solve_linear([h.normal for h in subset], [h.offset for h in subset])

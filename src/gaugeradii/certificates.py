@@ -54,8 +54,9 @@ def validate(body: VPolytope, scaled_gauge: VPolytope, cert: ContainmentCertific
     from above and the balanced contacts bound it from below, so together
     they prove the containment optimal; a contact lies in the scaled gauge
     because it lies in the body.  Needs only support evaluations and
-    membership tests (``contains_point``: sign tests per edge in the plane,
-    LPs otherwise) — nothing from extraction.
+    membership tests (``contains_point``: sign tests per facet of a
+    full-dimensional gauge, the hull of the points otherwise, with no LP) —
+    nothing from extraction.
     """
     n = body.dim
     k = cert.count

@@ -14,7 +14,9 @@ renderings for human convenience; they are never used in any comparison.
 
 Exit codes: 0 computed/verified, 1 a verified property failed (report carries
 the counterexample), 2 invalid input, 3 internal failure (a ``RuntimeError``
-such as a certificate that fails validation; reported on stderr).
+such as a certificate that fails validation, or a ``TypeError``, which the
+input loaders have already turned into invalid input where the input was at
+fault; reported on stderr).
 """
 
 from __future__ import annotations
@@ -71,9 +73,14 @@ def _load_body(path: str) -> tuple:
         body = body_from_json(json.loads(raw))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read body from {path}: {exc}") from exc
+    return _vertex_body(body, path), hashlib.sha256(raw).hexdigest()
+
+
+def _vertex_body(body, path: str) -> VPolytope:
+    """The body read from ``path``, refused unless it lists vertices."""
     if not isinstance(body, VPolytope):
         raise InputError(f"{path}: the CLI operates on vertex representations")
-    return body, hashlib.sha256(raw).hexdigest()
+    return body
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -187,8 +194,9 @@ def _verify_instances(args):
                 pair = pair_from_json(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InputError(f"cannot read pair from {args.pair}: {exc}") from exc
-        simplex = negate(pair.simplex) if args.reflect else pair.simplex
-        yield "pair-file", simplex, pair.gauge
+        simplex = _vertex_body(pair.simplex, args.pair)
+        gauge = _vertex_body(pair.gauge, args.pair)
+        yield "pair-file", negate(simplex) if args.reflect else simplex, gauge
         return
     if args.family:
         pair = _family_instance(args)
@@ -502,9 +510,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # InputError and the library's input errors
         return _fail(args.command, "error", exc, 2)
-    except RuntimeError as exc:
+    except (RuntimeError, TypeError) as exc:
         return _fail(args.command, "internal-error", exc, 3)
 
 

@@ -255,7 +255,7 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     value LP of ``circumradius``, memoized there alone."""
     zv = vec(z)
     if len(zv) != gauge.dim:
-        raise ValueError("vector length does not match gauge dimension")
+        raise DimensionMismatchError("vector length does not match gauge dimension")
     if is_zero_vec(zv):
         return ZERO
     gauge = canonicalize(gauge)

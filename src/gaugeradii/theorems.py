@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from . import lp
 from .bodies import (
     DegenerateSimplexError,
+    DimensionMismatchError,
     VPolytope,
     canonicalize,
     check_same_dim,
@@ -96,12 +97,12 @@ def gauge_value(z, body: VPolytope) -> Rational | None:
     For non-symmetric bodies this is *not* a norm (gauge(z) != gauge(-z) in
     general) and deliberately not called a length.
     """
+    zv = vec(z)
+    if len(zv) != body.dim:
+        raise DimensionMismatchError("vector length does not match body dimension")
     k = canonicalize(body)
     if not contains_point(k, vzero(k.dim)):
         raise OriginNotInGaugeError("gauge function needs the origin inside the body")
-    zv = vec(z)
-    if len(zv) != k.dim:
-        raise ValueError("vector length does not match body dimension")
     if is_zero_vec(zv):
         return ZERO
     builder = lp.ProgramBuilder()

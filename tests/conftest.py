@@ -7,14 +7,15 @@ containment LP rather than from the circumradius, and the circumradius from
 the vertex-form LP rather than the facet form.  The circumradius value and
 the concentricity predicates, which the library decides on the small side of
 LP duality, are checked against the primal programs they replaced, one row
-per facet.  The hulls, facets and (C - C)/2 norm, which the library computes
-on integer images, are checked against the general routes they replaced: one
-membership LP per point, brute force over vertex subsets with rational
-cofactor normals, membership LPs, and the norm LP, in the plane and in
-space.  The norm LP also checks the norm taken as twice a segment's
-circumradius, and the cone LP checks the gauge function written as one
-hull-membership block.  Full dimension is checked against an exact rank by
-fraction elimination.
+per facet.  The hulls, facets, membership and boundedness tests, which the
+library decides on integer images with no LP in every dimension, are
+checked against the general routes they replaced: one membership LP per
+point, brute force over vertex subsets with rational cofactor normals,
+membership LPs, and LPs maximizing each coordinate over a halfspace region.
+The (C - C)/2 norm is checked against its norm LP, which also checks the
+norm taken as twice a segment's circumradius, and the cone LP checks the
+gauge function written as one hull-membership block.  Full dimension is
+checked against an exact rank by fraction elimination.
 """
 
 import itertools
@@ -239,6 +240,28 @@ def canonicalize_by_lp(body):
             pts.insert(i, p)
             i += 1
     return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
+
+
+def bounded_by_lp(region):
+    """Whether a halfspace region is bounded, from up to 2n LPs maximizing
+    each coordinate and its negative over it; None when it is empty."""
+    for k in range(region.dim):
+        for sign in (ONE, -ONE):
+            builder = lp.ProgramBuilder()
+            xs = [
+                builder.add_var(objective=-sign if j == k else ZERO, free=True)
+                for j in range(region.dim)
+            ]
+            for h in region.halfspaces:
+                row = {x: a for x, a in zip(xs, h.normal) if a}
+                row[builder.add_var()] = ONE
+                builder.add_row(row, h.offset)
+            out = lp.solve(builder.build())
+            if out.status == lp.INFEASIBLE:
+                return None
+            if out.status == lp.UNBOUNDED:
+                return False
+    return True
 
 
 def rank(matrix):

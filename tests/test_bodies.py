@@ -1,7 +1,8 @@
 """Polytope operations: support, Minkowski algebra, canonical forms, facet
 structure and enumeration, cross-checked against the LP-free oracles in
-conftest (2D hulls, barycentric membership) and, for the planar hull, facets
-and norm, against the LP and brute-force routes they replaced."""
+conftest (2D hulls, barycentric membership) and, for the hull, facets,
+membership and boundedness in one to four dimensions and the planar and
+spatial norm, against the LP and brute-force routes they replaced."""
 
 from collections import Counter
 
@@ -13,6 +14,7 @@ from conftest import (
     V,
     _in_hull_by_lp,
     barycentric_inside,
+    bounded_by_lp,
     canonicalize_by_lp,
     facets_by_subsets,
     hull2d,
@@ -53,7 +55,7 @@ from gaugeradii.bodies import (
     vertex_centroid,
     width,
 )
-from gaugeradii.constructions import SplitMix64, random_vpolytope
+from gaugeradii.constructions import SplitMix64, random_vpolytope, simplex_sandwich_pair
 from gaugeradii.radii import sym_gauge_norm
 from gaugeradii.ratcore import ONE, det, rat, vadd, vdot, vec, vneg, vscale, vsub
 
@@ -300,9 +302,9 @@ def test_spatial_facets_match_subset_oracle(solve_counter):
     ``spatial_point_sets`` and ``spatial_hull_cases``: the same vertex
     tuple, the same facet tuple in the same order, or None for the flat
     sets, and the same membership answer as a membership LP for vertices,
-    an edge midpoint, the vertex mean and random points.  A full 3-polytope
-    solves no LP for any of it; flat sets keep their LPs.  In one and four
-    dimensions the facets are the brute force's too."""
+    an edge midpoint, the vertex mean and random points.  No set, flat or
+    not, solves an LP for any of it.  In one and four dimensions the facets
+    are the brute force's too."""
     rng = SplitMix64(1618)
     shapes = Counter()
     for body in [*spatial_point_sets(2718), *spatial_hull_cases(3141)]:
@@ -312,7 +314,7 @@ def test_spatial_facets_match_subset_oracle(solve_counter):
         probes = [*verts[:3], vertex_centroid(k), vscale(rat("1/2"), vadd(verts[0], verts[-1]))]
         probes += [rng.point(3, 2, 1 + rng.below(3)) for _ in range(4)]
         inside = [contains_point(body, p) for p in probes]
-        assert (solve_counter.count == 0) == (halves is not None)
+        assert solve_counter.count == 0
         assert k == canonicalize_by_lp(body)
         assert halves == facets_by_subsets(body)
         assert inside == [_in_hull_by_lp(p, list(body.vertices)) for p in probes]
@@ -343,9 +345,93 @@ def test_spatial_routes_match_oracles_hypothesis(body, z):
     assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
 
 
+def hull_point_sets(count, seed):
+    """Seeded point lists in one to four dimensions, in turn: lattice points
+    of {-1, 0, 1}^n over a common denominator, rational points, points on a
+    hyperplane (one point in one dimension) and points on a line, with
+    repeats."""
+    rng = SplitMix64(seed)
+    for trial in range(count):
+        n = 1 + trial % 4
+        size = 1 + rng.below(4 + 2 * n)
+        kind = trial // 4 % 4
+        if kind == 0:
+            den = 1 + trial % 3
+            pts = [tuple(rat(rng.below(3) - 1) / den for _ in range(n)) for _ in range(size)]
+        elif kind == 1:
+            pts = [rng.point(n, 3, 1 + rng.below(3)) for _ in range(size)]
+        elif kind == 2:  # x_n = x_1 - 2 x_(n-1) + 1
+            free = [rng.point(n - 1, 2, 2) for _ in range(size)]
+            pts = [p + ((p[0] - 2 * p[-1] if p else 0) + 1,) for p in free]
+        else:
+            base, step = rng.point(n, 2, 2), rng.point(n, 2, 3)
+            pts = [tuple(b + rng.rational(2) * d for b, d in zip(base, step)) for _ in range(size)]
+        yield V(pts + pts[: trial % 3])
+
+
+def test_hull_matches_oracles_in_every_dimension(solve_counter):
+    """The one hull against the LP loop, the subset brute force and
+    membership LPs on seeded sets in one to four dimensions, flat sets
+    included: the same vertex tuple, the same facet tuple in the same order
+    or None, the same membership answer for random points, the vertex mean
+    and a vertex, and no LP solved for any of it."""
+    rng = SplitMix64(2024)
+    shapes = Counter()
+    for body in hull_point_sets(240, 577):
+        solve_counter.reset()
+        k, halves = canonicalize(body), facets(body)
+        probes = [rng.point(body.dim, 2, 1 + rng.below(3)) for _ in range(3)]
+        probes += [vertex_centroid(k), k.vertices[0]]
+        inside = [contains_point(body, p) for p in probes]
+        assert solve_counter.count == 0
+        assert k == canonicalize_by_lp(body)
+        assert halves == facets_by_subsets(body)
+        assert inside == [_in_hull_by_lp(p, list(body.vertices)) for p in probes]
+        shapes[body.dim, halves is None] += 1
+        shapes["outside"] += not all(inside)
+    assert min(shapes.values()) >= 15, shapes
+
+
+@st.composite
+def bodies_with_point(draw):
+    n = draw(st.integers(1, 4))
+    body = draw(st.one_of(small_bodies(n), lattice_bodies(n)))
+    return body, draw(st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * n))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(bodies_with_point())
+def test_hull_routes_match_oracles_hypothesis(case):
+    """The oracles' answers in one to four dimensions, and the boundedness
+    decision for the region with the points as normals and offset 1, which
+    holds the origin."""
+    body, z = case
+    k = canonicalize(body)
+    assert k == canonicalize_by_lp(body)
+    assert facets(body) == facets_by_subsets(body)
+    for p in (vec(z), vertex_centroid(k), vscale(rat("1/2"), vadd(k.vertices[0], k.vertices[-1]))):
+        assert contains_point(body, p) == _in_hull_by_lp(p, list(body.vertices))
+    region = HPolytope(body.dim, tuple(Halfspace(v, ONE) for v in body.vertices))
+    try:
+        bounded = enumerate_vertices(region) is not None
+    except UnboundedRegionError:
+        bounded = False
+    assert bounded == bounded_by_lp(region)
+
+
+@pytest.mark.parametrize("variant", ["min", "max"])
+def test_four_dimensional_sandwich_facets_keep_the_subset_order(variant):
+    """In four dimensions a facet's n largest vertex indices can be
+    affinely dependent, so the order key is the first independent subset;
+    the sandwich gauges' facets are the brute force's, order included."""
+    gauge = simplex_sandwich_pair(4, 1, "1/2", variant).gauge
+    assert facets(gauge) == facets_by_subsets(gauge) is not None
+
+
 def test_planar_contains_point_matches_hull_lp():
-    """Edge sign tests for full-dimensional polygons, the hull LP for flat
-    ones: the same answer as a membership LP, boundary points included."""
+    """Edge sign tests for full-dimensional polygons, the extreme-point test
+    for flat ones: the same answer as a membership LP, boundary points
+    included."""
     rng = SplitMix64(577)
     inside = Counter()
     for body in planar_point_sets(400, 1123):
@@ -448,6 +534,39 @@ def test_enumerate_unbounded_raises():
     hrep = HPolytope(2, (Halfspace(vec((1, 0)), rat(1)),))
     with pytest.raises(UnboundedRegionError):
         enumerate_vertices(hrep)
+    # empty, and its normals bound no polytope: x <= 0 and -x <= -1
+    slab = HPolytope(2, (Halfspace(vec((1, 0)), rat(0)), Halfspace(vec((-1, 0)), rat(-1))))
+    with pytest.raises(UnboundedRegionError, match="the halfspaces bound no polytope"):
+        enumerate_vertices(slab)
+    empty = HPolytope(1, (Halfspace(vec((1,)), rat(0)), Halfspace(vec((-1,)), rat(-1))))
+    with pytest.raises(ValueError, match="empty halfspace intersection"):
+        enumerate_vertices(empty)
+
+
+def test_enumerate_boundedness_matches_lp_probe():
+    """The hull of the normals decides boundedness as the coordinate LPs
+    did, on seeded regions in one to four dimensions: a region is refused
+    as unbounded exactly when the same normals with offset 1, a region
+    holding the origin, are unbounded, and a nonempty region is enumerated
+    exactly when it is bounded."""
+    rng = SplitMix64(8128)
+    seen = Counter()
+    for trial in range(400):
+        n = 1 + trial % 4
+        normals = [rng.point(n, 2, 2) for _ in range(n + 1 + rng.below(n + 3))]
+        region = HPolytope(n, tuple(Halfspace(a, rng.rational(2)) for a in normals))
+        spanning = bounded_by_lp(HPolytope(n, tuple(Halfspace(a, ONE) for a in normals)))
+        bounded = bounded_by_lp(region)
+        try:
+            enumerate_vertices(region)
+            got = "vertices"
+        except UnboundedRegionError:
+            got = "unbounded"
+        except ValueError:
+            got = "empty"
+        assert got == ("unbounded" if not spanning else "empty" if bounded is None else "vertices")
+        seen[got, bounded] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_enumerate_scale_guard():

@@ -65,16 +65,24 @@ def test_compute_rejects_bad_input(capsys, tmp_path):
     assert "error" in err
 
 
-def test_halfspace_body_file_is_bad_input(capsys, body_files, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["compute", "--body", "{hrep}", "--gauge", "{square}"],
+    ["verify", "--suite", "chains", "--pair", "{pair}"],
+], ids=["body-file", "pair-file"])
+def test_halfspace_body_file_is_bad_input(capsys, body_files, tmp_path, argv):
     # the library reads halfspace JSON, the CLI works on vertex lists only
     square, _ = body_files
-    hrep = tmp_path / "hrep.json"
-    hrep.write_text(json.dumps({"dim": 2, "halfspaces": [
+    triangle = {"dim": 2, "halfspaces": [
         {"normal": ["1", "0"], "offset": "1"},
         {"normal": ["0", "1"], "offset": "1"},
         {"normal": ["-1", "-1"], "offset": "1"},
-    ]}))
-    code, out, err = run(capsys, ["compute", "--body", str(hrep), "--gauge", square])
+    ]}
+    hrep, pair = tmp_path / "hrep.json", tmp_path / "pair.json"
+    hrep.write_text(json.dumps(triangle))
+    with open(square) as fh:
+        pair.write_text(json.dumps({"simplex": triangle, "gauge": json.load(fh)}))
+    paths = {"hrep": str(hrep), "square": square, "pair": str(pair)}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2 and out == ""
     assert "vertex representations" in json.loads(err)["error"]
 
@@ -338,10 +346,14 @@ def test_verify_violation_reports_counterexample(capsys, body_files, monkeypatch
     assert "vertices" in dump["body"]
 
 
-def test_internal_failure_exits_3(capsys, body_files, monkeypatch):
+@pytest.mark.parametrize("fault", [
+    certificates.ExtractionError("the extracted certificate failed validation"),
+    TypeError("unsupported operand type(s) for +: 'int' and 'tuple'"),
+], ids=["extraction", "type"])
+def test_internal_failure_exits_3(capsys, body_files, monkeypatch, fault):
     # a library fault is neither bad input (2) nor a failed property (1)
     def broken(body, gauge):
-        raise certificates.ExtractionError("the extracted certificate failed validation")
+        raise fault
 
     square, triangle = body_files
     monkeypatch.setattr(certificates, "extract", broken)
@@ -351,5 +363,5 @@ def test_internal_failure_exits_3(capsys, body_files, monkeypatch):
     assert json.loads(err) == {
         "command": "certify",
         "status": "internal-error",
-        "error": "the extracted certificate failed validation",
+        "error": str(fault),
     }

@@ -39,6 +39,7 @@ from gaugeradii.bodies import (
     support,
     translate,
     vertex_centroid,
+    width,
 )
 from gaugeradii.constructions import (
     SplitMix64,
@@ -64,6 +65,7 @@ from gaugeradii.radii import (
     sym_gauge_norm,
 )
 from gaugeradii.ratcore import rat, vadd, vec, vsub
+from gaugeradii.theorems import gauge_value
 
 
 def seeded_pairs(count, seed, dim=2, verts=4):
@@ -337,6 +339,28 @@ def test_breadth(square, triangle):
         )
     with pytest.raises(ValueError):
         breadth(square, triangle, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K, z: support(K, z),
+        lambda K, z: width(K, z),
+        lambda K, z: breadth(K, K, z),
+        lambda K, z: contains_point(K, z),
+        lambda K, z: sym_gauge_norm(z, K),
+        lambda K, z: gauge_value(z, K),
+    ],
+    ids=["support", "width", "breadth", "contains_point", "sym_gauge_norm", "gauge_value"],
+)
+def test_wrong_length_vector_is_a_dimension_mismatch(triangle, call):
+    """Every function of a body and a vector refuses a vector of another
+    length with the same error type, whether or not the body holds the
+    origin."""
+    for body in (triangle, translate(triangle, (5, 5))):
+        for z in ((1, 1, 1), (1,)):
+            with pytest.raises(DimensionMismatchError):
+                call(body, z)
 
 
 def test_breadth_below_diameter(triangle, square):
