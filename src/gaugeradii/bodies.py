@@ -36,7 +36,6 @@ from .ratcore import (
     ONE,
     Rational,
     Vec,
-    det,
     rat,
     rat_str,
     solve_linear,
@@ -270,14 +269,31 @@ def _ccw_ring(images) -> list:
     return chain(range(len(images)))[:-1] + chain(reversed(range(len(images))))[:-1]
 
 
+def _int_det(rows: list) -> int:
+    """The determinant of a square int matrix by Bareiss' fraction-free
+    elimination: every division is exact, so no entry leaves the ints."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        pivot, top = m[k][k], m[k][k + 1 :]
+        for r in m[k + 1 :]:
+            f = r[k]
+            r[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(r[k + 1 :], top)]
+        prev = pivot
+    return sign * m[-1][-1]
+
+
 def _cofactor_normal(dirs: list) -> list:
     """A normal of the span of n - 1 int vectors in Z^n: the signed
     cofactor determinants; zero exactly when the vectors are dependent."""
     if not dirs:
         return [1]
-    return [
-        (-1) ** j * int(det([d[:j] + d[j + 1 :] for d in dirs])) for j in range(len(dirs[0]))
-    ]
+    return [(-1) ** j * _int_det([d[:j] + d[j + 1 :] for d in dirs]) for j in range(len(dirs[0]))]
 
 
 def _hull(pts) -> tuple | None:

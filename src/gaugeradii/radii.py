@@ -9,16 +9,18 @@ throughout the library are "circumradius <= 1".
 Against a full-dimensional gauge the value comes from the facet form, the
 least lambda with g.t + lambda b >= h(K, g) on every facet g.x <= b of C,
 solved as its dual: one column per facet of C and n + 1 rows, with the
-support values of K taken on integer images.  Each functional also returns
-a witness: a translation, the contacts of an optimal containment, or a
-Minkowski center.  Those come from the vertex-form LP, one hull-membership
-block per vertex of K, which is solved only when a caller first reads a
-witness; its dual is what ``certificates.extract`` reads.  A flat gauge has
-no facets and takes the vertex form for its value too.  The (C - C)/2 norm
-behind the diameter needs no LP of its own: against a full-dimensional
-gauge in two or three dimensions it is a closed form over directions read
-off the gauge's facets and edges, and otherwise 2 R([0, z], C).
-Every value can be re-certified independently.
+support values of K taken on integer images.  The dual vector of that LP
+holds an optimal t, and the asymmetry reads its Minkowski center off it,
+so s(K) and a center cost one solve.  The circumradius and inradius
+witnesses (a translation and the contacts of an optimal containment) come
+from the vertex-form LP instead, one hull-membership block per vertex of
+K, solved only when a caller first reads them; its dual is what
+``certificates.extract`` reads.  A flat gauge has no facets and takes the
+vertex form for its value too.  The (C - C)/2 norm behind the diameter
+needs no LP of its own: against a full-dimensional gauge in two or three
+dimensions it is a closed form over directions read off the gauge's facets
+and edges, and otherwise 2 R([0, z], C).  Every value can be re-certified
+independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.
@@ -92,21 +94,13 @@ class RadiiResult:
 
 
 class AsymmetryResult:
-    """s(K) with one Minkowski center; given ``witness``, a function
-    returning the center, it is computed on its first read and kept."""
+    """s(K) with one Minkowski center, both from the same LP."""
 
-    __slots__ = ("s", "_witness", "_center")
+    __slots__ = ("s", "center")
 
-    def __init__(self, s: Rational, center=None, *, witness=None):
+    def __init__(self, s: Rational, center: tuple):
         self.s = s
-        self._witness = witness
-        self._center = center
-
-    @property
-    def center(self) -> tuple:
-        if self._witness is not None:
-            self._center, self._witness = self._witness(), None
-        return self._center
+        self.center = center
 
     def __repr__(self) -> str:
         return f"AsymmetryResult(s={self.s})"
@@ -160,19 +154,26 @@ def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
         res = _circumradius_by_vertices(body, gauge)
         return res.translation, res.attaining
 
-    return RadiiResult(_facet_circumradius(body, halves), witness=witness)
+    return RadiiResult(_facet_circumradius(body, halves)[0], witness=witness)
 
 
-def _facet_circumradius(body: VPolytope, halves) -> Rational:
-    """The facet-form optimum, read off its LP dual: one column y_g >= 0 per
-    facet g.x <= b of the gauge and n + 1 rows,
+def _facet_circumradius(body: VPolytope, halves) -> tuple:
+    """``(R, u, den)``: the facet-form optimum, read off its LP dual, with
+    that LP's dual vector u and the lcm den of the body's denominators.  The
+    LP has one column y_g >= 0 per facet g.x <= b of the gauge and n + 1
+    rows,
 
         R = max sum_g y_g h(body, g)  subject to  sum_g y_g g = 0,  sum_g y_g b = 1.
 
     The last row is an equality because the primal's lambda >= 0 is implied:
     the normals of a full-dimensional gauge balance with positive weights, so
     no lambda < 0 is feasible.  The support values are taken on the body's
-    integer images (the facet normals are primitive int vectors)."""
+    integer images (the facet normals are primitive int vectors), so the
+    objective is den times the one above.  The dual vector u is optimal for
+    this LP's own dual, which is the facet form: every column's reduced cost
+    -den h(body, g) - u[:n].g - u[n] b is nonnegative, and -u[n] = den R,
+    so t = -u[:n] / den has g.t + R b >= h(body, g) on every facet.  Only
+    the asymmetry reads t, so forming it is left to that caller."""
     den, images = integer_image(body.vertices)
     builder = lp.ProgramBuilder()
     ys = [
@@ -185,7 +186,7 @@ def _facet_circumradius(body: VPolytope, halves) -> Rational:
     out = lp.solve(builder.build())
     if out.status != lp.OPTIMAL:  # a full-dimensional gauge covers every body
         raise RuntimeError("facet-form circumradius LP must have an optimum")
-    return -out.value / den
+    return -out.value / den, out.dual, den
 
 
 def _circumradius_by_vertices(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
@@ -372,12 +373,16 @@ def jung_ratio(body: VPolytope, gauge: VPolytope) -> Rational | None:
 def asymmetry(body: VPolytope) -> AsymmetryResult:
     """Minkowski asymmetry s(K) = R(-K, K) with one Minkowski center.
 
-    The center follows from the witness translation, on its first read:
-    -K in t + sK means -(K - c) in s(K - c) for c = -t/(1 + s).  A symmetric
-    body has s = 1 and its center, with no LP.  Centers are not unique in
-    general; predicates quantifying over centers must use the full center
-    polytope, never just this one: ``is_minkowski_center`` tests a point
-    against it, and the concentricity LPs of ``theorems`` carry its rows.
+    Both come from one LP: -K in t + sK means -(K - c) in s(K - c) for
+    c = -t/(1 + s), and the translation t is read off the same solve as s.
+    For a full-dimensional body that is the facet form of R(-K, K), whose
+    dual vector holds an optimal t (``_facet_circumradius``); a flat body
+    takes the vertex-form LP.  A symmetric body has s = 1 and its center,
+    with no LP.  Centers are not unique in general, and which optimal t the
+    solve returns is not specified; predicates quantifying over centers must
+    use the full center polytope, never just this one:
+    ``is_minkowski_center`` tests a point against it, and the concentricity
+    LPs of ``theorems`` carry its rows.
     """
     return _asymmetry(canonicalize(body))
 
@@ -387,11 +392,13 @@ def _asymmetry(body: VPolytope) -> AsymmetryResult:
     sym, center = is_centrally_symmetric(body)
     if sym:  # s = 1 exactly iff the body is symmetric; center is forced
         return AsymmetryResult(ONE, center)
-    result = circumradius(negate(body), body)
-    if result is None:
-        raise ValueError("asymmetry needs a full-dimensional body")
-    s = result.value
-    return AsymmetryResult(s, witness=lambda: vscale(-ONE / (ONE + s), result.translation))
+    halves = facets(body)
+    if halves is None:  # -K always fits in a translate of a dilate of K
+        res = _circumradius_by_vertices(negate(body), body)
+        return AsymmetryResult(res.value, vscale(-ONE / (ONE + res.value), res.translation))
+    s, u, den = _facet_circumradius(negate(body), halves)
+    # c = -t/(1 + s) for the translation t = -u[:n]/den
+    return AsymmetryResult(s, tuple(x / (den * (ONE + s)) for x in u[: body.dim]))
 
 
 def is_minkowski_center(body: VPolytope, point) -> bool:

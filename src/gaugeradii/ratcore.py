@@ -196,28 +196,3 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSystemResul
         x[c] = aug[r][ncols]
     return LinearSystemResult("unique", solution=tuple(x))
 
-
-def det(matrix: Sequence[Sequence]):
-    """Exact determinant of a square matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    rows = [[rat(x) for x in row] for row in matrix]
-    sign = ONE
-    result = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        result *= piv
-        inv = ONE / piv
-        prow = [x * inv for x in rows[c]]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
-    return sign * result

@@ -22,8 +22,7 @@ Design rules observed throughout:
 * Every containment written vertex by vertex, "x in t + mu conv(P)" with
   convex weight columns over the points P, comes from one method,
   ``lp.ProgramBuilder.add_hull_membership``: the gauge function, the flat
-  concentricity systems, and in ``radii`` and ``bodies`` the circumradius
-  witness LP and hull membership.
+  concentricity systems, and in ``radii`` the circumradius witness LP.
 * Completeness is decided only where an exact criterion exists: simplices
   (via the symmetrized-gauge characterization) and constant-width bodies.
   Everything else reports "undecidable" rather than guessing.
@@ -272,6 +271,8 @@ def _extended_jung_chain(K: VPolytope, C: VPolytope) -> ChainReport:
     inside D/2 (s(C)+1) C.  The first link is a direct inclusion after
     re-centering K at a Minkowski center; K - K is the unit ball of twice the
     (K - K)/2 norm, so its factor is half the largest such norm of a vertex.
+    Every Minkowski center c gives K - c in s/(s + 1)(K - K), so the link
+    holds whichever center ``asymmetry`` returns.
     The second link is exactly 1 by the definition of D: K - K is spanned by
     vertex differences of K, whose largest (C-C)/2-norm is D."""
     asym = asymmetry(K)

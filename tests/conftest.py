@@ -14,8 +14,12 @@ point, brute force over vertex subsets with rational cofactor normals,
 membership LPs, and LPs maximizing each coordinate over a halfspace region.
 The (C - C)/2 norm is checked against its norm LP, which also checks the
 norm taken as twice a segment's circumradius, and the cone LP checks the
-gauge function written as one hull-membership block.  Full dimension is
-checked against an exact rank by fraction elimination.
+gauge function written as one hull-membership block or read off the
+facets.  The Minkowski center read off the asymmetry's facet-form dual is
+checked against the vertex-form witness of R(-K, K), and where the two
+differ, the center polytope is shown to be more than a point by LPs over
+each coordinate.  Full dimension is checked against an exact rank by
+fraction elimination.
 """
 
 import itertools
@@ -47,7 +51,6 @@ from gaugeradii.radii import DegenerateGaugeError, asymmetry, circumradius, inra
 from gaugeradii.ratcore import (
     ONE,
     ZERO,
-    det,
     is_zero_vec,
     rat,
     solve_linear,
@@ -148,6 +151,41 @@ def circumradius_by_vertices(body, gauge):
         return None
     assert out.status == lp.OPTIMAL
     return out.value, tuple(out.primal[v] for v in t)
+
+
+def minkowski_center_by_vertices(body):
+    """s(K) and a Minkowski center from the vertex-form LP of R(-K, K): its
+    witness t gives the center c = -t/(1 + s).  A one-point body is its own
+    center, with s = 1."""
+    k = canonicalize(body)
+    if len(k.vertices) == 1:
+        return ONE, k.vertices[0]
+    s, t = circumradius_by_vertices(negate(k), k)
+    return s, tuple(-x / (1 + s) for x in t)
+
+
+def minkowski_center_is_unique(body):
+    """Whether the Minkowski centers of a body are one point: the least and
+    the largest value of each coordinate over the center polytope, the c
+    with -v + (1 + s) c in sK for every vertex v of K, agree.  Two LPs per
+    coordinate, one membership block per vertex."""
+    k = canonicalize(body)
+    s, _ = minkowski_center_by_vertices(k)
+    n = k.dim
+    for j in range(n):
+        ends = []
+        for sign in (ONE, -ONE):
+            builder = lp.ProgramBuilder()
+            c = [builder.add_var(objective=sign if i == j else ZERO, free=True) for i in range(n)]
+            for v in k.vertices:
+                lhs = [{ci: -(1 + s)} for ci in c]
+                builder.add_hull_membership(k.vertices, lhs, vneg(v), scale=s)
+            out = lp.solve(builder.build())
+            assert out.status == lp.OPTIMAL
+            ends.append(sign * out.value)
+        if ends[0] != ends[1]:
+            return False
+    return True
 
 
 def circumradius_by_facet_rows(body, gauge):
@@ -279,6 +317,33 @@ def rank(matrix):
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def det(matrix):
+    """Exact determinant of a square rational matrix by Gaussian elimination
+    over fractions: the oracle for the int cofactor normals of hull faces."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant requires a square matrix")
+    rows = [[rat(x) for x in row] for row in matrix]
+    sign = ONE
+    result = ONE
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return ZERO
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        piv = rows[c][c]
+        result *= piv
+        inv = ONE / piv
+        prow = [x * inv for x in rows[c]]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            if f:
+                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
+    return sign * result
 
 
 def cofactor_normal(points):

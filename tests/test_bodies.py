@@ -16,6 +16,7 @@ from conftest import (
     barycentric_inside,
     bounded_by_lp,
     canonicalize_by_lp,
+    det,
     facets_by_subsets,
     hull2d,
     lattice_bodies,
@@ -57,7 +58,7 @@ from gaugeradii.bodies import (
 )
 from gaugeradii.constructions import SplitMix64, random_vpolytope, simplex_sandwich_pair
 from gaugeradii.radii import sym_gauge_norm
-from gaugeradii.ratcore import ONE, det, rat, vadd, vdot, vec, vneg, vscale, vsub
+from gaugeradii.ratcore import ONE, rat, vadd, vdot, vec, vneg, vscale, vsub
 
 HEXAGON = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
 

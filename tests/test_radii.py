@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     V,
@@ -21,6 +22,8 @@ from conftest import (
     family_pairs,
     in_translated_dilate,
     inradius_by_lp,
+    minkowski_center_by_vertices,
+    minkowski_center_is_unique,
     planar_point_sets,
     small_bodies,
     spatial_hull_cases,
@@ -328,6 +331,37 @@ def test_minkowski_center_facet_signs_match_membership_lps():
         is_minkowski_center(V([(1, 0), (0, 1), (-1, -1)]), (0, 0, 0))
 
 
+def check_center_against_vertex_form(body):
+    """Assert that s(K) is the vertex-form oracle's, that the returned
+    center and the oracle's both pass ``is_minkowski_center``, and that they
+    differ only where the Minkowski center is not unique."""
+    s, center = minkowski_center_by_vertices(body)
+    res = asymmetry(body)
+    assert res.s == s, body
+    assert is_minkowski_center(body, res.center), body
+    assert is_minkowski_center(body, center), body
+    if res.center != center:
+        assert not minkowski_center_is_unique(body), body
+
+
+def test_minkowski_center_matches_vertex_form():
+    """The center read off the facet form's dual, on the 400 bodies of the
+    acceptance stream, seeded 3-D bodies of 5 to 10 points, and a flat
+    triangle in space, which takes the vertex form itself."""
+    bodies = [body for pair in random_pair_suite(200, 20240817) for body in pair]
+    rng = SplitMix64(2718)
+    bodies += [random_vpolytope(3, 5 + trial % 6, 4, 0, rng=rng) for trial in range(20)]
+    bodies.append(V([(0, 0, 0), (2, 1, 0), (1, 3, 1)]))
+    for body in bodies:
+        check_center_against_vertex_form(body)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(small_bodies))
+def test_minkowski_center_matches_vertex_form_hypothesis(body):
+    check_center_against_vertex_form(body)
+
+
 def test_breadth(square, triangle):
     assert breadth(square, square, (1, 0)) == 2
     assert breadth(square, square, (0, 1)) == 2
@@ -597,7 +631,9 @@ def test_facet_circumradius_matches_vertex_form_hypothesis(pair):
 
 def test_values_solve_no_witness_lp(triangle, square, solve_counter):
     """A value takes the one facet-form LP; the witness LP runs on the first
-    read of a translation, contacts or center, and once only."""
+    read of a translation or contacts, and once only.  The asymmetry reads
+    its center off the dual of the same facet-form LP that gives s, so the
+    center costs no further solve."""
     body = V([(0, 0), (2, 1), (1, 3)])
     circumradius(body, square).value
     assert solve_counter.count == 1
@@ -613,7 +649,7 @@ def test_values_solve_no_witness_lp(triangle, square, solve_counter):
     asym = asymmetry(body)
     assert solve_counter.count == 1
     asym.center, asym.center
-    assert solve_counter.count == 2
+    assert solve_counter.count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rank
+from conftest import det, rank
 from gaugeradii.ratcore import (
     RationalParseError,
-    det,
     parse_rational,
     rat,
     rat_str,

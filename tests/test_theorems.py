@@ -12,6 +12,7 @@ from conftest import (
     concentric_by_facet_rows,
     family_pairs,
     gauge_value_by_cone,
+    minkowski_center_is_unique,
 )
 from gaugeradii import lp
 from gaugeradii.bodies import (
@@ -38,7 +39,14 @@ from gaugeradii.constructions import (
     standard_centered_simplex,
     triangle_mix_gauge,
 )
-from gaugeradii.radii import asymmetry, circumradius, diameter, inradius, is_constant_width
+from gaugeradii.radii import (
+    asymmetry,
+    circumradius,
+    diameter,
+    inradius,
+    is_constant_width,
+    is_minkowski_center,
+)
 from gaugeradii.ratcore import ONE, ZERO, rat, vec, vneg
 from gaugeradii.theorems import (
     ChainReport,
@@ -744,10 +752,11 @@ def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
     caches the simplex vector takes 7 solves on a 3-D pair, with hulls,
     facets and norms in space free of LPs, and builds no difference body;
-    the triangle vector takes 8, with planar hulls, facets and norms free of
-    LPs, and builds none either: 7 facet-form values (two asymmetries, three
-    translative factors, two inradii) and the one vertex-form LP whose
-    translation gives the triangle's Minkowski center."""
+    the triangle vector takes 7, with planar hulls, facets and norms free of
+    LPs, and builds none either: the 7 facet-form values of two asymmetries,
+    three translative factors and two inradii.  The triangle's Minkowski
+    center comes from the dual of its asymmetry's LP, with no solve of its
+    own."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
@@ -758,7 +767,7 @@ def test_condition_vectors_solve_count(solve_counter):
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
     solve_counter.reset()
     assert triangle_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 8
+    assert solve_counter.count == 7
     assert difference_body.cache_info().misses == 0
 
 
@@ -959,6 +968,29 @@ def test_constant_width_and_extended_jung_solve_count(triangle, square, solve_co
     assert difference_body.cache_info().misses == 1
     difference_body(triangle)
     assert difference_body.cache_info().misses == 1
+
+
+def test_extended_jung_first_link_is_the_same_at_every_prism_center():
+    """The prism conv{0, e1, e2} x [0, 1] has s = 2 and a segment of
+    Minkowski centers, (1/3, 1/3, z) for 1/3 <= z <= 2/3.  Re-centered at
+    either end, K - c lies in s/(s + 1) (K - K) with factor exactly 1, so
+    the extended-Jung chain does not depend on which center the asymmetry
+    returns: its links stay (1, 1, 1) against a cube and a sandwich gauge."""
+    prism = V([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    third = rat("1/3")
+    ends = [(third, third, third), (third, third, 2 * third)]
+    asym = asymmetry(prism)
+    assert asym.s == 2 and not minkowski_center_is_unique(prism)
+    assert is_minkowski_center(prism, asym.center)
+    assert asym.center[:2] == (third, third) and third <= asym.center[2] <= 2 * third
+    assert not is_minkowski_center(prism, (third, third, rat("3/10")))
+    for c in ends:
+        assert is_minkowski_center(prism, c)
+        recentered = scale(translate(prism, vneg(c)), (asym.s + 1) / asym.s)
+        assert direct_factor(recentered, difference_body(prism)) == 1
+    cube = V([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    for gauge in (cube, simplex_sandwich_pair(3, "1", "1/2", "min").gauge):
+        assert eval_chain("extended-jung", prism, gauge).values == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
