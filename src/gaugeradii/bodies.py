@@ -5,7 +5,8 @@ containment LPs over vertex lists, or over the facets of a full-dimensional
 gauge computed from them.  Halfspace representations come from exact
 desk-scale routines, since general V/H conversion is out of scope here:
 ``facets`` reads the facets off one convex hull, ``enumerate_vertices``
-goes back from halfspaces to vertices.
+goes back from halfspaces to vertices by a Cramer solve
+(``ratcore.solve_square``) of every square subsystem.
 
 Bodies are immutable value objects; operations are pure functions, so results
 may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
@@ -17,9 +18,10 @@ Hulls, facets, membership, widths and the full-dimension test
 of their denominators, so every sign and dot product is a Python int
 operation, and a ``Rational`` is formed only for a result.  One hull,
 ``_hull``, serves every dimension: Andrew's monotone chain in the plane,
-beneath-beyond elsewhere.  A flat set is hulled inside its affine hull,
-projected onto the coordinates that map it one-to-one.  Nothing here solves
-an LP.
+beneath-beyond elsewhere, with face normals from cross products in space
+and from the Bareiss determinants of ``ratcore.int_det`` beyond.  A flat
+set is hulled inside its affine hull, projected onto the coordinates that
+map it one-to-one.  Nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .ratcore import (
     ONE,
     Rational,
     Vec,
+    int_det,
     rat,
     rat_str,
-    solve_linear,
+    solve_square,
     vadd,
     vcross,
     vdot,
@@ -269,31 +272,12 @@ def _ccw_ring(images) -> list:
     return chain(range(len(images)))[:-1] + chain(reversed(range(len(images))))[:-1]
 
 
-def _int_det(rows: list) -> int:
-    """The determinant of a square int matrix by Bareiss' fraction-free
-    elimination: every division is exact, so no entry leaves the ints."""
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        p = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            m[k], m[p], sign = m[p], m[k], -sign
-        pivot, top = m[k][k], m[k][k + 1 :]
-        for r in m[k + 1 :]:
-            f = r[k]
-            r[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(r[k + 1 :], top)]
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def _cofactor_normal(dirs: list) -> list:
     """A normal of the span of n - 1 int vectors in Z^n: the signed
     cofactor determinants; zero exactly when the vectors are dependent."""
     if not dirs:
         return [1]
-    return [(-1) ** j * _int_det([d[:j] + d[j + 1 :] for d in dirs]) for j in range(len(dirs[0]))]
+    return [(-1) ** j * int_det([d[:j] + d[j + 1 :] for d in dirs]) for j in range(len(dirs[0]))]
 
 
 def _hull(pts) -> tuple | None:
@@ -500,20 +484,11 @@ def is_simplex(body: VPolytope) -> bool:
 def normalize_halfspace(half: Halfspace) -> Halfspace:
     """Scale by a positive rational so the normal is a primitive integer
     vector; makes halfspace lists comparable."""
-    entries = list(half.normal) + [half.offset]
-    denom_lcm = 1
-    for q in entries:
-        denom_lcm = math.lcm(denom_lcm, int(q.denominator))
-    ints = [int(q * denom_lcm) for q in entries]
-    g = 0
-    for z in ints[:-1]:
-        g = math.gcd(g, abs(z))
+    den, (ints,) = integer_image([half.normal])
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero normal in halfspace")
-    scale_q = Rational(denom_lcm, g)
-    return Halfspace(
-        tuple(q * scale_q for q in half.normal), half.offset * scale_q
-    )
+    return Halfspace(tuple(Rational(z // g) for z in ints), half.offset * Rational(den, g))
 
 
 @lru_cache(maxsize=None)
@@ -602,11 +577,8 @@ def enumerate_vertices(region: HPolytope) -> VPolytope:
         raise UnboundedRegionError("the halfspaces bound no polytope")
     found = {}
     for subset in itertools.combinations(region.halfspaces, n):
-        res = solve_linear([h.normal for h in subset], [h.offset for h in subset])
-        if res.status != "unique":
-            continue
-        x = res.solution
-        if all(vdot(h.normal, x) <= h.offset for h in region.halfspaces):
+        x = solve_square([h.normal for h in subset], [h.offset for h in subset])
+        if x is not None and all(vdot(h.normal, x) <= h.offset for h in region.halfspaces):
             found[x] = None
     if not found:
         raise ValueError("empty halfspace intersection")

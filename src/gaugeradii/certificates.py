@@ -10,8 +10,9 @@ normals sum to zero.
 Extraction takes the contacts that ``radii.circumradius`` reads off the dual
 of its vertex-form LP — the equality block of each body vertex carries its
 candidate normal, and the free translation variable forces the weighted
-normals to cancel — and prunes them with one small weight LP.  There is no second solve
-and no repair step: a certificate that fails validation is an error.  The
+normals to cancel — and prunes them with one small weight LP.  The
+circumradius LP is not solved again, and there is no repair step: a
+certificate that fails validation is an error.  The
 validator shares *nothing* with extraction: it rechecks every condition from
 the vertex data alone and is the ground truth whenever the two disagree.
 """

@@ -50,7 +50,7 @@ from .bodies import (
     support,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, Vec, is_zero_vec, vcross, vdot, vec, vneg, vscale, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vdot, vec, vneg, vscale, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -247,24 +247,34 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     over the directions a of ``_norm_directions``.  Each such ratio is at
     most the norm, and the largest is attained at the facet normals of
     C - C = C + (-C), which are among them.  The fractions are compared on
-    integer images.
+    integer images.  The closed form is cheap and its arguments rarely
+    repeat, so it is not memoized.
 
     Flat gauges and dimensions >= 4 take 2 R([0, z], C): the segment [0, z]
     lies in t + lambda C exactly when z is in lambda (C - C), so the norm is
     twice the circumradius of the segment, and None when that is None.
     Against a full-dimensional gauge that is the (n + 1)-row facet-form
-    value LP of ``circumradius``, memoized there alone."""
+    value LP of ``circumradius``, memoized there."""
     zv = vec(z)
     if len(zv) != gauge.dim:
         raise DimensionMismatchError("vector length does not match gauge dimension")
     if is_zero_vec(zv):
         return ZERO
     gauge = canonicalize(gauge)
-    if _norm_directions(gauge) is None:
+    directions = _norm_directions(gauge)
+    if directions is None:
         segment = VPolytope(gauge.dim, tuple(sorted((vzero(gauge.dim), zv))), canonical=True)
         res = _circumradius(segment, gauge)
         return None if res is None else 2 * res.value
-    return _sym_gauge_norm(zv, gauge)
+    dc, dirs = directions
+    dz, (zi,) = integer_image([zv])
+    # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.zi| / (dz w), w the integer width
+    best_num, best_w = 0, 1
+    for a, w in dirs:
+        num = abs(sum(map(mul, a, zi)))
+        if num * best_w > best_num * w:
+            best_num, best_w = num, w
+    return Rational(2 * dc * best_num, dz * best_w)
 
 
 @lru_cache(maxsize=None)
@@ -302,19 +312,6 @@ def _line(a) -> tuple:
     its first nonzero entry positive."""
     g = math.gcd(*a)
     return tuple(x // g for x in a) if next(x for x in a if x) > 0 else tuple(-x // g for x in a)
-
-
-@lru_cache(maxsize=None)
-def _sym_gauge_norm(zv: Vec, gauge: VPolytope) -> Rational:
-    dc, dirs = _norm_directions(gauge)
-    dz, (zi,) = integer_image([zv])
-    # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.zi| / (dz w), w the integer width
-    best_num, best_w = 0, 1
-    for a, w in dirs:
-        num = abs(sum(map(mul, a, zi)))
-        if num * best_w > best_num * w:
-            best_num, best_w = num, w
-    return Rational(2 * dc * best_num, dz * best_w)
 
 
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors and small dense linear algebra.
+"""Exact rational scalars, vectors and small square systems.
 
 Everything in this library is computed over arbitrary-precision rationals;
 floating point never enters, because downstream predicates decide *equality*
@@ -8,25 +8,27 @@ The scalar type is ``fractions.Fraction``, always reduced with a positive
 denominator; the simplex pivots on ints and uses it only for its inputs and
 outputs.
 
-Vectors are plain tuples of rationals and matrices tuples of row tuples;
-helpers below keep the arithmetic readable without pulling in a matrix
-library that cannot do exact rationals.
+Vectors are plain tuples of rationals; helpers below keep the arithmetic
+readable without pulling in a matrix library that cannot do exact
+rationals.  The one elimination is on ints: ``int_det`` is Bareiss'
+fraction-free determinant, which the hull takes its face normals from, and
+``solve_square`` solves a square rational system by Cramer's rule on it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction as Rational
-from typing import Iterable, Sequence
+from typing import Iterable
 
 RATIONAL_BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
 
-#: A vector is a tuple of Rational; a matrix is a tuple of equal-length rows.
+#: A vector is a tuple of Rational.
 Vec = tuple
-Mat = tuple
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -114,85 +116,46 @@ def is_zero_vec(u: Vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear systems
+# square systems on integers
 
 
-class LinearSystemResult:
-    """Outcome of solving A x = b exactly.
-
-    ``status`` is one of ``"unique"``, ``"no_solution"``, ``"underdetermined"``.
-    For a unique system ``solution`` holds x; for a consistent underdetermined
-    one ``kernel_vector`` holds a nonzero null-space witness of A.
-    """
-
-    __slots__ = ("status", "solution", "kernel_vector")
-
-    def __init__(self, status: str, solution: Vec | None = None, kernel_vector: Vec | None = None):
-        self.status = status
-        self.solution = solution
-        self.kernel_vector = kernel_vector
-
-    def __repr__(self) -> str:
-        return f"LinearSystemResult({self.status})"
-
-
-def _echelon(rows: list[list]) -> list[tuple[int, int]]:
-    """In-place fraction Gauss-Jordan; returns (row, col) pivot positions.
-
-    Plain elimination with first-nonzero pivoting is enough at the matrix
-    sizes this library sees (single digits); canonical rationals keep the
-    arithmetic exact regardless of pivot choice.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
-        pivots.append((r, c))
-        r += 1
-    return pivots
+def int_det(rows) -> int:
+    """The determinant of a square int matrix by Bareiss' fraction-free
+    elimination (Math. Comp. 22, 1968): every division is exact, so no entry
+    leaves the ints."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        pivot, top = m[k][k], m[k][k + 1 :]
+        for r in m[k + 1 :]:
+            f = r[k]
+            r[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(r[k + 1 :], top)]
+        prev = pivot
+    return sign * m[-1][-1]
 
 
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSystemResult:
-    """Solve A x = b exactly, classifying the system when x is not unique."""
-    m = len(matrix)
-    if m != len(rhs):
-        raise ValueError(f"matrix has {m} rows but rhs has {len(rhs)} entries")
-    ncols = len(matrix[0]) if m else 0
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    aug = [[rat(x) for x in row] + [rat(b)] for row, b in zip(matrix, rhs)]
-    pivots = _echelon(aug)
-    pivot_cols = {c for _, c in pivots if c < ncols}
-    for r, c in pivots:
-        if c == ncols:  # pivot in the rhs column: 0 = nonzero
-            return LinearSystemResult("no_solution")
-    if len(pivot_cols) < ncols:
-        free = next(c for c in range(ncols) if c not in pivot_cols)
-        witness = [ZERO] * ncols
-        witness[free] = ONE
-        for r, c in pivots:
-            witness[c] = -aug[r][free]
-        return LinearSystemResult("underdetermined", kernel_vector=tuple(witness))
-    x = [ZERO] * ncols
-    for r, c in pivots:
-        x[c] = aug[r][ncols]
-    return LinearSystemResult("unique", solution=tuple(x))
-
+def solve_square(matrix, rhs) -> Vec | None:
+    """The unique solution x of the square system A x = b, or None when A is
+    singular.  Each row of [A | b] is first cleared of its denominators
+    (times their lcm), and x then follows by Cramer's rule on ``int_det``."""
+    n = len(matrix)
+    if len(rhs) != n or any(len(row) != n for row in matrix):
+        raise ValueError("solve_square needs an n x n matrix and n right-hand sides")
+    rows = []
+    for row, b in zip(matrix, rhs):
+        entries = [rat(x) for x in row] + [rat(b)]
+        den = math.lcm(*(q.denominator for q in entries))
+        rows.append([q.numerator * (den // q.denominator) for q in entries])
+    a = [row[:n] for row in rows]
+    d = int_det(a)
+    if not d:
+        return None
+    return tuple(
+        Rational(int_det([r[:j] + [row[n]] + r[j + 1 :] for r, row in zip(a, rows)]), d)
+        for j in range(n)
+    )

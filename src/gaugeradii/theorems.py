@@ -64,7 +64,7 @@ from .radii import (
     is_minkowski_center,
     sym_gauge_norm,
 )
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_linear, vec, vneg, vsub, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_square, vec, vneg, vsub, vzero
 
 
 class GaugeNotSymmetricError(ValueError):
@@ -703,11 +703,10 @@ def triangle_gauge_decomposition(simplex: VPolytope, gauge: VPolytope):
         h_neg = support(negS, a)[0]
         rows.append([a[0], a[1], h_s - h_neg])
         rhs.append(support(C, a)[0] - h_neg)
-    solved = solve_linear(rows, rhs)
-    if solved.status != "unique":
+    solved = solve_square(rows, rhs)
+    if solved is None:
         return None
-    t = (solved.solution[0], solved.solution[1])
-    lam = solved.solution[2]
+    t, lam = solved[:2], solved[2]
     if not (ZERO <= lam <= ONE):
         return None
     mixed = translate(minkowski_sum(scale(S, lam), scale(negS, ONE - lam)), t)
@@ -746,11 +745,16 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     # why the mirrored (not the generalized) form is the right condition.
     cond_iii = r_mirror + R == (sC + 1) * D / 2
     cond_iv = 3 * j_plus == sC + 1
-    width = is_constant_width(S, C)
-    cond_i = width and f4 <= 1
-    cond_v = width and R == 2 * sC * r
-    cond_vi = width and j_plus >= j_minus
-    decomposition = triangle_gauge_decomposition(S, C)
+    constant = is_constant_width(S, C)
+    cond_i = constant and f4 <= 1
+    cond_v = constant and R == 2 * sC * r
+    cond_vi = constant and j_plus >= j_minus
+    # A mixed gauge t + rho(lam S + (1 - lam)(-S)) has C - C = rho(S - S),
+    # so rho is the width ratio along any facet normal a of S (C is full
+    # dimensional here, since R(S, C) is finite).  The decomposition is
+    # taken at unit scale, on C / rho.
+    a = facets(S)[0].normal
+    decomposition = triangle_gauge_decomposition(S, scale(C, width(S, a) / width(C, a)))
     cond_vii = decomposition is not None and decomposition[0] <= rat("1/2")
 
     return ConditionVector(

@@ -2,12 +2,12 @@
 
 The oracles here cross-check results through a second route: 2D hulls via
 exact monotone chain and simplex membership via barycentric coordinates from
-a direct linear solve (both without LPs), the inradius from its own
-containment LP rather than from the circumradius, and the circumradius from
-the vertex-form LP rather than the facet form.  The circumradius value and
-the concentricity predicates, which the library decides on the small side of
-LP duality, are checked against the primal programs they replaced, one row
-per facet.  The hulls, facets, membership and boundedness tests, which the
+a Gauss-Jordan solve over fractions (both without LPs), the inradius from
+its own containment LP rather than from the circumradius, and the
+circumradius from the vertex-form LP rather than the facet form.  The
+circumradius value and the concentricity predicates, which the library
+decides on the small side of LP duality, are checked against the primal
+programs they replaced, one row per facet.  The hulls, facets, membership and boundedness tests, which the
 library decides on integer images with no LP in every dimension, are
 checked against the general routes they replaced: one membership LP per
 point, brute force over vertex subsets with rational cofactor normals,
@@ -19,7 +19,8 @@ facets.  The Minkowski center read off the asymmetry's facet-form dual is
 checked against the vertex-form witness of R(-K, K), and where the two
 differ, the center polytope is shown to be more than a point by LPs over
 each coordinate.  Full dimension is checked against an exact rank by
-fraction elimination.
+fraction elimination, and the Cramer solves on Bareiss determinants against
+the same Gauss-Jordan solve.
 """
 
 import itertools
@@ -53,7 +54,6 @@ from gaugeradii.ratcore import (
     ZERO,
     is_zero_vec,
     rat,
-    solve_linear,
     vdot,
     vec,
     vneg,
@@ -319,6 +319,43 @@ def rank(matrix):
     return r
 
 
+def solve_linear(matrix, rhs):
+    """Exact solution of A x = b by Gauss-Jordan elimination over
+    fractions: ``("unique", x)``, ``("underdetermined", w)`` with w a nonzero
+    kernel vector of A, or ``("no_solution", None)``.  The oracle for the
+    Cramer solves of ``ratcore.solve_square`` and for barycentric membership."""
+    if len(matrix) != len(rhs):
+        raise ValueError(f"matrix has {len(matrix)} rows but rhs has {len(rhs)} entries")
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged matrix")
+    rows = [[rat(x) for x in row] + [rat(b)] for row, b in zip(matrix, rhs)]
+    pivots = []
+    for c in range(ncols + 1):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if c == ncols:  # a pivot in the rhs column: 0 = nonzero
+            return "no_solution", None
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        prow = rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
+        pivots.append(c)
+    if len(pivots) < ncols:
+        free = next(c for c in range(ncols) if c not in pivots)
+        witness = [ZERO] * ncols
+        witness[free] = ONE
+        for r, c in enumerate(pivots):
+            witness[c] = -rows[r][free]
+        return "underdetermined", tuple(witness)
+    return "unique", tuple(rows[r][ncols] for r in range(ncols))
+
+
 def det(matrix):
     """Exact determinant of a square rational matrix by Gaussian elimination
     over fractions: the oracle for the int cofactor normals of hull faces."""
@@ -455,9 +492,9 @@ def barycentric_inside(point, simplex_vertices):
     assert len(verts) == n + 1
     rows = [[v[k] for v in verts] for k in range(n)] + [[ONE] * (n + 1)]
     rhs = list(p) + [ONE]
-    res = solve_linear(rows, rhs)
-    assert res.status == "unique"
-    return all(c >= ZERO for c in res.solution)
+    status, coords = solve_linear(rows, rhs)
+    assert status == "unique"
+    return all(c >= ZERO for c in coords)
 
 
 def in_translated_dilate(point, translation, factor, simplex_vertices):

@@ -4,7 +4,10 @@ conftest (2D hulls, barycentric membership) and, for the hull, facets,
 membership and boundedness in one to four dimensions and the planar and
 spatial norm, against the LP and brute-force routes they replaced."""
 
+import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from conftest import (
     planar_point_sets,
     rank,
     small_bodies,
+    solve_linear,
     spatial_hull_cases,
     sym_gauge_norm_by_lp,
 )
@@ -56,7 +60,12 @@ from gaugeradii.bodies import (
     vertex_centroid,
     width,
 )
-from gaugeradii.constructions import SplitMix64, random_vpolytope, simplex_sandwich_pair
+from gaugeradii.constructions import (
+    SplitMix64,
+    random_vpolytope,
+    simplex_sandwich_pair,
+    standard_centered_simplex,
+)
 from gaugeradii.radii import sym_gauge_norm
 from gaugeradii.ratcore import ONE, rat, vadd, vdot, vec, vneg, vscale, vsub
 
@@ -502,6 +511,34 @@ def test_is_simplex(triangle, square):
 def test_normalize_halfspace():
     h = normalize_halfspace(Halfspace(vec(("2/3", "-4/3")), rat("2/9")))
     assert h == Halfspace(vec((1, -2)), rat("1/3"))
+    with pytest.raises(ValueError, match="zero normal"):
+        normalize_halfspace(Halfspace(vec((0, 0)), rat(1)))
+
+
+def normalize_halfspace_by_lcm(half):
+    """Oracle: the halfspace times lcm/gcd, the lcm taken over the
+    denominators of the normal and the offset, the gcd over the normal's
+    entries after clearing them."""
+    entries = list(half.normal) + [half.offset]
+    den = math.lcm(*(q.denominator for q in entries))
+    g = math.gcd(*(int(q * den) for q in half.normal))
+    factor = Fraction(den, g)
+    return Halfspace(tuple(q * factor for q in half.normal), half.offset * factor)
+
+
+def test_normalize_halfspace_matches_lcm_oracle():
+    """On 3,000 seeded halfspaces in one to four dimensions, the primitive
+    normal read off the normal's integer image gives the oracle's
+    halfspace, entry types included."""
+    rng = SplitMix64(3000)
+    for trial in range(3000):
+        normal = rng.point(1 + trial % 4, 6, 1 + trial % 7)
+        if not any(normal):
+            continue
+        half = Halfspace(normal, rng.rational(9, 1 + trial % 5))
+        got = normalize_halfspace(half)
+        assert got == normalize_halfspace_by_lcm(half)
+        assert all(type(q) is Fraction for q in (*got.normal, got.offset))
 
 
 def test_enumerate_vertices_square(square):
@@ -529,6 +566,35 @@ def test_enumerate_intersection_hexagon(triangle):
     for v in got.vertices:  # oracle: inside both triangles
         assert barycentric_inside(v, triangle.vertices)
         assert barycentric_inside(v, negate(triangle).vertices)
+
+
+def enumerate_vertices_by_gauss_jordan(region):
+    """Oracle: the sorted feasible points among the unique Gauss-Jordan
+    solutions of every square subsystem of the region."""
+    found = set()
+    for subset in itertools.combinations(region.halfspaces, region.dim):
+        status, x = solve_linear([h.normal for h in subset], [h.offset for h in subset])
+        if status == "unique" and all(vdot(h.normal, x) <= h.offset for h in region.halfspaces):
+            found.add(x)
+    return tuple(sorted(found))
+
+
+def test_enumerate_max_sandwich_matches_gauss_jordan():
+    """The 4-D "max" sandwich gauge, the outer intersection
+    (lam + 4 mu)S ∩ (4 lam + mu)(-S), has the vertices that Gauss-Jordan
+    solves of its square subsystems give."""
+    S = standard_centered_simplex(4)
+    counts = []
+    for lam, mu in (("1", "0"), ("1", "1/2"), ("3", "1"), ("2", "2")):
+        lam, mu = rat(lam), rat(mu)
+        outer = intersect(
+            simplex_hrep(scale(S, lam + 4 * mu)), simplex_hrep(scale(negate(S), 4 * lam + mu))
+        )
+        gauge = simplex_sandwich_pair(4, lam, mu, "max").gauge
+        assert gauge.vertices == enumerate_vertices(outer).vertices
+        assert gauge.vertices == enumerate_vertices_by_gauss_jordan(outer)
+        counts.append(len(gauge.vertices))
+    assert counts[0] == 5 and max(counts) > 5
 
 
 def test_enumerate_unbounded_raises():

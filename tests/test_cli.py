@@ -112,6 +112,16 @@ def test_verify_triangle_conditions_all_false_still_consistent(capsys):
     assert code == 0
 
 
+def test_verify_triangle_conditions_dilated_sandwich_gauge(capsys):
+    # the gauge 2S + (-S) is three times a mixed triangle gauge
+    code, out, _ = run(capsys, [
+        "verify", "--suite", "triangle-conditions", "--family", "sandwich",
+        "--dim", "2", "--lambda", "2", "--mu", "1", "--reflect",
+    ])
+    assert code == 0
+    assert json.loads(out)["results"] == {"checked": 1, "violations": 0}
+
+
 def test_verify_chains_random_trials(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "chains", "--trials", "4",
                                 "--seed", "11"])

@@ -56,7 +56,6 @@ from gaugeradii.constructions import (
 from gaugeradii.radii import (
     DegenerateGaugeError,
     _circumradius,
-    _sym_gauge_norm,
     asymmetry,
     breadth,
     circumradius,
@@ -204,16 +203,15 @@ def test_spatial_sym_gauge_norm_matches_lp_oracle_on_hull_cases():
 
 
 def test_lp_route_norm_is_memoized_once():
-    """A flat 3-D gauge takes 2 R([0, z], C), memoized by the circumradius
-    alone; a full-dimensional one takes the closed form, memoized by the
-    norm alone."""
+    """A flat 3-D gauge takes 2 R([0, z], C), memoized by the circumradius;
+    a full-dimensional one takes the closed form, which leaves no
+    circumradius entry."""
     flat = V([(0, 0, 1), (2, 0, 1), (0, 1, 1), (2, 1, 1)])
     cube = V([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     for gauge, on_lp_route in ((flat, True), (cube, False)):
         clear_caches()
         assert sym_gauge_norm((1, 1, 0), gauge) == 2 == sym_gauge_norm_by_lp((1, 1, 0), gauge)
         assert _circumradius.cache_info().currsize == on_lp_route
-        assert _sym_gauge_norm.cache_info().currsize == (not on_lp_route)
 
 
 def test_flat_spatial_gauge_norms_match_lp_oracle():

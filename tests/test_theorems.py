@@ -29,6 +29,7 @@ from gaugeradii.bodies import (
     support,
     translate,
     vertex_centroid,
+    width,
 )
 from gaugeradii.constructions import (
     SplitMix64,
@@ -688,17 +689,18 @@ def triangle_equality_conditions_by_inclusion_chain(simplex, gauge):
     f4 = translative_factor(C, negate(S)) * (sC + 1) * D / 6
     assert f1 <= 1 and f3 <= 1
     cond_ii = eval_chain("complete-chain", S, C).all_equal
-    width = is_constant_width(S, C)
-    assert mid_equality == width
-    decomposition = triangle_gauge_decomposition(S, C)
+    constant = is_constant_width(S, C)
+    assert mid_equality == constant
+    a = facets(S)[0].normal
+    decomposition = triangle_gauge_decomposition(S, scale(C, width(S, a) / width(C, a)))
     return ConditionVector(
         entries=(
             ("inclusion_chain", f1 <= 1 and mid_equality and f3 <= 1 and f4 <= 1),
             ("complete_chain_equalities", cond_ii),
             ("mirrored_concentricity_equality", r_mirror + R == (sC + 1) * D / 2),
             ("jung_bound_equality", 3 * j_plus == sC + 1),
-            ("constant_width_with_extremal_ratio", width and R == 2 * sC * r),
-            ("constant_width_with_jung_dominance", width and j_plus >= j_minus),
+            ("constant_width_with_extremal_ratio", constant and R == 2 * sC * r),
+            ("constant_width_with_jung_dominance", constant and j_plus >= j_minus),
             ("mixed_triangle_gauge", decomposition is not None and decomposition[0] <= rat("1/2")),
         )
     )
@@ -720,6 +722,7 @@ def condition_cases():
     for lam in ("0", "1/4", "1/2", "2/3", "1"):
         pair = triangle_mix_gauge(lam)
         yield pair.simplex, pair.gauge
+        yield pair.simplex, scale(pair.gauge, 3)  # a dilate of a mixed gauge
     triangle = V([(1, 0), (0, 1), (-1, -1)])
     yield triangle, V([(-1, 0), (1, 0)])  # flat gauge
     yield V([(1, 1), (1, -1), (-1, 1), (-1, -1)]), triangle  # not a simplex
@@ -786,6 +789,36 @@ def test_sandwich_equivalence_cases(triangle):
 def test_sandwich_equivalence_random():
     for body, gauge in seeded_pairs(6, 404):
         assert sandwich_equivalence(body, gauge).consistent
+
+
+@pytest.mark.parametrize("factor", ["1/3", "2", "3"])
+def test_triangle_conditions_are_scale_invariant(factor):
+    """Condition (vii) takes the decomposition of C scaled to C - C = S - S,
+    so a translated dilate of a mixed triangle gauge has the vector of the
+    gauge itself, as every other condition does."""
+    for lam in ("0", "1/4", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        vector = triangle_equality_conditions(pair.simplex, pair.gauge)
+        assert vector.consistent
+        assert vector.entries[-1] == ("mixed_triangle_gauge", rat(lam) <= rat("1/2"))
+        dilate = translate(scale(pair.gauge, factor), (1, -2))
+        assert triangle_equality_conditions(pair.simplex, dilate).entries == vector.entries
+
+
+def test_triangle_conditions_consistent_on_planar_sandwich_pairs():
+    """Every planar sandwich pair, both variants and both orientations of
+    the simplex, gives a consistent condition vector, although the gauge
+    is a dilate lam S + mu(-S) of a unit mixed gauge."""
+    kinds = set()
+    for lam in ("1", "2", "3", "5/2"):
+        for mu in ("0", "1/2", "1"):
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(2, lam, mu, variant)
+                for simplex in (pair.simplex, negate(pair.simplex)):
+                    vector = triangle_equality_conditions(simplex, pair.gauge)
+                    assert vector.consistent, (lam, mu, variant, vector.entries)
+                    kinds.add(vector.all_true)
+    assert kinds == {True, False}
 
 
 # ---------------------------------------------------------------------------
