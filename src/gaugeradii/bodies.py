@@ -13,10 +13,13 @@ may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
 points and sorts them, which makes vertex-set equality of polytopes a plain
 tuple comparison.
 
-Hulls, facets, membership, widths and the full-dimension test
+Hulls, facets, membership, supports, widths and the full-dimension test
 ``spans_space`` are decided on ``integer_image``: the points times the lcm
 of their denominators, so every sign and dot product is a Python int
-operation, and a ``Rational`` is formed only for a result.  One hull,
+operation, and a ``Rational`` is formed only for a result.  A body keeps
+its image and, once canonical, its ``integer_facets``, which ``radii`` and
+``theorems`` write their facet-form LPs from; an affine copy maps its
+original's (``_affine_copy``).  One hull,
 ``_hull``, serves every dimension: Andrew's monotone chain in the plane,
 beneath-beyond elsewhere, with face normals from cross products in space
 and from the Bareiss determinants of ``ratcore.int_det`` beyond.  A flat
@@ -30,8 +33,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .ratcore import (
@@ -48,7 +51,6 @@ from .ratcore import (
     vec,
     vneg,
     vscale,
-    vsub,
     vzero,
 )
 
@@ -76,13 +78,18 @@ class VPolytope:
     ``canonical`` is True once no listed point is in the convex hull of the
     others and the list is sorted lexicographically.
 
-    The hash is the one the dataclass would compute, taken once here: bodies
-    key every memo cache, and hashing a ``Rational`` costs a modular inverse.
+    ``image`` and, for a canonical body, its ``integer_facets`` are
+    computed on first use and kept.  The hash is the one the dataclass
+    would compute, also taken once: bodies key every memo cache, and
+    hashing a ``Rational`` costs a modular inverse.
     """
 
     dim: int
     vertices: tuple
     canonical: bool = False
+    # (original, factor, shift) for the canonical copy factor * original +
+    # shift made by ``_affine_copy``; shift is None or a vector.
+    _source = None
 
     def __post_init__(self):
         if not self.vertices:
@@ -92,10 +99,62 @@ class VPolytope:
                 raise DimensionMismatchError(
                     f"point of length {len(v)} in a {self.dim}-dimensional body"
                 )
-        object.__setattr__(self, "_hash", hash((self.dim, self.vertices, self.canonical)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.vertices, self.canonical))
+
+    @cached_property
+    def image(self) -> tuple:
+        """``(den, images)``, the ``integer_image`` of the vertices, with the
+        images a tuple of int tuples in vertex order."""
+        if self._source is None:
+            return integer_image(self.vertices)
+        a, c, den = _affine_ints(self)
+        images = [[a * x + y for x, y in zip(p, c)] for p in self._source[0].image[1]]
+        if a < 0:
+            images.reverse()
+        return _lowest(den, images)
+
+    @cached_property
+    def _facets(self) -> tuple | None:
+        """The ``integer_facets`` of a canonical body."""
+        if self._source is None:
+            return _hull_facets(self.image[1])
+        planes = self._source[0]._facets
+        if planes is None:
+            return None
+        # x -> (a x + c) / g on the images maps the plane g.x <= b to
+        # sign(a) g.x <= (|a| b + sign(a) g.c) / g.
+        a, c, den = _affine_ints(self)
+        images = self.image[1]
+        g = den // self.image[0]
+        if a > 0:
+            return tuple((u, (a * b + sum(map(mul, u, c))) // g, on) for u, b, on in planes)
+        # a = -1 also reverses the vertex order
+        last = len(images) - 1
+        planes = [
+            (
+                tuple(-x for x in u),
+                (-a * b - sum(map(mul, u, c))) // g,
+                tuple(last - i for i in on[::-1]),
+            )
+            for u, b, on in planes
+        ]
+        return _in_facet_order(images, planes)
+
+    @cached_property
+    def _halfspaces(self) -> tuple | None:
+        """The ``facets`` of a canonical body."""
+        if self._facets is None:
+            return None
+        den = self.image[0]
+        return tuple(
+            Halfspace(tuple(map(Rational, u)), Rational(b, den)) for u, b, _ in self._facets
+        )
 
     @classmethod
     def from_points(cls, points: Iterable, dim: int | None = None) -> "VPolytope":
@@ -142,29 +201,36 @@ def check_same_dim(*bodies) -> int:
 
 
 def support(body: VPolytope, direction) -> tuple:
-    """h(K, a) = max a.v over vertices; returns (value, indices of argmax)."""
+    """h(K, a) = max a.v over vertices; returns (value, indices of argmax),
+    from the integer images of the body and of a."""
     a = vec(direction)
     if len(a) != body.dim:
         raise DimensionMismatchError("direction length does not match body dimension")
-    best = None
-    argmax: list[int] = []
-    for i, v in enumerate(body.vertices):
-        val = vdot(a, v)
-        if best is None or val > best:
-            best = val
-            argmax = [i]
-        elif val == best:
-            argmax.append(i)
-    return best, tuple(argmax)
+    da, (ai,) = integer_image([a])
+    den, images = body.image
+    dots = [sum(map(mul, ai, p)) for p in images]
+    best = max(dots)
+    return Rational(best, den * da), tuple(i for i, x in enumerate(dots) if x == best)
 
 
 def integer_image(points) -> tuple:
     """``(den, images)``: ``den`` is the lcm of the denominators of every
-    coordinate of ``points``, and ``images`` lists the points times ``den``
+    coordinate of ``points``, and ``images`` holds the points times ``den``
     as int tuples.  Since ``den > 0``, orders, signs and dot products of the
-    points are those of their images, up to a positive factor."""
+    points are those of their images, up to a positive factor.  A body
+    keeps its own as ``VPolytope.image``."""
     den = math.lcm(*(q.denominator for p in points for q in p))
-    return den, [tuple(q.numerator * (den // q.denominator) for q in p) for p in points]
+    return den, tuple(tuple(q.numerator * (den // q.denominator) for q in p) for p in points)
+
+
+def _lowest(den: int, images) -> tuple:
+    """``integer_image`` of the int points ``images`` over ``den > 0``: the
+    lcm of the reduced denominators of x_i / den is den / gcd(den, x_1,
+    ..., x_k)."""
+    g = math.gcd(den, *itertools.chain.from_iterable(images))
+    if g == 1:
+        return den, tuple(map(tuple, images))
+    return den // g, tuple(tuple(x // g for x in p) for p in images)
 
 
 def integer_support(images, a) -> int:
@@ -185,7 +251,7 @@ def width(body: VPolytope, direction) -> Rational:
     if len(a) != body.dim:
         raise DimensionMismatchError("direction length does not match body dimension")
     da, (ai,) = integer_image([a])
-    den, images = integer_image(body.vertices)
+    den, images = body.image
     return Rational(integer_width(images, ai), den * da)
 
 
@@ -228,21 +294,24 @@ def spans_space(points) -> bool:
 
 def contains_point(body, point) -> bool:
     """Exact membership test for either representation.  A full-dimensional
-    vertex body takes one sign test per facet of its ``facets``; a flat one
-    holds x exactly when x is one of its points or no extreme point of the
-    body and x together, on their common integer images."""
+    vertex body takes one int sign test per facet of its ``integer_facets``,
+    on the integer image of x; a flat one holds x exactly when x is one of
+    its points or no extreme point of the body and x together, on their
+    common integer images."""
     x = vec(point)
     if len(x) != body.dim:
         raise DimensionMismatchError("point length does not match body dimension")
     if isinstance(body, HPolytope):
-        halves = body.halfspaces
-    else:
-        halves = facets(body)
-        if halves is None:
-            *points, xi = integer_image(body.vertices + (x,))[1]
-            pts = sorted({xi, *points})
-            return xi in points or pts.index(xi) not in _extreme(pts)
-    return all(vdot(g, x) <= b for g, b in halves)
+        return all(vdot(g, x) <= b for g, b in body.halfspaces)
+    k = canonicalize(body)
+    planes = k._facets
+    if planes is None:
+        *points, xi = integer_image(body.vertices + (x,))[1]
+        pts = sorted({xi, *points})
+        return xi in points or pts.index(xi) not in _extreme(pts)
+    # g.x <= b / den on x = xi / dx
+    den, (dx, (xi,)) = k.image[0], integer_image([x])
+    return all(sum(map(mul, g, xi)) * den <= b * dx for g, b, _ in planes)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +442,16 @@ def _extreme(pts) -> list:
     return sorted(order[i] for i in _extreme([projected[i] for i in order]))
 
 
-@lru_cache(maxsize=None)
 def canonicalize(body: VPolytope) -> VPolytope:
     """Drop every point inside the hull of the others, dedupe and sort: the
     points at ``_extreme`` of the integer images, in any dimension and for
-    flat sets alike, with no LP."""
-    if body.canonical:
-        return body
+    flat sets alike, with no LP.  A canonical body is returned as it is,
+    unhashed, so it keeps the images and facets it carries."""
+    return body if body.canonical else _canonical_form(body)
+
+
+@lru_cache(maxsize=None)
+def _canonical_form(body: VPolytope) -> VPolytope:
     # equal images are equal points, so the dict also drops duplicates
     by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
     extreme = _extreme([image for image, _ in by_image])
@@ -396,20 +468,40 @@ def same_vertex_set(a: VPolytope, b: VPolytope) -> bool:
 # Minkowski algebra
 
 
+def _affine_copy(body: VPolytope, vertices: tuple, factor: Rational, shift) -> VPolytope:
+    """The canonical body factor * body + shift, for factor -1 and no shift
+    or factor > 0, with ``vertices`` the mapped vertices in their order,
+    reversed for factor -1: no sort is needed.  The copy maps the body's
+    image and facets when first read."""
+    copy = VPolytope(body.dim, vertices, canonical=True)
+    object.__setattr__(copy, "_source", (body, factor, shift))
+    return copy
+
+
+def _affine_ints(copy: VPolytope) -> tuple:
+    """``(a, c, den)`` for an ``_affine_copy`` f K + t: its points are
+    (a x + c) / den for the images x of the points of K, with a = -1 or
+    a > 0 an int, c an int vector and den a positive int."""
+    body, factor, shift = copy._source
+    q, dk = factor.denominator, body.image[0]
+    dt, (ti,) = integer_image([shift]) if shift else (1, ((0,) * copy.dim,))
+    return factor.numerator * dt, [q * dk * y for y in ti], q * dk * dt
+
+
 def translate(body: VPolytope, shift) -> VPolytope:
     t = vec(shift)
     if len(t) != body.dim:
         raise DimensionMismatchError("translation length does not match body dimension")
     verts = tuple(vadd(v, t) for v in body.vertices)
     if body.canonical:
-        return VPolytope(body.dim, tuple(sorted(verts)), canonical=True)
+        return _affine_copy(body, verts, ONE, t)
     return VPolytope(body.dim, verts)
 
 
 def negate(body: VPolytope) -> VPolytope:
     verts = tuple(vneg(v) for v in body.vertices)
     if body.canonical:
-        return VPolytope(body.dim, tuple(sorted(verts)), canonical=True)
+        return _affine_copy(body, verts[::-1], -ONE, None)
     return VPolytope(body.dim, verts)
 
 
@@ -422,7 +514,7 @@ def scale(body: VPolytope, factor) -> VPolytope:
         return VPolytope(body.dim, (vzero(body.dim),), canonical=True)
     verts = tuple(vscale(f, v) for v in body.vertices)
     if body.canonical:
-        return VPolytope(body.dim, tuple(sorted(verts)), canonical=True)
+        return _affine_copy(body, verts, f, None)
     return VPolytope(body.dim, verts)
 
 
@@ -449,13 +541,14 @@ def difference_body(body: VPolytope) -> VPolytope:
 @lru_cache(maxsize=None)
 def is_centrally_symmetric(body: VPolytope) -> tuple:
     """(True, center) iff the canonical vertex set equals its reflection
-    through the vertex mean — the only possible center."""
+    through the vertex mean — the only possible center.  A reflection
+    reverses the sorted vertex order, so that holds exactly when the i-th
+    and the i-th last integer images have one sum for every i."""
     k = canonicalize(body)
-    c = vertex_centroid(k)
-    twice_c = vadd(c, c)
-    reflected = tuple(sorted(vsub(twice_c, v) for v in k.vertices))
-    if reflected == k.vertices:
-        return True, c
+    images = k.image[1]
+    total = list(map(add, images[0], images[-1]))
+    if all(list(map(add, p, q)) == total for p, q in zip(images, reversed(images))):
+        return True, vertex_centroid(k)
     return False, None
 
 
@@ -491,40 +584,52 @@ def normalize_halfspace(half: Halfspace) -> Halfspace:
     return Halfspace(tuple(Rational(z // g) for z in ints), half.offset * Rational(den, g))
 
 
-@lru_cache(maxsize=None)
 def facets(body: VPolytope) -> tuple | None:
     """Exact facet description of a full-dimensional polytope: the
     normalized halfspaces ``normal . x <= offset``, one per facet; None when
-    the body is flat.
+    the body is flat.  They are the ``integer_facets``, each offset over the
+    denominator of the canonical body's ``image``, and the canonical body
+    keeps them."""
+    return canonicalize(body)._halfspaces
 
-    The facets are the planes of ``_hull`` on the integer images of the
-    canonical vertices, each offset over the lcm of their denominators.
-    They come in the order in which a walk over the n-subsets of canonical
-    vertex indices, in reverse lexicographic order, would first meet them
-    through n affinely independent vertices, so a simplex's facets come out
-    opposite its vertices in vertex order.  That subset is the greedy one
-    from a facet's largest vertex index down, and the facets sort by it,
-    descending: up to three dimensions it is the facet's n largest indices.
-    """
-    k = canonicalize(body)
-    den, images = integer_image(k.vertices)
+
+def integer_facets(body: VPolytope) -> tuple | None:
+    """The facets of a full-dimensional polytope on the integer image of its
+    canonical vertices: one ``(normal, offset, on)`` per facet, with the
+    primitive int outer normal, the int offset over the image's ``den`` and
+    the ascending indices of the canonical vertices on the facet; None when
+    the body is flat.  The canonical body keeps them: the planes of
+    ``_hull`` in ``_in_facet_order``, or an affine copy's original's
+    mapped, and sorted again only for a reflection."""
+    return canonicalize(body)._facets
+
+
+def _hull_facets(images) -> tuple | None:
+    """``integer_facets`` from the ``_hull`` of canonical integer images."""
     hull = _hull(images)
     if hull is None:
         return None
-    n = k.dim
+    return _in_facet_order(images, [(u, b, tuple(on)) for (u, b), on in hull[1].items()])
 
-    def first_subset(item):
-        on = item[1]
+
+def _in_facet_order(images, planes) -> tuple:
+    """The ``(normal, offset, on)`` planes in the order in which a walk over
+    the n-subsets of vertex indices, in reverse lexicographic order, would
+    first meet them through n affinely independent vertices, so a simplex's
+    facets come out opposite its vertices in vertex order.  That subset is
+    the greedy one from a facet's largest vertex index down: up to three
+    dimensions it is the facet's n largest indices."""
+    n = len(images[0])
+
+    def first_subset(plane):
+        on = plane[2]
         if len(on) == n:
             return on
         rest = on[-2::-1]
         kept, _ = _independent(_differences([images[i] for i in on[::-1]]), n - 1)
-        return sorted([on[-1]] + [rest[i] for i in kept])
+        return tuple(sorted([on[-1]] + [rest[i] for i in kept]))
 
-    return tuple(
-        Halfspace(tuple(map(Rational, normal)), Rational(offset, den))
-        for (normal, offset), _ in sorted(hull[1].items(), key=first_subset, reverse=True)
-    )
+    return tuple(sorted(planes, key=first_subset, reverse=True))
 
 
 def simplex_hrep(body: VPolytope) -> HPolytope:

@@ -376,12 +376,15 @@ def _cmd_explore(args) -> int:
     radius ratio strictly inside (n/s(C), n s(C)).
 
     No such pair is known; in the plane the seven-way equivalence rules them
-    out entirely.  Any hit is reported verbatim for inspection.
+    out entirely.  Any hit is reported verbatim for inspection.  Trials share
+    no bodies, so each starts with empty memo caches, which keeps the run's
+    memory flat in the trial count.
     """
     rng = SplitMix64(args.seed)
     dim = args.dim
     stats = {"trials": args.trials, "complete": 0, "concentric": 0, "hits": []}
     for _trial in range(args.trials):
+        radii.clear_caches()
         simplex = constructions.random_simplex(dim, 4, rng)
         gauge = constructions.random_vpolytope(dim, dim + 2, 4, 0, rng=rng)
         if not theorems.simplex_complete(simplex, gauge)[0]:

@@ -20,12 +20,20 @@ Free variables are split into differences of nonnegative pairs; duals are
 per-constraint and unaffected.  Degenerate optima return *a* basic optimal
 solution, never a canonical one — callers must not assume uniqueness.
 
-The tableau is integer: each row holds Python ints over its own positive
-denominator (a `kernel.Tableau`), every represented value equals the one a
-rational tableau would hold, and signs and ratio comparisons are read off the
-ints.  Bland's rule therefore takes the same pivot path as over rationals;
+Programs are integer from the start: a `LinearProgram` holds each row as
+Python ints over its own positive denominator (a `Row`), and its objective
+over one more.  The facet-form programs of `radii` and `theorems` are
+written that way straight from integer facets and images; `ProgramBuilder`
+converts a row of ``Rational`` numbers once, from its sparse entries, as it
+is added.  ``solve`` only lays the rows out densely, splitting the free
+columns, into the integer tableau (a `kernel.Tableau`).  Every represented
+value equals the one a rational tableau would hold, and signs and ratio
+comparisons are read off the ints.  Bland's rule therefore takes the same
+pivot path as over rationals, whatever positive denominator a row is written
+over (Schrijver, *Theory of Linear and Integer Programming*, 1986).
 ``Rational`` values are formed only for the primal, dual, value and Farkas
-outputs.  Speed matters mostly in the pivot loop, which lives in `kernel`.
+outputs; the value is read off the final reduced-cost row.  Speed matters
+mostly in the pivot loop, which lives in `kernel`.
 At the problem sizes this library targets (a few hundred columns) dense
 tableaus are entirely adequate.
 """
@@ -34,9 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from . import kernel
-from .ratcore import ONE, ZERO, Rational, Vec, rat, vdot
+from .ratcore import ONE, ZERO, Rational, Vec, vdot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -44,38 +53,71 @@ UNBOUNDED = "unbounded"
 
 
 class MalformedProgramError(ValueError):
-    """Objective, constraint matrix and sign markers disagree in shape."""
+    """Objective, rows and sign markers disagree in shape, or a denominator
+    is not positive."""
+
+
+class Row(NamedTuple):
+    """One equality ``sum_j coeffs[j] x_j = rhs``, every number over ``den``:
+    ``coeffs`` maps variable indices to ints (a missing index is a zero),
+    ``rhs`` is an int and ``den`` a positive int."""
+
+    coeffs: dict
+    rhs: int
+    den: int
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``minimize objective . x  s.t.  lhs x = rhs``, with per-variable signs.
+    """``minimize (costs / cden) . x  s.t.`` every ``Row`` of ``rows``, with
+    per-variable signs: ``free[j]`` True means x_j is unrestricted,
+    otherwise x_j >= 0.
 
-    ``free[j]`` True means x_j is unrestricted, otherwise x_j >= 0.
+    Every coefficient is an int over a positive denominator, one per row
+    and one for the objective, which is the form the tableau pivots on.
+    ``objective``, ``lhs`` and ``rhs`` give the same program densely in
+    ``Rational``s, for the certificate checks and for printing.
     """
 
-    objective: tuple
-    lhs: tuple
-    rhs: tuple
+    costs: tuple
+    cden: int
+    rows: tuple
     free: tuple
 
     def __post_init__(self):
-        n = len(self.objective)
+        n = len(self.costs)
         if len(self.free) != n:
             raise MalformedProgramError("sign markers do not match variable count")
-        if len(self.lhs) != len(self.rhs):
-            raise MalformedProgramError("constraint matrix and rhs differ in row count")
-        for row in self.lhs:
-            if len(row) != n:
+        if self.cden <= 0:
+            raise MalformedProgramError("denominators must be positive")
+        for row in self.rows:
+            if row.den <= 0:
+                raise MalformedProgramError("denominators must be positive")
+            if row.coeffs and (min(row.coeffs) < 0 or max(row.coeffs) >= n):
                 raise MalformedProgramError("constraint row does not match variable count")
 
     @property
     def num_vars(self) -> int:
-        return len(self.objective)
+        return len(self.costs)
 
     @property
     def num_rows(self) -> int:
-        return len(self.rhs)
+        return len(self.rows)
+
+    @property
+    def objective(self) -> tuple:
+        return tuple(Rational(c, self.cden) for c in self.costs)
+
+    @property
+    def lhs(self) -> tuple:
+        return tuple(
+            tuple(Rational(row.coeffs.get(j, 0), row.den) for j in range(self.num_vars))
+            for row in self.rows
+        )
+
+    @property
+    def rhs(self) -> tuple:
+        return tuple(Rational(row.rhs, row.den) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -90,31 +132,43 @@ class LPOutcome:
     farkas: tuple | None = None
 
 
+def _ints(coeffs: dict, rhs) -> Row:
+    """The row ``coeffs . x = rhs`` of int or ``Rational`` numbers as a
+    ``Row`` over the lcm of their denominators."""
+    den = lcm(rhs.denominator, *(q.denominator for q in coeffs.values()))
+    return Row(
+        {j: q.numerator * (den // q.denominator) for j, q in coeffs.items() if q},
+        rhs.numerator * (den // rhs.denominator),
+        den,
+    )
+
+
 class ProgramBuilder:
-    """Incremental sparse construction of a LinearProgram.
+    """Incremental sparse construction of a LinearProgram from int or
+    ``Rational`` numbers.
 
     The containment programs downstream are assembled variable-block by
-    variable-block; this keeps their code free of index bookkeeping.
+    variable-block; this keeps their code free of index bookkeeping.  Each
+    row is converted to a ``Row`` once, from its sparse entries, as it is
+    added.  Floats are refused: they have no ``denominator``.
     """
 
     def __init__(self):
         self._objective: list = []
         self._free: list = []
         self._rows: list = []
-        self._rhs: list = []
 
-    def add_var(self, objective=ZERO, free: bool = False) -> int:
-        self._objective.append(rat(objective))
+    def add_var(self, objective=0, free: bool = False) -> int:
+        self._objective.append(objective)
         self._free.append(free)
         return len(self._objective) - 1
 
-    def add_vars(self, count: int, objective=ZERO, free: bool = False) -> list[int]:
+    def add_vars(self, count: int, objective=0, free: bool = False) -> list[int]:
         return [self.add_var(objective, free) for _ in range(count)]
 
     def add_row(self, coeffs: dict[int, object], rhs) -> None:
         """Add one equality row given as ``{variable index: coefficient}``."""
-        self._rows.append({j: rat(c) for j, c in coeffs.items()})
-        self._rhs.append(rat(rhs))
+        self._rows.append(_ints(coeffs, rhs))
 
     def add_hull_membership(self, points, lhs, rhs, scale=ONE, mass=None) -> list[int]:
         """Constrain ``rhs - lhs`` to ``scale * mu * conv(points)``; return the
@@ -141,81 +195,67 @@ class ProgramBuilder:
             row = dict(lhs[k])
             row.update((nu, p[k]) for nu, p in zip(nus, points) if p[k])
             self.add_row(row, b)
-        total = {nu: ONE for nu in nus}
+        total = dict.fromkeys(nus, 1)
         if mass is not None:
-            total[mass] = -ONE
-        self.add_row(total, ONE if mass is None else ZERO)
+            total[mass] = -1
+        self.add_row(total, 1 if mass is None else 0)
         return nus
 
     def build(self) -> LinearProgram:
-        n = len(self._objective)
-        dense = tuple(
-            tuple(row.get(j, ZERO) for j in range(n)) for row in self._rows
-        )
+        cden = lcm(*(q.denominator for q in self._objective))
         return LinearProgram(
-            objective=tuple(self._objective),
-            lhs=dense,
-            rhs=tuple(self._rhs),
+            costs=tuple(q.numerator * (cden // q.denominator) for q in self._objective),
+            cden=cden,
+            rows=tuple(self._rows),
             free=tuple(self._free),
         )
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; see the module docstring for the contract."""
-    # Split free variables x = x+ - x-.
-    col_of: list[tuple[int, int | None]] = []
+    # Split free variables x = x+ - x-: column pos[j] holds x_j, or x_j+
+    # with x_j- right after it.
+    pos = []
     n = 0
-    for j in range(lp.num_vars):
-        if lp.free[j]:
-            col_of.append((n, n + 1))
-            n += 2
-        else:
-            col_of.append((n, None))
-            n += 1
-    # Scale the objective and each constraint row by the lcm of its own
-    # denominators: row i of the tableau then holds ints over ``dens[i]``.
-    c, _, cden = _split_ints(lp.objective, lp.free)
+    for is_free in lp.free:
+        pos.append(n)
+        n += 1 + is_free
+    negs = [(j, pos[j] + 1) for j, is_free in enumerate(lp.free) if is_free]
+    c = [0] * n
+    for p, cj in zip(pos, lp.costs):
+        c[p] = cj
+    for j, q in negs:
+        c[q] = -c[q - 1]
+    # Row i of the tableau holds ints over its own ``dens[i]``.
     rows, b, dens = [], [], []
-    for row, rhs in zip(lp.lhs, lp.rhs):
-        ints, b_int, den = _split_ints(row, lp.free, rhs)
-        rows.append(ints)
-        b.append(b_int)
+    for coeffs, rhs, den in lp.rows:
+        dense = [0] * n
+        for j, a in coeffs.items():
+            dense[pos[j]] = a
+        for j, q in negs:
+            dense[q] = -dense[q - 1]
+        rows.append(dense)
+        b.append(rhs)
         dens.append(den)
 
-    status, x_split, dual, farkas = _two_phase(c, cden, rows, b, dens)
+    status, x_split, dual, value, farkas = _two_phase(c, lp.cden, rows, b, dens)
     if status == INFEASIBLE:
         return LPOutcome(INFEASIBLE, farkas=farkas)
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED)
-    primal = []
-    for j, (pos, neg) in enumerate(col_of):
-        val = x_split[pos]
-        if neg is not None:
-            val = val - x_split[neg]
-        primal.append(val)
-    value = vdot(lp.objective, primal)
-    return LPOutcome(OPTIMAL, primal=tuple(primal), dual=tuple(dual), value=value)
-
-
-def _split_ints(values, free, rhs=ZERO):
-    """``(ints, b, den)``: the split ``values`` (a free variable's entry
-    followed by its negation) and ``rhs``, as ints over the lcm ``den`` of
-    all their denominators."""
-    den = lcm(rhs.denominator, *(q.denominator for q in values))
-    ints = []
-    for q, is_free in zip(values, free):
-        a = q.numerator * (den // q.denominator) if q else 0
-        ints.append(a)
-        if is_free:
-            ints.append(-a)
-    return ints, rhs.numerator * (den // rhs.denominator), den
+    primal = [x_split[p] for p in pos]
+    for j, q in negs:
+        primal[j] -= x_split[q]
+    return LPOutcome(OPTIMAL, primal=tuple(primal), dual=dual, value=value)
 
 
 def _two_phase(c: list, cden: int, rows: list[list], b: list, dens: list):
     """Core simplex on ``min c.x, A x = b, x >= 0``.
 
     Integer data: ``c[j] / cden``, row i of ``A`` is ``rows[i] / dens[i]`` and
-    ``b[i] / dens[i]`` (lists, mutated).  Outputs are Rationals.
+    ``b[i] / dens[i]`` (lists, mutated).  Outputs are Rationals: the primal,
+    the dual and the value c.x when optimal, the Farkas ray when
+    infeasible.
     """
     m = len(rows)
     n = len(c)
@@ -252,7 +292,7 @@ def _two_phase(c: list, cden: int, rows: list[list], b: list, dens: list):
     if zrow[n + m] < 0:  # phase-1 optimum -zrow[n+m]/zden is positive
         # Farkas ray from the phase-1 dual y_i = 1 - reduced_cost(artificial i).
         ray = tuple(Rational(sigma[i] * (zden - zrow[n + i]), zden) for i in range(m))
-        return INFEASIBLE, None, None, ray
+        return INFEASIBLE, None, None, None, ray
     # Feasible: drive basic artificials (at level zero) out of the basis where
     # possible; rows that stay artificial are identically zero on the original
     # columns and remain inert through phase 2.
@@ -279,14 +319,15 @@ def _two_phase(c: list, cden: int, rows: list[list], b: list, dens: list):
 
     stat = _optimize(tab, basis, m, n)
     if stat == UNBOUNDED:
-        return UNBOUNDED, None, None, None
+        return UNBOUNDED, None, None, None, None
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Rational(tab[i][n + m], tab.dens[i])
+    # The reduced-cost row's rhs entry holds -c.x for the basic solution x.
     zrow, zden = tab[m], tab.dens[m]
     dual = tuple(Rational(-sigma[i] * zrow[n + i], zden) for i in range(m))
-    return OPTIMAL, x, dual, None
+    return OPTIMAL, x, dual, Rational(-zrow[n + m], zden), None
 
 
 def _optimize(tab: kernel.Tableau, basis: list[int], m: int, allowed: int):

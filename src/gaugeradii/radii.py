@@ -8,8 +8,10 @@ throughout the library are "circumradius <= 1".
 
 Against a full-dimensional gauge the value comes from the facet form, the
 least lambda with g.t + lambda b >= h(K, g) on every facet g.x <= b of C,
-solved as its dual: one column per facet of C and n + 1 rows, with the
-support values of K taken on integer images.  The dual vector of that LP
+solved as its dual: one column per facet of C and n + 1 rows, written as
+int rows straight from the integer facets of C and the integer image of K
+that the bodies keep (``bodies.integer_facets``, ``VPolytope.image``), so
+no ``Rational`` enters the program.  The dual vector of that LP
 holds an optimal t, and the asymmetry reads its Minkowski center off it,
 so s(K) and a center cost one solve.  The circumradius and inradius
 witnesses (a translation and the contacts of an optimal containment) come
@@ -23,7 +25,8 @@ and edges, and otherwise 2 R([0, z], C).  Every value can be re-certified
 independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
-suite touches the same radii many times over.
+suite touches the same radii many times over.  ``clear_caches`` empties
+these memo caches and those of ``bodies`` between independent questions.
 """
 
 from __future__ import annotations
@@ -37,20 +40,21 @@ from . import lp
 from .bodies import (
     DimensionMismatchError,
     VPolytope,
+    _canonical_form,
     canonicalize,
     check_same_dim,
     contains_point,
-    facets,
+    difference_body,
+    integer_facets,
     integer_image,
     integer_support,
     integer_width,
     is_centrally_symmetric,
     negate,
     scale,
-    support,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vdot, vec, vneg, vscale, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -146,44 +150,50 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 @lru_cache(maxsize=None)
 def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     check_same_dim(body, gauge)
-    halves = facets(gauge)
-    if halves is None:
+    if integer_facets(gauge) is None:
         return _circumradius_by_vertices(body, gauge)
 
     def witness():
         res = _circumradius_by_vertices(body, gauge)
         return res.translation, res.attaining
 
-    return RadiiResult(_facet_circumradius(body, halves)[0], witness=witness)
+    return RadiiResult(_facet_circumradius(body, gauge)[0], witness=witness)
 
 
-def _facet_circumradius(body: VPolytope, halves) -> tuple:
+def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
     """``(R, u, den)``: the facet-form optimum, read off its LP dual, with
-    that LP's dual vector u and the lcm den of the body's denominators.  The
-    LP has one column y_g >= 0 per facet g.x <= b of the gauge and n + 1
-    rows,
+    that LP's dual vector u and the denominator den of the body's integer
+    image.  The LP has one column y_g >= 0 per facet g.x <= b of the
+    full-dimensional canonical gauge and n + 1 rows,
 
         R = max sum_g y_g h(body, g)  subject to  sum_g y_g g = 0,  sum_g y_g b = 1.
 
     The last row is an equality because the primal's lambda >= 0 is implied:
     the normals of a full-dimensional gauge balance with positive weights, so
-    no lambda < 0 is feasible.  The support values are taken on the body's
-    integer images (the facet normals are primitive int vectors), so the
-    objective is den times the one above.  The dual vector u is optimal for
+    no lambda < 0 is feasible.  Every number is an int: the gauge's
+    ``integer_facets`` give the primitive normals and the offsets over the
+    gauge's image denominator, which the last row is written over, and the
+    support values are taken on the body's integer image, so the objective
+    is den times the one above.  The dual vector u is optimal for
     this LP's own dual, which is the facet form: every column's reduced cost
     -den h(body, g) - u[:n].g - u[n] b is nonnegative, and -u[n] = den R,
     so t = -u[:n] / den has g.t + R b >= h(body, g) on every facet.  Only
     the asymmetry reads t, so forming it is left to that caller."""
-    den, images = integer_image(body.vertices)
-    builder = lp.ProgramBuilder()
-    ys = [
-        builder.add_var(objective=-integer_support(images, [q.numerator for q in g]))
-        for g, _ in halves
+    den, images = body.image
+    planes = integer_facets(gauge)
+    rows = [
+        lp.Row({y: g[k] for y, (g, _, _) in enumerate(planes) if g[k]}, 0, 1)
+        for k in range(body.dim)
     ]
-    for k in range(body.dim):
-        builder.add_row({y: g[k] for y, (g, _) in zip(ys, halves) if g[k]}, ZERO)
-    builder.add_row({y: b for y, (_, b) in zip(ys, halves) if b}, ONE)
-    out = lp.solve(builder.build())
+    dg = gauge.image[0]
+    rows.append(lp.Row({y: b for y, (_, b, _) in enumerate(planes) if b}, dg, dg))
+    program = lp.LinearProgram(
+        costs=tuple(-integer_support(images, g) for g, _, _ in planes),
+        cden=1,
+        rows=tuple(rows),
+        free=(False,) * len(planes),
+    )
+    out = lp.solve(program)
     if out.status != lp.OPTIMAL:  # a full-dimensional gauge covers every body
         raise RuntimeError("facet-form circumradius LP must have an optimum")
     return -out.value / den, out.dual, den
@@ -290,17 +300,13 @@ def _norm_directions(gauge: VPolytope) -> tuple | None:
     -C with a common outer normal, so it has the normal of a facet of C or
     -C, or it is the sum of two nonparallel edges, with their cross product
     as normal (Fukuda, J. Symb. Comp. 38, 2004)."""
-    halves = facets(gauge) if gauge.dim in (2, 3) else None
-    if halves is None:
+    planes = integer_facets(gauge) if gauge.dim in (2, 3) else None
+    if planes is None:
         return None
-    den, images = integer_image(gauge.vertices)
-    normals = [[q.numerator for q in g] for g, _ in halves]
+    den, images = gauge.image
+    normals = [g for g, _, _ in planes]
     if gauge.dim == 3:
-        on = []  # the vertex indices on each facet
-        for a in normals:
-            dots = [sum(map(mul, a, p)) for p in images]
-            top = max(dots)
-            on.append({i for i, x in enumerate(dots) if x == top})
+        on = [set(on) for _, _, on in planes]  # the vertex indices on each facet
         edges = {tuple(e) for f, g in combinations(on, 2) if len(e := f & g) == 2}
         dirs = {_line([x - y for x, y in zip(images[j], images[i])]) for i, j in edges}
         normals += [vcross(u, v) for u, v in combinations(dirs, 2)]
@@ -389,11 +395,10 @@ def _asymmetry(body: VPolytope) -> AsymmetryResult:
     sym, center = is_centrally_symmetric(body)
     if sym:  # s = 1 exactly iff the body is symmetric; center is forced
         return AsymmetryResult(ONE, center)
-    halves = facets(body)
-    if halves is None:  # -K always fits in a translate of a dilate of K
+    if integer_facets(body) is None:  # -K always fits in a translate of a dilate of K
         res = _circumradius_by_vertices(negate(body), body)
         return AsymmetryResult(res.value, vscale(-ONE / (ONE + res.value), res.translation))
-    s, u, den = _facet_circumradius(negate(body), halves)
+    s, u, den = _facet_circumradius(negate(body), body)
     # c = -t/(1 + s) for the translation t = -u[:n]/den
     return AsymmetryResult(s, tuple(x / (den * (ONE + s)) for x in u[: body.dim]))
 
@@ -405,16 +410,25 @@ def is_minkowski_center(body: VPolytope, point) -> bool:
         (1 + s) g.c <= s b - h(K, -g),
 
     since the inclusion holds exactly when h(-(K - c), g) <= s h(K - c, g)
-    on every facet normal; a flat body takes one membership LP per vertex."""
+    on every facet normal; it is taken on ints, from the ``integer_facets``
+    and the integer images of K and c.  A flat body takes one membership
+    test per vertex."""
     c = vec(point)
     k = canonicalize(body)
     if len(c) != k.dim:
         raise DimensionMismatchError("point length does not match body dimension")
     s = asymmetry(k).s
-    halves = facets(k)
-    if halves is not None:
+    planes = integer_facets(k)
+    if planes is not None:
+        # times q dc den for s = p/q, c = ci/dc and the images of K over den:
+        # (q + p) den g.ci <= dc (p b - q h(K, -g) den)
+        p, q = s.numerator, s.denominator
+        den, images = k.image
+        dc, (ci,) = integer_image([c])
         return all(
-            (ONE + s) * vdot(g, c) <= s * b - support(k, vneg(g))[0] for g, b in halves
+            (q + p) * den * sum(map(mul, g, ci))
+            <= dc * (p * b + q * min(sum(map(mul, g, x)) for x in images))
+            for g, b, _ in planes
         )
     shifted = vscale(ONE + s, c)
     target = scale(k, s)
@@ -445,3 +459,28 @@ def is_constant_width(body: VPolytope, gauge: VPolytope) -> bool:
         return True
     back = diameter(gauge, body)
     return back is not None and diam.value * back.value == 4
+
+
+# ---------------------------------------------------------------------------
+# memo caches
+
+# Taken at import, so that a rebinding of these names (a benchmark counting
+# calls) leaves the caches reachable here.
+_CACHES = (
+    _canonical_form,
+    difference_body,
+    is_centrally_symmetric,
+    _circumradius,
+    _norm_directions,
+    _diameter,
+    _asymmetry,
+)
+
+
+def clear_caches() -> None:
+    """Empty every memo cache of ``bodies`` and ``radii``.  The caches grow
+    with every body asked about, and the bodies they hold keep their images
+    and facets; a long run of independent questions, such as the trials of
+    ``explore``, calls this between them."""
+    for cache in _CACHES:
+        cache.cache_clear()

@@ -30,6 +30,7 @@ Design rules observed throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import lp
@@ -42,8 +43,9 @@ from .bodies import (
     contains_point,
     difference_body,
     facets,
-    integer_image,
+    integer_facets,
     integer_support,
+    integer_width,
     is_centrally_symmetric,
     is_simplex,
     minkowski_sum,
@@ -467,20 +469,23 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
         t - sigma r c + sigma r C in K      (inner inclusion)
         R c - t + K in R C                  (outer inclusion)?
 
-    When K and C are full-dimensional, every inclusion is one row
-    a.(c, t) <= b per facet of its container (``_facet_rows``), and the
-    system is decided on the small side of Farkas' lemma: it has no solution
-    exactly when some y >= 0 with A^T y = 0 has b.y < 0.  So one LP with
-    2n + 1 rows and one column per row of the system,
+    Each inclusion reads alpha c + beta t + P in factor * Q for a set P, a
+    container Q and scalars.  When K and C are full-dimensional, it is one
+    row alpha g.c + beta g.t <= bound per facet g of Q (``_facet_rows``),
+    and the system is decided on the small side of Farkas' lemma: it has
+    no solution exactly when some y >= 0 with A^T y = 0 has b.y < 0.  So
+    one LP with 2n + 1 rows and one column per row of the system,
 
         minimize b.y  subject to  A^T y = 0,  sum y = 1,  y >= 0,
 
-    decides it: feasible iff that LP is infeasible or its optimum is >= 0
-    (exactly 0 on concentric equality pairs).  When K or C is flat, the
-    system itself is solved as a feasibility LP over (c, t), every inclusion
-    written vertex by vertex: one hull-membership block per point of the
-    contained set, ``lhs + p = factor * (convex combination of the
-    container's vertices)``.
+    decides it: feasible iff its optimum is >= 0 (exactly 0 on concentric
+    equality pairs).  It always has one, since the Minkowski-center rows
+    carry the facet normals of C, which balance with positive weights, on
+    c alone.  Its int rows come straight from ``_facet_rows``, each row of
+    A^T over the lcm of the alphas' (or betas') denominators.  When K or C
+    is flat, the system itself is solved as a feasibility LP over (c, t),
+    with one hull-membership block per point of P, ``alpha c + beta t + p
+    = factor * (convex combination of the vertices of Q)``.
     """
     K, C = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(K, C)
@@ -490,53 +495,62 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     R = circ.value
     sigma, sigma_C = (-ONE, negate(C)) if mirrored else (ONE, C)
     r = inradius(K, sigma_C).value
-    c_vars, t_vars = range(n), range(n, 2 * n)
     sC = asymmetry(C).s
-    inclusions = [([{c: ONE + sC} for c in c_vars], negate(C), C, sC)]
+    # (alpha, beta, P, Q, factor) per inclusion
+    inclusions = [(ONE + sC, ZERO, negate(C), C, sC)]
     if mutual:
         sK = asymmetry(K).s
-        inclusions.append(([{t: ONE + sK} for t in t_vars], negate(K), K, sK))
-    inner = [{t: ONE, c: -sigma * r} for c, t in zip(c_vars, t_vars)]
-    inclusions.append((inner, scale(sigma_C, r), K, ONE))
-    outer = [{t: -ONE, c: R} for c, t in zip(c_vars, t_vars)]
-    inclusions.append((outer, K, C, R))
-    if facets(K) is None or facets(C) is None:
+        inclusions.append((ZERO, ONE + sK, negate(K), K, sK))
+    inclusions.append((-sigma * r, ONE, scale(sigma_C, r), K, ONE))
+    inclusions.append((R, -ONE, K, C, R))
+    if integer_facets(K) is None or integer_facets(C) is None:
         builder = lp.ProgramBuilder()
-        builder.add_vars(2 * n, free=True)  # c_vars, then t_vars
-        for lhs, points, container, factor in inclusions:
+        c_vars = builder.add_vars(n, free=True)
+        t_vars = builder.add_vars(n, free=True)
+        for alpha, beta, points, container, factor in inclusions:
+            lhs = [{c: alpha, t: beta} for c, t in zip(c_vars, t_vars)]
             for p in points.vertices:
                 builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
         return lp.solve(builder.build()).status == lp.OPTIMAL
-    rows = [row for inclusion in inclusions for row in _facet_rows(*inclusion)]
-    builder = lp.ProgramBuilder()
-    ys = [builder.add_var(objective=b) for _, b in rows]
-    for j in range(2 * n):
-        builder.add_row({y: a[j] for y, (a, _) in zip(ys, rows) if a.get(j)}, ZERO)
-    builder.add_row({y: ONE for y in ys}, ONE)
-    out = lp.solve(builder.build())
-    return out.status == lp.INFEASIBLE or out.value >= 0
+    system = []  # one (alpha, beta, g, bound, den) per row of the system
+    for alpha, beta, points, container, factor in inclusions:
+        den, rows = _facet_rows(points, container, factor)
+        system += [(alpha, beta, g, bound, den) for g, bound in rows]
+    cden = math.lcm(*(row[4] for row in system))
+    costs = tuple(bound * (cden // den) for _, _, _, bound, den in system)
+    normals = [row[2] for row in system]
+    lp_rows = []
+    for side in (0, 1):  # the alphas on the c coordinates, then the betas on t
+        den = math.lcm(*(row[side].denominator for row in system))
+        ints = [row[side].numerator * (den // row[side].denominator) for row in system]
+        for k in range(n):
+            entries = {y: f * g[k] for y, (f, g) in enumerate(zip(ints, normals)) if f and g[k]}
+            lp_rows.append(lp.Row(entries, 0, den))
+    lp_rows.append(lp.Row(dict.fromkeys(range(len(costs)), 1), 1, 1))
+    program = lp.LinearProgram(costs, cden, tuple(lp_rows), (False,) * len(costs))
+    return lp.solve(program).value >= 0
 
 
-def _facet_rows(lhs, points: VPolytope, container: VPolytope, factor):
-    """``lhs + p in factor * container`` for every vertex p of ``points``, as
-    one ``(coefficients, bound)`` pair per facet g.x <= b of a
-    full-dimensional container,
+def _facet_rows(points: VPolytope, container: VPolytope, factor) -> tuple:
+    """``(den, rows)``: ``x + p in factor * container`` for every vertex p
+    of ``points``, as one ``(g, bound)`` pair per facet g.y <= b of a
+    full-dimensional container, in facet order,
 
-        g.lhs <= factor b - h(points, g),
+        g.x <= factor b - h(points, g)  =  bound / den,
 
-    since the inclusion over all p is decided by the largest g.p; ``lhs[k]``
-    is coordinate k as a ``{variable: coefficient}`` dict.  The support
-    values are taken on integer images of the points (the facet normals are
-    primitive int vectors)."""
-    den, images = integer_image(points.vertices)
-    for g, b in facets(container):
-        coeffs = {}
-        for gk, coord in zip(g, lhs):
-            if gk:
-                for var, coef in coord.items():
-                    coeffs[var] = coeffs.get(var, ZERO) + gk * coef
-        h = integer_support(images, [q.numerator for q in g])
-        yield coeffs, factor * b - Rational(h, den)
+    since the inclusion over all p is decided by the largest g.p; the
+    caller writes x = alpha c + beta t into the row.  The
+    normals g are the container's primitive int ``integer_facets`` normals,
+    and the bounds are ints over one denominator: b is an int offset over
+    the container's image denominator, and the support values are taken on
+    the integer image of ``points``."""
+    dp, images = points.image
+    p, q = factor.numerator, factor.denominator
+    dq = container.image[0]
+    return q * dq * dp, [
+        (g, p * b * dp - q * dq * integer_support(images, g))
+        for g, b, _ in integer_facets(container)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -561,30 +575,36 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 
     the second read off ``width``.  Against a full-dimensional gauge in two
     or three dimensions neither D(S, C) nor the hull of S solves an LP, so
-    the feasibility LP is the only solve.
+    the feasibility LP is the only solve.  Its rows a_f . c + slack_f = b_f
+    - D(S,C)/2 (h(C, a_f) + h(C, -a_f))/(n + 1), free c first and then one
+    slack per facet, are int rows over their lowest denominators, from the
+    ``integer_facets`` of S and the integer widths of the gauge's image.
 
     Returns (complete, witness c or None).
     """
     S = canonicalize(simplex)
-    hrep = simplex_hrep(S)  # raises DegenerateSimplexError when not a simplex
+    simplex_hrep(S)  # raises DegenerateSimplexError when not a simplex
     n = S.dim
     d = diameter(S, gauge)
     if d is None:
         raise InfiniteRadiusError("gauge does not span the simplex")
     D2 = d.value / 2  # D(S, C')
-    builder = lp.ProgramBuilder()
-    c_vars = builder.add_vars(n, free=True)
-    for half in hrep.halfspaces:
-        a = half.normal
-        h = D2 * width(gauge, a)
-        slack = builder.add_var()
-        row = {c_vars[k]: a[k] for k in range(n) if a[k]}
-        row[slack] = ONE
-        builder.add_row(row, half.offset - h / (n + 1))
-    out = lp.solve(builder.build())
+    p, q = D2.numerator, D2.denominator
+    ds, dg, images = S.image[0], *gauge.image
+    rows = []
+    for slack, (a, b, _) in enumerate(integer_facets(S), n):
+        # b / ds - (p / q) w / (dg (n + 1)) for the integer width w over dg
+        full = ds * q * dg * (n + 1)
+        rhs = b * q * dg * (n + 1) - p * integer_width(images, a) * ds
+        g = math.gcd(full, rhs)
+        entries = {k: x * (full // g) for k, x in enumerate(a) if x}
+        entries[slack] = full // g
+        rows.append(lp.Row(entries, rhs // g, full // g))
+    free = (True,) * n + (False,) * len(rows)
+    out = lp.solve(lp.LinearProgram((0,) * len(free), 1, tuple(rows), free))
     if out.status != lp.OPTIMAL:
         return False, None
-    return True, tuple(out.primal[v] for v in c_vars)
+    return True, out.primal[:n]
 
 
 def is_equilateral(simplex: VPolytope, gauge: VPolytope) -> bool:

@@ -30,6 +30,7 @@ from conftest import (
     spatial_hull_cases,
     sym_gauge_norm_by_lp,
 )
+from gaugeradii import bodies
 from gaugeradii.bodies import (
     DegenerateSimplexError,
     DimensionMismatchError,
@@ -45,6 +46,8 @@ from gaugeradii.bodies import (
     difference_body,
     enumerate_vertices,
     facets,
+    integer_facets,
+    integer_image,
     intersect,
     is_centrally_symmetric,
     is_simplex,
@@ -460,6 +463,85 @@ def test_body_hash_is_the_dataclass_hash():
         for b in (body, canonicalize(body)):
             assert hash(b) == hash((b.dim, b.vertices, b.canonical))
             assert hash(VPolytope(b.dim, b.vertices, b.canonical)) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# affine copies of canonical bodies
+
+
+def assert_copy_is_fresh(copy, mapped):
+    """A canonical copy against a freshly built body on the same vertices:
+    the vertex tuple is the sorted ``mapped`` points (what the copies
+    returned before they kept their order), and the integer image, the
+    integer facets and the ``facets`` halfspaces agree, order included."""
+    assert copy.canonical
+    assert copy.vertices == tuple(sorted(mapped))
+    fresh = VPolytope(copy.dim, tuple(mapped))
+    assert canonicalize(fresh).vertices == copy.vertices
+    assert copy.image == integer_image(copy.vertices)
+    assert integer_facets(copy) == integer_facets(fresh)
+    assert facets(copy) == facets(fresh)
+
+
+def copies_of(k, factor, shift):
+    """``(copy, mapped vertices)`` for the three affine maps of a canonical
+    body and two of their compositions."""
+    f, t = rat(factor), vec(shift)
+    neg = [vneg(v) for v in k.vertices]
+    yield negate(k), neg
+    yield scale(k, f), [vscale(f, v) for v in k.vertices]
+    yield translate(k, t), [vadd(v, t) for v in k.vertices]
+    yield scale(negate(k), f), [vscale(f, v) for v in neg]
+    yield translate(negate(scale(k, f)), t), [vadd(vneg(vscale(f, v)), t) for v in k.vertices]
+
+
+def test_affine_copies_match_fresh_bodies():
+    """Seeded bodies in two to four dimensions, flat ones included, and the
+    sandwich gauges: every copy equals a fresh body, and once the original
+    has its facets, no copy hulls again."""
+    rng = SplitMix64(99)
+    cases = [b for b in hull_point_sets(160, 31) if b.dim >= 2]
+    cases += list(spatial_hull_cases(5))[:40]
+    cases += [simplex_sandwich_pair(n, 1, "1/2", v).gauge for n in (2, 3, 4) for v in ("min", "max")]
+    seen = Counter()
+    calls = Counter()
+    original = bodies._hull
+
+    def counting(pts):
+        calls["hull"] += 1
+        return original(pts)
+
+    for body in cases:
+        k = canonicalize(body)
+        integer_facets(k)
+        factor = abs(rng.rational(3, 4)) or rat("5/2")
+        shift = rng.point(k.dim, 3, 5)
+        bodies._hull = counting
+        try:
+            copies = list(copies_of(k, factor, shift))
+            for copy, _ in copies:
+                integer_facets(copy)
+        finally:
+            bodies._hull = original
+        for copy, mapped in copies:
+            assert_copy_is_fresh(copy, mapped)
+        seen[k.dim, integer_facets(k) is None] += 1
+    assert calls["hull"] == 0
+    assert all(seen[n, flat] >= 5 for n in (2, 3, 4) for flat in (False, True)), seen
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.one_of(small_bodies(n), lattice_bodies(n)),
+        st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7),
+        st.tuples(*[st.fractions(-3, 3, max_denominator=6)] * n),
+    ))
+)
+def test_affine_copies_match_fresh_bodies_hypothesis(case):
+    body, factor, shift = case
+    for copy, mapped in copies_of(canonicalize(body), factor, shift):
+        assert_copy_is_fresh(copy, mapped)
 
 
 def test_spans_space_matches_rank():

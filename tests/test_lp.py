@@ -12,13 +12,24 @@ from gaugeradii.constructions import SplitMix64
 from gaugeradii.ratcore import Rational, rat
 
 
+def dense_program(objective, lhs, rhs, free) -> lp.LinearProgram:
+    """The program with these dense rational data, built through
+    ``ProgramBuilder``, the one way a rational row becomes an int row."""
+    builder = lp.ProgramBuilder()
+    for c, is_free in zip(objective, free, strict=True):
+        builder.add_var(c, is_free)
+    for row, b in zip(lhs, rhs, strict=True):
+        builder.add_row({j: a for j, a in enumerate(row) if a}, b)
+    return builder.build()
+
+
 def make_lp(objective, rows, rhs, free=None):
     n = len(objective)
-    return lp.LinearProgram(
-        objective=tuple(rat(c) for c in objective),
-        lhs=tuple(tuple(rat(a) for a in row) for row in rows),
-        rhs=tuple(rat(b) for b in rhs),
-        free=tuple(free) if free else (False,) * n,
+    return dense_program(
+        [rat(c) for c in objective],
+        [[rat(a) for a in row] for row in rows],
+        [rat(b) for b in rhs],
+        tuple(free) if free else (False,) * n,
     )
 
 
@@ -85,8 +96,15 @@ def test_verifier_detects_duality_gap():
 
 
 def test_malformed_program():
+    row = lp.Row({0: 1}, 1, 1)
+    with pytest.raises(lp.MalformedProgramError):  # a column the program lacks
+        lp.LinearProgram((1, 2), 1, (lp.Row({2: 1}, 1, 1),), (False, False))
     with pytest.raises(lp.MalformedProgramError):
-        make_lp([1, 2], [[1]], [1])
+        lp.LinearProgram((1, 2), 1, (row,), (False,))
+    with pytest.raises(lp.MalformedProgramError):
+        lp.LinearProgram((1, 2), 1, (lp.Row({0: 1}, 1, 0),), (False, False))
+    with pytest.raises(lp.MalformedProgramError):
+        lp.LinearProgram((1, 2), -1, (row,), (False, False))
 
 
 def test_builder_layout():
@@ -94,10 +112,14 @@ def test_builder_layout():
     x = b.add_var(objective=1)
     y = b.add_var(free=True)
     b.add_row({x: 1, y: 2}, 5)
+    b.add_row({x: Rational(1, 2), y: Rational(-1, 3)}, Rational(5, 4))
     program = b.build()
     assert program.objective == (1, 0)
-    assert program.lhs == ((1, 2),)
+    assert program.lhs == ((1, 2), (Rational(1, 2), Rational(-1, 3)))
+    assert program.rhs == (5, Rational(5, 4))
     assert program.free == (False, True)
+    # each row as ints over the lcm of its own denominators
+    assert program.rows == (lp.Row({x: 1, y: 2}, 5, 1), lp.Row({x: 6, y: -4}, 15, 12))
 
 
 def test_hull_membership_layout():
@@ -124,8 +146,8 @@ def test_hull_membership_layout():
         (0, 0, 0, 0, 0, 1),  # lam = 1
     )
     assert program.rhs == (5, 7, 0, 0, 4, 1)
-    assert set(b._rows[0]) == {t, nus[0], nus[2]}
-    assert set(b._rows[1]) == {nus[1], nus[2]}
+    assert set(b._rows[0].coeffs) == {t, nus[0], nus[2]}
+    assert set(b._rows[1].coeffs) == {nus[1], nus[2]}
 
 
 def test_format_program_mentions_signs():
@@ -138,12 +160,10 @@ def random_program(rng: SplitMix64) -> lp.LinearProgram:
     m = 1 + rng.below(8)
     def q():
         return Rational(rng.below(41) - 20, 1 + rng.below(20))
-    return lp.LinearProgram(
-        objective=tuple(q() for _ in range(n)),
-        lhs=tuple(tuple(q() for _ in range(n)) for _ in range(m)),
-        rhs=tuple(q() for _ in range(m)),
-        free=tuple(rng.below(4) == 0 for _ in range(n)),
-    )
+    objective = [q() for _ in range(n)]
+    lhs = [[q() for _ in range(n)] for _ in range(m)]
+    rhs = [q() for _ in range(m)]
+    return dense_program(objective, lhs, rhs, [rng.below(4) == 0 for _ in range(n)])
 
 
 def test_randomized_sweep_all_outcomes_certified():
@@ -213,8 +233,8 @@ def variant(rng: SplitMix64, kind: str) -> lp.LinearProgram:
     elif kind == "negative-rhs":
         rhs = [-abs(b) for b in rhs]
     elif kind == "free":
-        return lp.LinearProgram(p.objective, p.lhs, p.rhs, (True,) * p.num_vars)
-    return lp.LinearProgram(p.objective, tuple(map(tuple, lhs)), tuple(rhs), p.free)
+        return dense_program(p.objective, p.lhs, p.rhs, (True,) * p.num_vars)
+    return dense_program(p.objective, lhs, rhs, p.free)
 
 
 def test_solve_matches_fraction_oracle():
@@ -233,15 +253,53 @@ def programs(draw):
     n = draw(st.integers(1, 7))
     m = draw(st.integers(0, 5))
     q = st.fractions(min_value=-9, max_value=9, max_denominator=8).map(rat)
-    return lp.LinearProgram(
-        objective=tuple(draw(st.lists(q, min_size=n, max_size=n))),
-        lhs=tuple(tuple(draw(st.lists(q, min_size=n, max_size=n))) for _ in range(m)),
-        rhs=tuple(draw(st.lists(q, min_size=m, max_size=m))),
-        free=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-    )
+    objective = draw(st.lists(q, min_size=n, max_size=n))
+    lhs = [draw(st.lists(q, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(q, min_size=m, max_size=m))
+    return dense_program(objective, lhs, rhs, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(programs())
 def test_solve_matches_fraction_oracle_hypothesis(program):
     assert_same_as_oracle(program)
+
+
+# ---------------------------------------------------------------------------
+# int rows over any positive denominator
+
+
+def rescaled(program: lp.LinearProgram, rng: SplitMix64) -> lp.LinearProgram:
+    """The same program with every row, and the objective, written over a
+    random positive multiple of its denominator."""
+    def k():
+        return 1 + rng.below(12)
+    rows = []
+    for row in program.rows:
+        f = k()
+        rows.append(lp.Row({j: a * f for j, a in row.coeffs.items()}, row.rhs * f, row.den * f))
+    f = k()
+    return lp.LinearProgram(
+        tuple(c * f for c in program.costs), program.cden * f, tuple(rows), program.free
+    )
+
+
+def test_int_rows_over_any_denominator_match_fraction_oracle():
+    """Scaling a row by a positive constant changes no pivot under Bland's
+    rule, and the represented program is the same: status, primal, dual,
+    value, Farkas ray and the pivot sequence all equal the oracle's on the
+    program with its rows in lowest terms."""
+    rng = SplitMix64(777)
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    programs = [random_program(rng) for _ in range(100)]
+    for kind in ("sparse", "degenerate", "redundant", "zero-row", "negative-rhs", "free"):
+        programs += [variant(rng, kind) for _ in range(30)]
+    for program in programs:
+        scaled = rescaled(program, rng)
+        assert scaled.lhs == program.lhs and scaled.rhs == program.rhs
+        assert scaled.objective == program.objective
+        (out, expected), (path, expected_path) = solve_both(scaled)
+        assert out == expected == lp.solve(program), lp.format_program(program)
+        assert path == expected_path
+        seen[out.status] += 1
+    assert all(count > 0 for count in seen.values()), seen

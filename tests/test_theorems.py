@@ -2,6 +2,8 @@
 and the completeness oracle, on hand-checkable instances plus small seeded
 sweeps (the mandated large sweeps live in the acceptance module)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -479,6 +481,49 @@ def test_concentricity_lp_has_2n_plus_one_rows(solve_counter):
             *values, program = solve_counter.shapes
             assert all(rows == n + 1 for rows, _ in values)
             assert program == (2 * n + 1, 2 * fC + (1 + mutual) * fK)
+
+
+SANDWICH_GRID = (
+    ("1", "1/2"), ("3", "1"), ("5/3", "1/4"), ("2", "1/3"), ("3/2", "1"),
+    ("4", "3"), ("5/4", "1/2"), ("7/3", "2/3"), ("5", "3"), ("4", "1"),
+)
+
+
+def test_concentricity_farkas_lp_always_has_an_optimum(monkeypatch):
+    """The Farkas LP of the facet path is never infeasible, so its optimum
+    alone decides: on 60 acceptance pairs in three orientations and on the
+    sandwich grid (n = 2, 3, both variants, S and -S, both orders), every
+    such solve in all four modes is optimal.  It must be: the
+    Minkowski-center rows of C carry (1 + s(C)) g on the c coordinates and
+    nothing on t, and the facet normals g of a full-dimensional C balance
+    with positive weights, so A^T y = 0, sum y = 1, y >= 0 has a solution.
+    The predicate's own LP is its last solve, after the radii."""
+    outcomes = []
+    solve = lp.solve
+
+    def recording(program):
+        outcomes.append(solve(program))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp, "solve", recording)
+    cases = []
+    for body, gauge in random_pair_suite(60, 20240817):
+        cases += [(body, gauge), (gauge, body), (body, negate(gauge))]
+    for n in (2, 3):
+        for lam, mu in SANDWICH_GRID:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    cases += [(S, pair.gauge), (pair.gauge, S)]
+    answers = Counter()
+    for body, gauge in cases:
+        for decide in CONCENTRICITY_MODES.values():
+            answer = decide(body, gauge)
+            out = outcomes[-1]
+            assert out.status == lp.OPTIMAL
+            assert answer == (out.value >= 0)
+            answers[answer] += 1
+    assert min(answers.values()) >= 100, answers
 
 
 def test_flat_container_solves_the_primal(square, solve_counter):
