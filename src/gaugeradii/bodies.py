@@ -19,7 +19,8 @@ of their denominators, so every sign and dot product is a Python int
 operation, and a ``Rational`` is formed only for a result.  A body keeps
 its image and, once canonical, its ``integer_facets``, which ``radii`` and
 ``theorems`` write their facet-form LPs from; an affine copy maps its
-original's (``_affine_copy``).  One hull,
+original's (``_affine_copy``), and builds its ``Fraction`` vertices only
+when they are read.  One hull,
 ``_hull``, serves every dimension: Andrew's monotone chain in the plane,
 beneath-beyond elsewhere, with face normals from cross products in space
 and from the Bareiss determinants of ``ratcore.int_det`` beyond.  A flat
@@ -71,7 +72,6 @@ class ScaleGuardError(ValueError):
     """Brute-force enumeration request exceeds the desk-scale guard."""
 
 
-@dataclass(frozen=True)
 class VPolytope:
     """Convex body given by a finite list of rational vertices.
 
@@ -79,33 +79,66 @@ class VPolytope:
     others and the list is sorted lexicographically.
 
     ``image`` and, for a canonical body, its ``integer_facets`` are
-    computed on first use and kept.  The hash is the one the dataclass
-    would compute, also taken once: bodies key every memo cache, and
-    hashing a ``Rational`` costs a modular inverse.
+    computed on first use and kept, and so are the ``vertices`` of an
+    ``_affine_copy``, which the facet-form paths never read.  Bodies are
+    immutable and key every memo cache.  A canonical body hashes and
+    compares on ``(dim, image, canonical)``: the image is an exact,
+    one-to-one encoding of the vertex tuple, so a copy is keyed without its
+    vertices.  Any other body hashes and compares on its fields ``(dim,
+    vertices, canonical)``, so it computes no image to be keyed.  The hash
+    is taken once: hashing a ``Rational`` costs a modular inverse.
     """
 
-    dim: int
-    vertices: tuple
-    canonical: bool = False
     # (original, factor, shift) for the canonical copy factor * original +
     # shift made by ``_affine_copy``; shift is None or a vector.
     _source = None
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, dim: int, vertices: tuple, canonical: bool = False):
+        if not vertices:
             raise ValueError("a polytope needs at least one point")
-        for v in self.vertices:
-            if len(v) != self.dim:
+        for v in vertices:
+            if len(v) != dim:
                 raise DimensionMismatchError(
-                    f"point of length {len(v)} in a {self.dim}-dimensional body"
+                    f"point of length {len(v)} in a {dim}-dimensional body"
                 )
+        self.__dict__.update(dim=dim, vertices=vertices, canonical=canonical)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: bodies are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: bodies are immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, VPolytope):
+            return NotImplemented
+        if self.dim != other.dim or self.canonical != other.canonical:
+            return False
+        if self.canonical:
+            return self.image == other.image
+        return self.vertices == other.vertices
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.vertices, self.canonical))
+        return hash((self.dim, self.image if self.canonical else self.vertices, self.canonical))
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """An ``_affine_copy``'s points, its original's mapped in their
+        order, reversed for a reflection; every other body is given its
+        vertices when built."""
+        body, factor, shift = self._source
+        points = body.vertices
+        if factor == -1:
+            points = [vneg(v) for v in reversed(points)]
+        elif factor != 1:
+            points = [vscale(factor, v) for v in points]
+        if shift is not None:
+            points = [vadd(v, shift) for v in points]
+        return tuple(points)
 
     @cached_property
     def image(self) -> tuple:
@@ -468,13 +501,13 @@ def same_vertex_set(a: VPolytope, b: VPolytope) -> bool:
 # Minkowski algebra
 
 
-def _affine_copy(body: VPolytope, vertices: tuple, factor: Rational, shift) -> VPolytope:
+def _affine_copy(body: VPolytope, factor: Rational, shift) -> VPolytope:
     """The canonical body factor * body + shift, for factor -1 and no shift
-    or factor > 0, with ``vertices`` the mapped vertices in their order,
-    reversed for factor -1: no sort is needed.  The copy maps the body's
-    image and facets when first read."""
-    copy = VPolytope(body.dim, vertices, canonical=True)
-    object.__setattr__(copy, "_source", (body, factor, shift))
+    or factor > 0.  Its points are the body's mapped in their order,
+    reversed for factor -1, so no sort is needed.  The copy maps the body's
+    image and facets when first read, and its ``vertices`` too."""
+    copy = object.__new__(VPolytope)
+    copy.__dict__.update(dim=body.dim, canonical=True, _source=(body, factor, shift))
     return copy
 
 
@@ -492,17 +525,15 @@ def translate(body: VPolytope, shift) -> VPolytope:
     t = vec(shift)
     if len(t) != body.dim:
         raise DimensionMismatchError("translation length does not match body dimension")
-    verts = tuple(vadd(v, t) for v in body.vertices)
     if body.canonical:
-        return _affine_copy(body, verts, ONE, t)
-    return VPolytope(body.dim, verts)
+        return _affine_copy(body, ONE, t)
+    return VPolytope(body.dim, tuple(vadd(v, t) for v in body.vertices))
 
 
 def negate(body: VPolytope) -> VPolytope:
-    verts = tuple(vneg(v) for v in body.vertices)
     if body.canonical:
-        return _affine_copy(body, verts[::-1], -ONE, None)
-    return VPolytope(body.dim, verts)
+        return _affine_copy(body, -ONE, None)
+    return VPolytope(body.dim, tuple(vneg(v) for v in body.vertices))
 
 
 def scale(body: VPolytope, factor) -> VPolytope:
@@ -512,10 +543,9 @@ def scale(body: VPolytope, factor) -> VPolytope:
         raise ValueError("dilation factor must be nonnegative; use negate() first")
     if f == 0:
         return VPolytope(body.dim, (vzero(body.dim),), canonical=True)
-    verts = tuple(vscale(f, v) for v in body.vertices)
     if body.canonical:
-        return _affine_copy(body, verts, f, None)
-    return VPolytope(body.dim, verts)
+        return _affine_copy(body, f, None)
+    return VPolytope(body.dim, tuple(vscale(f, v) for v in body.vertices))
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:

@@ -296,6 +296,7 @@ def _run_suite(suite: str, body: VPolytope, gauge: VPolytope):
 def _cmd_verify(args) -> int:
     checked = 0
     for label, body, gauge in _verify_instances(args):
+        radii.clear_caches()
         passed, details = _run_suite(args.suite, body, gauge)
         checked += 1
         if not passed:

@@ -13,7 +13,10 @@ int rows straight from the integer facets of C and the integer image of K
 that the bodies keep (``bodies.integer_facets``, ``VPolytope.image``), so
 no ``Rational`` enters the program.  The dual vector of that LP
 holds an optimal t, and the asymmetry reads its Minkowski center off it,
-so s(K) and a center cost one solve.  The circumradius and inradius
+so s(K) and a center cost one solve.  Against a simplex the dual's
+feasible set is one point, so R(K, S) is a closed form over the facets of
+S, s(S) = n and the centroid is the one Minkowski center: no LP is solved
+(``_simplex_circumradius``).  The circumradius and inradius
 witnesses (a translation and the contacts of an optimal containment) come
 from the vertex-form LP instead, one hull-membership block per vertex of
 K, solved only when a caller first reads them; its dual is what
@@ -21,8 +24,8 @@ K, solved only when a caller first reads them; its dual is what
 vertex form for its value too.  The (C - C)/2 norm behind the diameter
 needs no LP of its own: against a full-dimensional gauge in two or three
 dimensions it is a closed form over directions read off the gauge's facets
-and edges, and otherwise 2 R([0, z], C).  Every value can be re-certified
-independently.
+and edges, and otherwise 2 R([0, z], C), a closed form again against a
+simplex.  Every value can be re-certified independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.  ``clear_caches`` empties
@@ -52,6 +55,7 @@ from .bodies import (
     is_centrally_symmetric,
     negate,
     scale,
+    vertex_centroid,
     width,
 )
 from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vzero
@@ -140,7 +144,9 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     with t free and lambda >= 0, and it is solved as its dual
     (``_facet_circumradius``): one column per facet and n + 1 rows, whatever
     the body.  Such a gauge covers every body, so the result is never None.
-    The translation and the contacts are read off the vertex-form LP
+    A simplex gauge, with n + 1 facets, leaves that dual one feasible point,
+    so its value is the closed form of ``_simplex_circumradius``, with no
+    LP.  The translation and the contacts are read off the vertex-form LP
     (``circumradius_program``), solved on their first read only; its optimum
     is the same value, and its dual gives ``attaining``.  A flat gauge has
     no facets and takes the vertex form for everything."""
@@ -150,14 +156,39 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 @lru_cache(maxsize=None)
 def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     check_same_dim(body, gauge)
-    if integer_facets(gauge) is None:
+    planes = integer_facets(gauge)
+    if planes is None:
         return _circumradius_by_vertices(body, gauge)
+    if len(planes) == body.dim + 1:
+        value = _simplex_circumradius(body, gauge)
+    else:
+        value = _facet_circumradius(body, gauge)[0]
 
     def witness():
         res = _circumradius_by_vertices(body, gauge)
         return res.translation, res.attaining
 
-    return RadiiResult(_facet_circumradius(body, gauge)[0], witness=witness)
+    return RadiiResult(value, witness=witness)
+
+
+def _simplex_circumradius(body: VPolytope, simplex: VPolytope) -> Rational:
+    """R(body, S) against a full-dimensional simplex S, with no LP:
+
+        R = sum_f h(body, a_f) / w(S, a_f)
+
+    over the facets a_f.x <= b_f of S, with w the width.  The barycentric
+    coordinates (b_f - a_f.x) / w(S, a_f) of a point x sum to 1, so
+    y_f = 1 / w(S, a_f) is the one point of the feasible set of the dual
+    LP of ``_facet_circumradius``, and its objective is the optimum.  The
+    sum is taken on the integer images, with one ``Rational`` at the end."""
+    den, images = body.image
+    dg, corners = simplex.image
+    terms = [
+        (integer_support(images, a), integer_width(corners, a))
+        for a, _, _ in integer_facets(simplex)
+    ]
+    lcm = math.lcm(*(w for _, w in terms))
+    return Rational(dg * sum(h * (lcm // w) for h, w in terms), den * lcm)
 
 
 def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
@@ -381,9 +412,13 @@ def asymmetry(body: VPolytope) -> AsymmetryResult:
     For a full-dimensional body that is the facet form of R(-K, K), whose
     dual vector holds an optimal t (``_facet_circumradius``); a flat body
     takes the vertex-form LP.  A symmetric body has s = 1 and its center,
-    with no LP.  Centers are not unique in general, and which optimal t the
-    solve returns is not specified; predicates quantifying over centers must
-    use the full center polytope, never just this one:
+    with no LP.  So does a simplex, with s = n and its centroid: the one
+    feasible dual point y_f = 1 / w(S, a_f) of ``_simplex_circumradius`` is
+    positive on every facet, so by complementary slackness all n + 1
+    facets are tight at any optimal t, which makes t, and the center,
+    unique (Grünbaum 1963).  Centers are not unique in general, and which
+    optimal t the solve returns is not specified; predicates quantifying
+    over centers must use the full center polytope, never just this one:
     ``is_minkowski_center`` tests a point against it, and the concentricity
     LPs of ``theorems`` carry its rows.
     """
@@ -395,9 +430,12 @@ def _asymmetry(body: VPolytope) -> AsymmetryResult:
     sym, center = is_centrally_symmetric(body)
     if sym:  # s = 1 exactly iff the body is symmetric; center is forced
         return AsymmetryResult(ONE, center)
-    if integer_facets(body) is None:  # -K always fits in a translate of a dilate of K
+    planes = integer_facets(body)
+    if planes is None:  # -K always fits in a translate of a dilate of K
         res = _circumradius_by_vertices(negate(body), body)
         return AsymmetryResult(res.value, vscale(-ONE / (ONE + res.value), res.translation))
+    if len(planes) == body.dim + 1:  # a simplex: s = n, the centroid its only center
+        return AsymmetryResult(Rational(body.dim), vertex_centroid(body))
     s, u, den = _facet_circumradius(negate(body), body)
     # c = -t/(1 + s) for the translation t = -u[:n]/den
     return AsymmetryResult(s, tuple(x / (den * (ONE + s)) for x in u[: body.dim]))

@@ -456,13 +456,17 @@ def test_planar_contains_point_matches_hull_lp():
     assert min(inside.values()) >= 50, inside
 
 
-def test_body_hash_is_the_dataclass_hash():
-    """Taken once, equal to the hash of the field tuple, so equal bodies
-    hash alike and no cache or set changes its iteration order."""
+def test_body_hash_is_the_key_hash():
+    """Taken once: a canonical body hashes on (dim, image, canonical), any
+    other on its fields (dim, vertices, canonical).  Equal bodies hash
+    alike, and a body equals a canonical one only if it is canonical too."""
     for body in list(planar_point_sets(50, 8)) + list(spatial_point_sets(9)):
         for b in (body, canonicalize(body)):
-            assert hash(b) == hash((b.dim, b.vertices, b.canonical))
-            assert hash(VPolytope(b.dim, b.vertices, b.canonical)) == hash(b)
+            key = b.image if b.canonical else b.vertices
+            assert hash(b) == hash((b.dim, key, b.canonical))
+            again = VPolytope(b.dim, b.vertices, b.canonical)
+            assert again == b and hash(again) == hash(b)
+            assert VPolytope(b.dim, b.vertices, not b.canonical) != b
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +532,40 @@ def test_affine_copies_match_fresh_bodies():
         seen[k.dim, integer_facets(k) is None] += 1
     assert calls["hull"] == 0
     assert all(seen[n, flat] >= 5 for n in (2, 3, 4) for flat in (False, True)), seen
+
+
+def eager_copies(k, factor, shift):
+    """The vertex tuples of ``copies_of``, each built as ``negate``,
+    ``scale`` and ``translate`` built them before copies were lazy: every
+    point mapped in order, and the tuple reversed after a negation."""
+    f, t = rat(factor), vec(shift)
+    neg = tuple(vneg(v) for v in k.vertices)[::-1]
+    yield neg
+    yield tuple(vscale(f, v) for v in k.vertices)
+    yield tuple(vadd(v, t) for v in k.vertices)
+    yield tuple(vscale(f, v) for v in neg)
+    scaled = tuple(vneg(v) for v in (vscale(f, v) for v in k.vertices))[::-1]
+    yield tuple(vadd(v, t) for v in scaled)
+
+
+def test_affine_copies_build_vertices_lazily():
+    """A chained copy builds no vertex tuple for its image, its facets, its
+    hash or an equality test; read last, its vertices are the tuple the
+    eager maps build, and the copy equals, and hashes like, a fresh
+    canonical body on the same points."""
+    rng = SplitMix64(404)
+    cases = [b for b in hull_point_sets(60, 17) if b.dim >= 2]
+    cases += [simplex_sandwich_pair(n, 1, "1/2", "max").simplex for n in (2, 3, 4)]
+    for body in cases:
+        k = canonicalize(body)
+        factor = abs(rng.rational(3, 4)) or rat("5/2")
+        shift = rng.point(k.dim, 3, 5)
+        for (copy, _), eager in zip(copies_of(k, factor, shift), eager_copies(k, factor, shift)):
+            fresh = VPolytope(k.dim, tuple(sorted(eager)), canonical=True)
+            integer_facets(copy)
+            assert copy == fresh and hash(copy) == hash(fresh)
+            assert "vertices" not in vars(copy)
+            assert copy.vertices == eager == fresh.vertices
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gaugeradii import certificates
+from gaugeradii import certificates, cli, radii
 from gaugeradii.bodies import body_from_json, body_to_json, canonicalize
 from gaugeradii.cli import main
 from gaugeradii.ratcore import vec
@@ -129,6 +129,37 @@ def test_verify_chains_random_trials(capsys):
     assert json.loads(out)["results"]["checked"] == 4
 
 
+def test_verify_caches_stay_flat(capsys, monkeypatch):
+    """Each verify instance starts with empty memo caches, so their size
+    does not grow with ``--trials``; kept across instances, the caches
+    grow, and the report is the same bytes either way."""
+    argv = ["verify", "--suite", "simplex-conditions", "--trials", "6", "--seed", "3"]
+    run_suite, clear = cli._run_suite, radii.clear_caches
+
+    def sizes():
+        return sum(cache.cache_info().currsize for cache in radii._CACHES)
+
+    def recorded():
+        before = []
+
+        def sized(*args):
+            before.append(sizes())
+            return run_suite(*args)
+
+        monkeypatch.setattr(cli, "_run_suite", sized)
+        clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        return before, out
+
+    before, out = recorded()
+    assert before == [0] * 6 and sizes() > 0
+    monkeypatch.setattr(radii, "clear_caches", lambda: None)
+    kept, kept_out = recorded()
+    assert all(a < b for a, b in zip(kept, kept[1:])), kept
+    assert kept_out == out
+
+
 def test_verify_files(capsys, body_files):
     square, triangle = body_files
     code, _, _ = run(capsys, ["verify", "--suite", "radius-bounds",
@@ -250,15 +281,15 @@ def test_certify_emits_valid_certificate(capsys, body_files, tmp_path):
 
 def test_certify_validates_once(capsys, body_files, tmp_path, monkeypatch, solve_counter):
     """``extract`` ends in ``validate``, so ``certify`` does not validate
-    again: with cold caches, square in triangle takes 3 LP solves (the
-    facet-form circumradius value, the vertex-form LP that gives the
-    translation and the contacts, and the weight LP; the planar hulls and
-    the membership tests of ``validate``, sign checks per edge, take none)
-    and prints exactly this report."""
+    again: with cold caches, square in triangle takes 2 LP solves (the
+    vertex-form LP that gives the translation and the contacts, and the
+    weight LP; the value against a triangle is a closed form, and the
+    planar hulls and the membership tests of ``validate``, sign checks per
+    edge, take none) and prints exactly this report."""
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["certify", "--body", "square.json", "--gauge", "triangle.json"])
     assert code == 0
-    assert solve_counter.count == 3
+    assert solve_counter.count == 2
     expected = {
         "arguments": {"body": "square.json", "gauge": "triangle.json"},
         "command": "certify",

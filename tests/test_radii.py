@@ -8,9 +8,10 @@ containment at exactly 8/3.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -35,10 +36,12 @@ from gaugeradii.bodies import (
     contains_point,
     difference_body,
     facets,
+    integer_facets,
     negate,
     same_vertex_set,
     scale,
     simplex_hrep,
+    spans_space,
     support,
     translate,
     vertex_centroid,
@@ -47,6 +50,7 @@ from gaugeradii.bodies import (
 from gaugeradii.constructions import (
     SplitMix64,
     random_pair_suite,
+    random_simplex,
     random_vpolytope,
     simplex_sandwich_pair,
     spiked_difference_pair,
@@ -56,6 +60,7 @@ from gaugeradii.constructions import (
 from gaugeradii.radii import (
     DegenerateGaugeError,
     _circumradius,
+    _facet_circumradius,
     asymmetry,
     breadth,
     circumradius,
@@ -628,10 +633,12 @@ def test_facet_circumradius_matches_vertex_form_hypothesis(pair):
 
 
 def test_values_solve_no_witness_lp(triangle, square, solve_counter):
-    """A value takes the one facet-form LP; the witness LP runs on the first
-    read of a translation or contacts, and once only.  The asymmetry reads
-    its center off the dual of the same facet-form LP that gives s, so the
-    center costs no further solve."""
+    """A value against a gauge that is not a simplex takes the one
+    facet-form LP; the witness LP runs on the first read of a translation
+    or contacts, and once only.  The asymmetry of a body that is not a
+    simplex reads its center off the dual of the same facet-form LP that
+    gives s, so the center costs no further solve; a simplex's asymmetry
+    and a radius against a simplex are closed forms and solve none."""
     body = V([(0, 0), (2, 1), (1, 3)])
     circumradius(body, square).value
     assert solve_counter.count == 1
@@ -644,10 +651,99 @@ def test_values_solve_no_witness_lp(triangle, square, solve_counter):
     inr.translation, inr.translation
     assert solve_counter.count == 2
     solve_counter.reset()
-    asym = asymmetry(body)
+    quad = V([(0, 0), (3, 0), (2, 2), (0, 1)])
+    asym = asymmetry(quad)
     assert solve_counter.count == 1
     asym.center, asym.center
     assert solve_counter.count == 1
+    solve_counter.reset()
+    assert asymmetry(body).s == 2
+    circumradius(square, body).value
+    inradius(body, square).value
+    assert solve_counter.count == 0
+
+
+# ---------------------------------------------------------------------------
+# closed forms against a simplex, with the facet-form LP as their oracle
+
+
+def check_simplex_closed_forms(simplex, bodies, gauges):
+    """Against a full-dimensional simplex S: R(K, S) equals the optimum of
+    the facet-form LP for every body K; s(S) = n, with the center the LP
+    dual gives; and r(S, C) = 1 / R(C, S) from the LP for every full gauge
+    C.  The radii take no LP."""
+    S = canonicalize(simplex)
+    n = S.dim
+    assert len(integer_facets(S)) == n + 1
+    for K in map(canonicalize, bodies):
+        assert _circumradius(K, S).value == _facet_circumradius(K, S)[0], (K, S)
+    s, u, den = _facet_circumradius(negate(S), S)
+    res = asymmetry(S)
+    assert res.s == s == n
+    assert res.center == tuple(x / (den * (1 + s)) for x in u[:n]) == vertex_centroid(S)
+    for C in gauges:
+        assert inradius(S, C).value == 1 / _facet_circumradius(canonicalize(C), S)[0]
+
+
+def simplex_copies(S, factor, shift):
+    """S, -S, and scaled, translated and reflected copies of S."""
+    yield from (S, negate(S), scale(S, factor), translate(S, shift))
+    yield translate(negate(scale(S, factor)), shift)
+
+
+def test_simplex_closed_forms_match_facet_lp():
+    """Seeded simplices in one to four dimensions and the sandwich family's,
+    each with its copies, against bodies that are full, flat or a single
+    point."""
+    rng = SplitMix64(2024)
+    seen = Counter()
+    cases = [random_simplex(1 + trial % 4, 4, rng) for trial in range(40)]
+    cases += [simplex_sandwich_pair(n, 1, "1/2", "min").simplex for n in (2, 3, 4)]
+    for simplex in cases:
+        n = simplex.dim
+        full = random_vpolytope(n, n + 2, 5, 0, rng=rng) if n > 1 else random_simplex(1, 5, rng)
+        point = V([rng.point(n, 4)])
+        flat = V([p[:-1] + (rat("1/2"),) for p in full.vertices]) if n > 1 else point
+        factor = abs(rng.rational(3, 4)) or rat("5/2")
+        for S in simplex_copies(canonicalize(simplex), factor, rng.point(n, 3, 5)):
+            check_simplex_closed_forms(S, (full, flat, point, S, negate(S)), (full,))
+            seen[n] += 1
+    assert all(seen[n] >= 50 for n in (1, 2, 3, 4)), seen
+
+
+def test_simplex_closed_forms_solve_no_lp(solve_counter):
+    """Seeded 4-D simplices: R(K, S), r(S, C), s(S) and the norm of S in
+    four dimensions, 2 R([0, z], S), solve no LP."""
+    rng = SplitMix64(7)
+    for _ in range(5):
+        S = random_simplex(4, 4, rng)
+        K = random_vpolytope(4, 6, 5, 0, rng=rng)
+        circumradius(K, S).value
+        circumradius(negate(S), S).value
+        inradius(S, K).value
+        asymmetry(S).center
+        sym_gauge_norm(rng.point(4, 3), S)
+    assert solve_counter.count == 0
+
+
+@st.composite
+def simplex_cases(draw):
+    n = draw(st.integers(1, 4))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    points = draw(st.lists(st.tuples(*[q] * n), min_size=n + 1, max_size=n + 1))
+    assume(spans_space(points))
+    factor = draw(st.fractions(min_value=Fraction(1, 5), max_value=4, max_denominator=5))
+    shift = draw(st.tuples(*[q] * n))
+    return V(points), draw(small_bodies(n)), factor, shift
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(simplex_cases())
+def test_simplex_closed_forms_match_facet_lp_hypothesis(case):
+    simplex, body, factor, shift = case
+    gauges = (body,) if facets(body) is not None else ()
+    for S in simplex_copies(canonicalize(simplex), factor, shift):
+        check_simplex_closed_forms(S, (body, S), gauges)
 
 
 # ---------------------------------------------------------------------------

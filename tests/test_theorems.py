@@ -798,24 +798,25 @@ def test_condition_vectors_match_inclusion_chain_oracles():
 
 def test_condition_vectors_solve_count(solve_counter):
     """Neither vector solves an LP for the always-true links.  With cold
-    caches the simplex vector takes 7 solves on a 3-D pair, with hulls,
-    facets and norms in space free of LPs, and builds no difference body;
-    the triangle vector takes 7, with planar hulls, facets and norms free of
-    LPs, and builds none either: the 7 facet-form values of two asymmetries,
-    three translative factors and two inradii.  The triangle's Minkowski
-    center comes from the dual of its asymmetry's LP, with no solve of its
-    own."""
+    caches the simplex vector takes 3 solves on a 3-D pair: the facet-form
+    values of R(S, C) and s(C), and the feasibility LP of
+    ``simplex_complete``.  The triangle vector takes 3 as well: the
+    facet-form values of two translative factors against C and of s(C).
+    Hulls, facets and norms take none, and neither vector builds a
+    difference body.  Every radius against the simplex or its reflection,
+    and s(S), is a closed form; the gauge's Minkowski center comes from the
+    dual of its asymmetry's LP, with no solve of its own."""
     pair = simplex_sandwich_pair(3, "3", "1", "min")
     simplex, gauge = canonicalize(negate(pair.simplex)), canonicalize(pair.gauge)
     solve_counter.reset()
     assert simplex_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 7
+    assert solve_counter.count == 3
     assert difference_body.cache_info().misses == 0
     pair = triangle_mix_gauge("1/4")
     simplex, gauge = canonicalize(pair.simplex), canonicalize(pair.gauge)
     solve_counter.reset()
     assert triangle_equality_conditions(simplex, gauge).all_true
-    assert solve_counter.count == 7
+    assert solve_counter.count == 3
     assert difference_body.cache_info().misses == 0
 
 
