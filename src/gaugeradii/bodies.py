@@ -595,13 +595,13 @@ def vertex_centroid(body: VPolytope) -> Vec:
 
 
 def is_simplex(body: VPolytope) -> bool:
-    """n + 1 canonical vertices and n + 1 ``facets``; the same test
-    ``simplex_hrep`` makes, so the facets are found once for both."""
+    """n + 1 canonical vertices and n + 1 ``integer_facets``; the same test
+    ``simplex_facets`` makes, so the facets are found once for both."""
     k = canonicalize(body)
     if len(k.vertices) != k.dim + 1:
         return False
-    halves = facets(k)
-    return halves is not None and len(halves) == k.dim + 1
+    planes = integer_facets(k)
+    return planes is not None and len(planes) == k.dim + 1
 
 
 def normalize_halfspace(half: Halfspace) -> Halfspace:
@@ -662,15 +662,24 @@ def _in_facet_order(images, planes) -> tuple:
     return tuple(sorted(planes, key=first_subset, reverse=True))
 
 
-def simplex_hrep(body: VPolytope) -> HPolytope:
-    """Exact facet description of a simplex: the ``facets`` of a body with
-    n + 1 of them, the i-th opposite the i-th canonical vertex."""
-    halves = facets(body)
-    if halves is None or len(halves) != body.dim + 1:
+def simplex_facets(body: VPolytope) -> tuple:
+    """The ``integer_facets`` of a simplex, a full-dimensional body with
+    n + 1 of them, the i-th opposite the i-th canonical vertex; raises
+    ``DegenerateSimplexError`` for any other body."""
+    planes = integer_facets(body)
+    if planes is None or len(planes) != body.dim + 1:
         raise DegenerateSimplexError(
             f"not a simplex: need {body.dim + 1} affinely independent vertices"
         )
-    return HPolytope(body.dim, halves)
+    return planes
+
+
+def simplex_hrep(body: VPolytope) -> HPolytope:
+    """Exact facet description of a simplex: the ``facets`` of a body with
+    n + 1 of them (``simplex_facets``), the i-th opposite the i-th
+    canonical vertex."""
+    simplex_facets(body)
+    return HPolytope(body.dim, facets(body))
 
 
 def intersect(a: HPolytope, b: HPolytope) -> HPolytope:

@@ -25,7 +25,9 @@ vertex form for its value too.  The (C - C)/2 norm behind the diameter
 needs no LP of its own: against a full-dimensional gauge in two or three
 dimensions it is a closed form over directions read off the gauge's facets
 and edges, and otherwise 2 R([0, z], C), a closed form again against a
-simplex.  Every value can be re-certified independently.
+simplex.  Against such a gauge the diameter takes that closed form on the
+body's own integer image, pair by pair, with no rational difference
+vector.  Every value can be re-certified independently.
 
 Results are memoized on the (immutable, canonicalized) bodies; a verification
 suite touches the same radii many times over.  ``clear_caches`` empties
@@ -288,8 +290,10 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     over the directions a of ``_norm_directions``.  Each such ratio is at
     most the norm, and the largest is attained at the facet normals of
     C - C = C + (-C), which are among them.  The fractions are compared on
-    integer images.  The closed form is cheap and its arguments rarely
-    repeat, so it is not memoized.
+    integer images (``_largest_ratio``).  The closed form is cheap and its
+    arguments rarely repeat, so it is not memoized.  ``diameter`` takes
+    the same closed form on the body's own integer image and does not call
+    this function there.
 
     Flat gauges and dimensions >= 4 take 2 R([0, z], C): the segment [0, z]
     lies in t + lambda C exactly when z is in lambda (C - C), so the norm is
@@ -310,12 +314,19 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     dc, dirs = directions
     dz, (zi,) = integer_image([zv])
     # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.zi| / (dz w), w the integer width
+    num, w = _largest_ratio((abs(sum(map(mul, a, zi))), w) for a, w in dirs)
+    return Rational(2 * dc * num, dz * w)
+
+
+def _largest_ratio(pairs) -> tuple:
+    """The pair ``(num, w)`` with the largest num / w, the first of the
+    largest, compared on ints; ``(0, 1)`` when every num is 0.  Each w is
+    positive."""
     best_num, best_w = 0, 1
-    for a, w in dirs:
-        num = abs(sum(map(mul, a, zi)))
+    for num, w in pairs:
         if num * best_w > best_num * w:
             best_num, best_w = num, w
-    return Rational(2 * dc * best_num, dz * best_w)
+    return best_num, best_w
 
 
 @lru_cache(maxsize=None)
@@ -354,13 +365,39 @@ def _line(a) -> tuple:
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     """D(body, gauge): the largest pairwise vertex distance in the
     (C - C)/2 norm, with the attaining pair.  None if some difference leaves
-    the span of the gauge."""
+    the span of the gauge.
+
+    Against a full-dimensional gauge in two or three dimensions each pair's
+    norm is the closed form of ``sym_gauge_norm`` taken on the body's
+    integer image: the ratios |a.(x_j - x_i)| / w over the directions
+    (a, w) of ``_norm_directions`` are compared on ints, and one
+    ``Rational`` is formed at the end, with no LP and no
+    ``sym_gauge_norm`` call.  Flat gauges and dimensions >= 4 take every
+    pair's ``sym_gauge_norm``, which is where the LP norm is used.  Either
+    way the attaining pair is the first pair i < j, in canonical order,
+    whose norm is D; a one-point body has none."""
     return _diameter(canonicalize(body), canonicalize(gauge))
 
 
 @lru_cache(maxsize=None)
 def _diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     check_same_dim(body, gauge)
+    directions = _norm_directions(gauge)
+    if directions is None:
+        return _diameter_by_pairs(body, gauge)
+    dc, dirs = directions
+    den, images = body.image
+    best_num, best_w, pair = 0, 1, None
+    for i, j in combinations(range(len(images)), 2):
+        z = [x - y for x, y in zip(images[j], images[i])]
+        num, w = _largest_ratio((abs(sum(map(mul, a, z))), w) for a, w in dirs)
+        if num * best_w > best_num * w:
+            best_num, best_w, pair = num, w, (body.vertices[i], body.vertices[j])
+    # the norm of v_j - v_i is 2 dc num / (den w) for the image over den
+    return RadiiResult(Rational(2 * dc * best_num, den * best_w), attaining=pair)
+
+
+def _diameter_by_pairs(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     verts = body.vertices  # canonical, hence sorted: first attaining pair is
     best = ZERO            # the lexicographically smallest one
     pair = None

@@ -52,6 +52,7 @@ from .bodies import (
     negate,
     same_vertex_set,
     scale,
+    simplex_facets,
     simplex_hrep,
     support,
     translate,
@@ -276,11 +277,13 @@ def _extended_jung_chain(K: VPolytope, C: VPolytope) -> ChainReport:
     Every Minkowski center c gives K - c in s/(s + 1)(K - K), so the link
     holds whichever center ``asymmetry`` returns.
     The second link is exactly 1 by the definition of D: K - K is spanned by
-    vertex differences of K, whose largest (C-C)/2-norm is D."""
+    vertex differences of K, whose largest (C-C)/2-norm is D.  So D itself
+    is never read; ``_chain_diameter`` is still called, as the guard that
+    refuses a pair whose D is infinite or zero."""
     asym = asymmetry(K)
     sK = asym.s
     K0 = translate(K, tuple(-x for x in asym.center))
-    D = _chain_diameter("extended-jung", K, C)
+    _chain_diameter("extended-jung", K, C)
     sC = asymmetry(C).s
     f1 = max(sym_gauge_norm(v, K) for v in K0.vertices) * (sK + 1) / (2 * sK)
     f3 = translative_factor(difference_body(C), C) / (sC + 1)
@@ -583,7 +586,7 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
     Returns (complete, witness c or None).
     """
     S = canonicalize(simplex)
-    simplex_hrep(S)  # raises DegenerateSimplexError when not a simplex
+    planes = simplex_facets(S)  # raises DegenerateSimplexError when not a simplex
     n = S.dim
     d = diameter(S, gauge)
     if d is None:
@@ -592,7 +595,7 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
     p, q = D2.numerator, D2.denominator
     ds, dg, images = S.image[0], *gauge.image
     rows = []
-    for slack, (a, b, _) in enumerate(integer_facets(S), n):
+    for slack, (a, b, _) in enumerate(planes, n):
         # b / ds - (p / q) w / (dg (n + 1)) for the integer width w over dg
         full = ds * q * dg * (n + 1)
         rhs = b * q * dg * (n + 1) - p * integer_width(images, a) * ds
@@ -611,7 +614,7 @@ def is_equilateral(simplex: VPolytope, gauge: VPolytope) -> bool:
     """All edges of the simplex have the same symmetrized-gauge length
     (equivalently: every edge is diametral)."""
     S = canonicalize(simplex)
-    simplex_hrep(S)  # validates the simplex
+    simplex_facets(S)  # validates the simplex
     norms = set()
     verts = S.vertices
     for i in range(len(verts)):
@@ -638,7 +641,7 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     - -(C-c') lies in s(C)(C-c'), so C-C lies in (s(C)+1)(C-c')."""
     S = canonicalize(simplex)
     C = canonicalize(gauge)
-    simplex_hrep(S)  # validates the simplex
+    simplex_facets(S)  # validates the simplex
     n = rat(S.dim)
     R = translative_factor(S, C)
     r = inradius(S, C).value

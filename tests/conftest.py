@@ -13,9 +13,10 @@ checked against the general routes they replaced: one membership LP per
 point, brute force over vertex subsets with rational cofactor normals,
 membership LPs, and LPs maximizing each coordinate over a halfspace region.
 The (C - C)/2 norm is checked against its norm LP, which also checks the
-norm taken as twice a segment's circumradius, and the cone LP checks the
-gauge function written as one hull-membership block or read off the
-facets.  The Minkowski center read off the asymmetry's facet-form dual is
+norm taken as twice a segment's circumradius.  The diameter, taken on
+integer images, is checked against the per-pair ``sym_gauge_norm`` loop it
+replaced, and the cone LP checks the gauge function written as one
+hull-membership block or read off the facets.  The Minkowski center read off the asymmetry's facet-form dual is
 checked against the vertex-form witness of R(-K, K), and where the two
 differ, the center polytope is shown to be more than a point by LPs over
 each coordinate.  Full dimension is checked against an exact rank by
@@ -48,7 +49,13 @@ from gaugeradii.constructions import (
     spiked_difference_pair,
     triangle_mix_gauge,
 )
-from gaugeradii.radii import DegenerateGaugeError, asymmetry, circumradius, inradius
+from gaugeradii.radii import (
+    DegenerateGaugeError,
+    asymmetry,
+    circumradius,
+    inradius,
+    sym_gauge_norm,
+)
 from gaugeradii.ratcore import (
     ONE,
     ZERO,
@@ -444,6 +451,21 @@ def sym_gauge_norm_by_lp(z, gauge):
     builder.add_row(balance, ZERO)
     out = lp.solve(builder.build())
     return None if out.status == lp.INFEASIBLE else out.value
+
+
+def diameter_by_pairs(body, gauge):
+    """``(D, pair)`` from the (C - C)/2 norm of every vertex difference, the
+    pair the first one, in canonical order, to attain D (None for a
+    one-point body); None when some difference leaves the span of C - C."""
+    verts = canonicalize(body).vertices
+    best, pair = ZERO, None
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        norm = sym_gauge_norm(vsub(verts[j], verts[i]), gauge)
+        if norm is None:
+            return None
+        if norm > best:
+            best, pair = norm, (verts[i], verts[j])
+    return best, pair
 
 
 def gauge_value_by_cone(z, body):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -406,3 +407,48 @@ def test_internal_failure_exits_3(capsys, body_files, monkeypatch, fault):
         "status": "internal-error",
         "error": str(fault),
     }
+
+
+# The body files of the pinned diameter reports, written as they are here:
+# each report carries the sha256 of its input files.
+D_BODIES = {
+    "square.json": {"dim": 2, "vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]},
+    "triangle.json": {"dim": 2, "vertices": [["1", "0"], ["0", "1"], ["-1", "-1"]]},
+    # -S and the max sandwich gauge of simplex_sandwich_pair(3, "3", "1", "max")
+    "simplex.json": {"dim": 3, "vertices": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"],
+                                            ["1", "1", "1"]]},
+    "gauge.json": {"dim": 3, "vertices": [
+        ["-4", "-4", "-2"], ["-4", "-2", "-4"], ["-2", "-4", "-4"], ["-2", "-2", "2"],
+        ["-2", "2", "-2"], ["0", "2", "4"], ["0", "4", "2"], ["2", "-2", "-2"], ["2", "0", "4"],
+        ["2", "4", "0"], ["4", "0", "2"], ["4", "2", "0"]]},
+    "segment.json": {"dim": 2, "vertices": [["0", "0"], ["2", "1"]]},
+    "point.json": {"dim": 2, "vertices": [["1/2", "1/3"]]},
+}
+
+
+@pytest.mark.parametrize("body, gauge, value, pair, digest", [
+    ("square.json", "triangle.json", "4", [["-1", "1"], ["1", "-1"]],
+     "6cb597d7016ef406c185e5c361ae55682e3efb4ce4a6e073e8aa5771a1f033df"),
+    ("simplex.json", "gauge.json", "1/2", [["-1", "0", "0"], ["0", "-1", "0"]],
+     "37e463b2e788355bf4c0c81968148f2a8857a1a664e3f0b6daab23da42603d42"),
+    ("gauge.json", "simplex.json", "12", [["-4", "-4", "-2"], ["2", "4", "0"]],
+     "087e8170ed85953a8a3988b45c0b8a8a1217ba2669f93cd47d9007e96e789b06"),
+    ("segment.json", "segment.json", "2", [["0", "0"], ["2", "1"]],
+     "5895f10030e4d167319290795b2ddabddddc9765f02d84b0cc8ae2d5ea83330d"),
+    ("point.json", "triangle.json", "0", None,
+     "9a48b98008e9410b253d09b8e55230f24b4cb47db910932de1589df17203dfa3"),
+    ("square.json", "segment.json", "infinite", None,
+     "553ed93f51b172af7cdce7feb17a14e284602379eed040b1e73bde9159778349"),
+], ids=["planar", "spatial", "spatial-reversed", "flat-gauge", "one-point", "infinite"])
+def test_compute_diameter_stdout_is_pinned(capsys, tmp_path, monkeypatch, body, gauge, value, pair, digest):
+    """The bytes of ``compute --which D``, ``D_pair`` included, on integer
+    images (full gauges) and on the per-pair norm loop (flat gauges)."""
+    for name, data in D_BODIES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["compute", "--body", body, "--gauge", gauge, "--which", "D"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["D"] == value and results.get("D_pair") == pair
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+

@@ -20,9 +20,11 @@ from conftest import (
     circumradius_by_facet_rows,
     circumradius_by_vertices,
     clear_caches,
+    diameter_by_pairs,
     family_pairs,
     in_translated_dilate,
     inradius_by_lp,
+    lattice_bodies,
     minkowski_center_by_vertices,
     minkowski_center_is_unique,
     planar_point_sets,
@@ -30,6 +32,7 @@ from conftest import (
     spatial_hull_cases,
     sym_gauge_norm_by_lp,
 )
+from gaugeradii import radii
 from gaugeradii.bodies import (
     DimensionMismatchError,
     canonicalize,
@@ -263,6 +266,77 @@ def test_diameter(square, triangle):
     res = diameter(square, triangle)
     assert res.value == 4
     assert res.attaining == (vec((-1, 1)), vec((1, -1)))
+
+
+def diameter_outcome(body, gauge):
+    """``(D, pair)``, None, or the type of the ``ValueError`` raised."""
+    try:
+        res = diameter(body, gauge)
+    except ValueError as exc:
+        return type(exc)
+    return None if res is None else (res.value, res.attaining)
+
+
+def pairs_outcome(body, gauge):
+    try:
+        return diameter_by_pairs(body, gauge)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_int_diameter_matches_pair_oracle_on_families(triangle, square):
+    """The diameter on integer images has the value and the attaining pair
+    of the per-pair norm loop: the paper's families both ways round (S and -S against
+    the sandwich gauges, the mixed-triangle gauges and the spiked pair),
+    one-point and flat bodies against full gauges, and flat gauges, which
+    keep the loop."""
+    segment = V([(0, 0), (2, 1)])
+    point = V([(rat("1/2"), rat("1/3"))])
+    cases = [(S, C) for pair in family_pairs() for S, C in (pair, pair[::-1])]
+    cases += [(point, triangle), (segment, triangle), (segment, square),
+              (square, segment), (segment, segment), (point, segment)]
+    seen = set()
+    for body, gauge in cases:
+        clear_caches()
+        got = diameter_outcome(body, gauge)
+        assert got == pairs_outcome(body, gauge), (body, gauge)
+        seen.add(got if got is None else got[1] is None)
+    assert seen == {None, True, False}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda d: st.tuples(*[st.one_of(small_bodies(d), lattice_bodies(d))] * 2)))
+def test_int_diameter_matches_pair_oracle_hypothesis(pair):
+    """Bodies of one to many points, flat ones and one-point ones among
+    them, in the plane and in space."""
+    body, gauge = pair
+    clear_caches()
+    assert diameter_outcome(body, gauge) == pairs_outcome(body, gauge)
+
+
+def test_int_diameter_calls_no_norm_and_solves_no_lp(monkeypatch, solve_counter, triangle, square):
+    """Against a full-dimensional planar or spatial gauge neither D nor its
+    attaining pair takes a ``sym_gauge_norm`` or an LP; a flat gauge keeps
+    the per-pair norms, which shows the count sees them."""
+    calls = []
+    norm = radii.sym_gauge_norm
+
+    def counting(z, gauge):
+        calls.append(z)
+        return norm(z, gauge)
+
+    monkeypatch.setattr(radii, "sym_gauge_norm", counting)
+    pair = simplex_sandwich_pair(3, "3", "1", "max")
+    segment = V([(0, 0, 0), (1, 2, 3)])
+    for body, gauge in ((square, triangle), (triangle, square), (pair.simplex, pair.gauge),
+                        (pair.gauge, negate(pair.simplex)), (segment, pair.gauge)):
+        solve_counter.reset()
+        res = diameter(body, gauge)
+        assert res.value > 0 and res.attaining is not None
+        assert solve_counter.count == 0 and calls == []
+    res = diameter(square, V([(0, 0), (2, 1)]))
+    assert res is None and len(calls) == 1
 
 
 def test_diameter_identities():

@@ -16,7 +16,7 @@ from conftest import (
     gauge_value_by_cone,
     minkowski_center_is_unique,
 )
-from gaugeradii import lp
+from gaugeradii import lp, theorems
 from gaugeradii.bodies import (
     DegenerateSimplexError,
     VPolytope,
@@ -641,6 +641,30 @@ def test_is_equilateral(triangle, square):
     assert is_equilateral(triangle, triangle)
     stretched = V([(2, 0), (0, 1), (-2, -1)])
     assert not is_equilateral(stretched, square)
+
+
+@pytest.mark.parametrize("decide", [simplex_complete, simplex_equality_conditions, is_equilateral])
+def test_simplex_predicates_check_simplices_on_integer_facets(monkeypatch, triangle, square, decide):
+    """Each predicate refuses a body that is not a simplex with the error and
+    the message of ``simplex_hrep``, and never builds that H-description."""
+    wanted = {}
+    flat = V([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    cases = ((square, triangle), (V([(0, 0), (1, 1), (2, 2)]), square), (V([(1, 1)]), square),
+             (flat, standard_centered_simplex(3)))
+    for body, _ in cases:
+        with pytest.raises(DegenerateSimplexError) as exc:
+            simplex_hrep(body)
+        wanted[body] = str(exc.value)
+
+    def refuse(body):
+        raise AssertionError("simplex_hrep called")
+
+    monkeypatch.setattr(theorems, "simplex_hrep", refuse)
+    for body, gauge in cases:
+        with pytest.raises(DegenerateSimplexError) as exc:
+            decide(body, gauge)
+        assert str(exc.value) == wanted[body]
+    decide(triangle, square)
 
 
 # ---------------------------------------------------------------------------
