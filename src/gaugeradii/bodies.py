@@ -9,19 +9,20 @@ goes back from halfspaces to vertices by a Cramer solve
 (``ratcore.solve_square``) of every square subsystem.
 
 Bodies are immutable value objects; operations are pure functions, so results
-may be shared freely and cached.  ``canonicalize`` keeps exactly the extreme
-points and sorts them, which makes vertex-set equality of polytopes a plain
-tuple comparison.
+may be shared freely and cached.  A ``VPolytope`` is built as its vertex
+set: its constructor keeps exactly the extreme points of the listed ones,
+sorted, so equality of polytopes is a plain comparison.  The only other
+bodies are affine copies of such a body (``_affine_copy``).
 
 Hulls, facets, membership, supports, widths and the full-dimension test
 ``spans_space`` are decided on ``integer_image``: the points times the lcm
 of their denominators, so every sign and dot product is a Python int
 operation, and a ``Rational`` is formed only for a result.  A body keeps
-its image and, once canonical, its ``integer_facets``, which ``radii`` and
-``theorems`` write their facet-form LPs from; an affine copy maps its
-original's (``_affine_copy``), and builds its ``Fraction`` vertices only
-when they are read.  One hull,
-``_hull``, serves every dimension: Andrew's monotone chain in the plane,
+its image and its ``integer_facets``, which ``radii`` and ``theorems``
+write their facet-form LPs from; both come from the one ``_hull`` call
+that found its vertices.  An affine copy maps its original's, and builds
+its ``Fraction`` vertices only when they are read.  One hull, ``_hull``,
+serves every dimension: Andrew's monotone chain in the plane,
 beneath-beyond elsewhere, with face normals from cross products in space
 and from the Bareiss determinants of ``ratcore.int_det`` beyond.  A flat
 set is hulled inside its affine hull, projected onto the coordinates that
@@ -73,27 +74,30 @@ class ScaleGuardError(ValueError):
 
 
 class VPolytope:
-    """Convex body given by a finite list of rational vertices.
+    """Convex body, the convex hull of a finite list of rational points,
+    kept as its vertex set.
 
-    ``canonical`` is True once no listed point is in the convex hull of the
-    others and the list is sorted lexicographically.
+    The constructor clears the denominators of the points once
+    (``integer_image``), drops repeats, sorts, and keeps three things from
+    one ``_hull`` call: the extreme points as ``vertices``, in
+    lexicographic order, their integer ``image``, and the facet planes,
+    which ``integer_facets`` puts in order on first read.  So any listing of
+    a point set, with repeats or points inside the hull, gives the same
+    body.  The only other way to make a body is ``_affine_copy``, which
+    maps its original's image and facets when they are first read, and its
+    ``vertices`` too: the facet-form paths never read them.
 
-    ``image`` and, for a canonical body, its ``integer_facets`` are
-    computed on first use and kept, and so are the ``vertices`` of an
-    ``_affine_copy``, which the facet-form paths never read.  Bodies are
-    immutable and key every memo cache.  A canonical body hashes and
-    compares on ``(dim, image, canonical)``: the image is an exact,
-    one-to-one encoding of the vertex tuple, so a copy is keyed without its
-    vertices.  Any other body hashes and compares on its fields ``(dim,
-    vertices, canonical)``, so it computes no image to be keyed.  The hash
-    is taken once: hashing a ``Rational`` costs a modular inverse.
+    Bodies are immutable and key every memo cache.  A body hashes and
+    compares on ``(dim, image)``: the image is an exact, one-to-one encoding
+    of the vertex tuple, so a copy is keyed without its vertices.  The hash
+    is taken once.
     """
 
-    # (original, factor, shift) for the canonical copy factor * original +
-    # shift made by ``_affine_copy``; shift is None or a vector.
+    # (original, factor, shift) for the copy factor * original + shift made
+    # by ``_affine_copy``; shift is None or a vector.
     _source = None
 
-    def __init__(self, dim: int, vertices: tuple, canonical: bool = False):
+    def __init__(self, dim: int, vertices: tuple):
         if not vertices:
             raise ValueError("a polytope needs at least one point")
         for v in vertices:
@@ -101,7 +105,17 @@ class VPolytope:
                 raise DimensionMismatchError(
                     f"point of length {len(v)} in a {dim}-dimensional body"
                 )
-        self.__dict__.update(dim=dim, vertices=vertices, canonical=canonical)
+        den, images = integer_image(vertices)
+        # equal images are equal points, so the dict also drops repeats
+        points = sorted(dict(zip(images, vertices)).items())
+        kept, planes = _hull([image for image, _ in points])
+        image = _lowest(den, [points[i][0] for i in kept])
+        if planes is not None:
+            # the offsets were over den, the kept images are over image[0]
+            g, at = den // image[0], {i: k for k, i in enumerate(kept)}
+            planes = [(u, b // g, tuple(map(at.get, on))) for (u, b), on in planes.items()]
+        vertices = tuple(points[i][1] for i in kept)
+        self.__dict__.update(dim=dim, vertices=vertices, image=image, _planes=planes)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: bodies are immutable")
@@ -112,24 +126,20 @@ class VPolytope:
     def __eq__(self, other):
         if not isinstance(other, VPolytope):
             return NotImplemented
-        if self.dim != other.dim or self.canonical != other.canonical:
-            return False
-        if self.canonical:
-            return self.image == other.image
-        return self.vertices == other.vertices
+        return self.dim == other.dim and self.image == other.image
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.image if self.canonical else self.vertices, self.canonical))
+        return hash((self.dim, self.image))
 
     @cached_property
     def vertices(self) -> tuple:
         """An ``_affine_copy``'s points, its original's mapped in their
-        order, reversed for a reflection; every other body is given its
-        vertices when built."""
+        order, reversed for a reflection; a constructed body keeps its
+        vertices from the start."""
         body, factor, shift = self._source
         points = body.vertices
         if factor == -1:
@@ -142,10 +152,9 @@ class VPolytope:
 
     @cached_property
     def image(self) -> tuple:
-        """``(den, images)``, the ``integer_image`` of the vertices, with the
-        images a tuple of int tuples in vertex order."""
-        if self._source is None:
-            return integer_image(self.vertices)
+        """An ``_affine_copy``'s ``(den, images)``, the ``integer_image`` of
+        its vertices, mapped from its original's; a constructed body keeps
+        its image from the start."""
         a, c, den = _affine_ints(self)
         images = [[a * x + y for x, y in zip(p, c)] for p in self._source[0].image[1]]
         if a < 0:
@@ -154,9 +163,9 @@ class VPolytope:
 
     @cached_property
     def _facets(self) -> tuple | None:
-        """The ``integer_facets`` of a canonical body."""
+        """The ``integer_facets``."""
         if self._source is None:
-            return _hull_facets(self.image[1])
+            return None if self._planes is None else _in_facet_order(self.image[1], self._planes)
         planes = self._source[0]._facets
         if planes is None:
             return None
@@ -181,7 +190,7 @@ class VPolytope:
 
     @cached_property
     def _halfspaces(self) -> tuple | None:
-        """The ``facets`` of a canonical body."""
+        """The ``facets``."""
         if self._facets is None:
             return None
         den = self.image[0]
@@ -336,19 +345,18 @@ def contains_point(body, point) -> bool:
         raise DimensionMismatchError("point length does not match body dimension")
     if isinstance(body, HPolytope):
         return all(vdot(g, x) <= b for g, b in body.halfspaces)
-    k = canonicalize(body)
-    planes = k._facets
+    planes = body._facets
     if planes is None:
         *points, xi = integer_image(body.vertices + (x,))[1]
         pts = sorted({xi, *points})
-        return xi in points or pts.index(xi) not in _extreme(pts)
+        return xi in points or pts.index(xi) not in _hull(pts)[0]
     # g.x <= b / den on x = xi / dx
-    den, (dx, (xi,)) = k.image[0], integer_image([x])
+    den, (dx, (xi,)) = body.image[0], integer_image([x])
     return all(sum(map(mul, g, xi)) * den <= b * dx for g, b, _ in planes)
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# hulls
 
 
 def _ccw_ring(images) -> list:
@@ -382,15 +390,19 @@ def _cofactor_normal(dirs: list) -> list:
     return [(-1) ** j * int_det([d[:j] + d[j + 1 :] for d in dirs]) for j in range(len(dirs[0]))]
 
 
-def _hull(pts) -> tuple | None:
+def _hull(pts) -> tuple:
     """The convex hull of distinct int points in Z^n, sorted:
     ``(vertices, planes)``, the ascending indices of the extreme points and
     a dict from each facet's outward primitive plane ``(normal, offset)`` to
-    the ascending indices of the extreme points on it; None when the points
-    are flat.
+    the ascending indices of the extreme points on it; planes is None when
+    the points are flat.
 
-    In the plane the extreme points are the ``_ccw_ring``, and its edges
-    are the facets.  In any other dimension the hull is built
+    In the plane the extreme points are the ``_ccw_ring``, which takes
+    collinear sets too, and its edges are the facets.  A flat set elsewhere
+    is projected onto the coordinates its differences pivot on under
+    ``_independent``: that projection is one-to-one on its affine hull, so
+    the extreme points are those of the projected set.  A full-dimensional
+    set in any other dimension is hulled
     beneath-beyond, with faces that are simplices of n points: it starts
     from a simplex on the first affinely independent points and turns
     every face away from the sum of the simplex's points, which is n + 1
@@ -406,7 +418,7 @@ def _hull(pts) -> tuple | None:
     if n == 2:
         ring = _ccw_ring(pts)
         if len(ring) < 3:
-            return None
+            return sorted(ring), None
         planes = {}
         for i, j in zip(ring, ring[1:] + ring[:1]):
             (px, py), (qx, qy) = pts[i], pts[j]
@@ -414,9 +426,13 @@ def _hull(pts) -> tuple | None:
             g = math.gcd(a, b)
             planes[(a // g, b // g), (a * px + b * py) // g] = [i, j] if i < j else [j, i]
         return sorted(ring), planes
-    kept, _ = _independent(_differences(pts), n)
+    kept, columns = _independent(_differences(pts), n)
     if len(kept) < n:
-        return None
+        if not columns:
+            return [0], None
+        projected = [tuple(p[c] for c in columns) for p in pts]
+        order = sorted(range(len(pts)), key=projected.__getitem__)
+        return sorted(order[i] for i in _hull([projected[i] for i in order])[0]), None
     simplex = [0] + [i + 1 for i in kept]
     inner = [sum(c) for c in zip(*(pts[i] for i in simplex))]
     faces = {}  # a face's ascending point indices -> its outward (normal, offset)
@@ -454,47 +470,18 @@ def _hull(pts) -> tuple | None:
     return sorted(extreme), {plane: sorted(on & extreme) for plane, on in planes.items()}
 
 
-def _extreme(pts) -> list:
-    """The ascending indices of the extreme points of distinct int points,
-    sorted, flat or not.  In the plane they are the ``_ccw_ring``, which
-    takes collinear sets too and needs no facet planes; elsewhere they are
-    the vertices of ``_hull``.  A flat set is projected onto the
-    coordinates its differences pivot on under ``_independent``: that
-    projection is one-to-one on its affine hull, so it keeps the extreme
-    points."""
-    if len(pts[0]) == 2:
-        return sorted(_ccw_ring(pts))
-    hull = _hull(pts)
-    if hull is not None:
-        return hull[0]
-    _, columns = _independent(_differences(pts), len(pts[0]))
-    if not columns:
-        return [0]
-    projected = [tuple(p[c] for c in columns) for p in pts]
-    order = sorted(range(len(pts)), key=projected.__getitem__)
-    return sorted(order[i] for i in _extreme([projected[i] for i in order]))
-
-
 def canonicalize(body: VPolytope) -> VPolytope:
-    """Drop every point inside the hull of the others, dedupe and sort: the
-    points at ``_extreme`` of the integer images, in any dimension and for
-    flat sets alike, with no LP.  A canonical body is returned as it is,
-    unhashed, so it keeps the images and facets it carries."""
-    return body if body.canonical else _canonical_form(body)
-
-
-@lru_cache(maxsize=None)
-def _canonical_form(body: VPolytope) -> VPolytope:
-    # equal images are equal points, so the dict also drops duplicates
-    by_image = sorted(dict(zip(integer_image(body.vertices)[1], body.vertices)).items())
-    extreme = _extreme([image for image, _ in by_image])
-    return VPolytope(body.dim, tuple(by_image[i][1] for i in extreme), canonical=True)
+    """The body itself: every body is built as its vertex set, the sorted
+    extreme points of the listed ones (``VPolytope``), so there is nothing
+    left to normalize.  Kept as the public name of that normal form."""
+    return body
 
 
 def same_vertex_set(a: VPolytope, b: VPolytope) -> bool:
-    """Exact equality of the represented bodies (canonical vertex lists)."""
+    """Exact equality of the represented bodies, that is of their vertex
+    sets."""
     check_same_dim(a, b)
-    return canonicalize(a).vertices == canonicalize(b).vertices
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +489,12 @@ def same_vertex_set(a: VPolytope, b: VPolytope) -> bool:
 
 
 def _affine_copy(body: VPolytope, factor: Rational, shift) -> VPolytope:
-    """The canonical body factor * body + shift, for factor -1 and no shift
+    """The body factor * body + shift, for factor -1 and no shift
     or factor > 0.  Its points are the body's mapped in their order,
     reversed for factor -1, so no sort is needed.  The copy maps the body's
     image and facets when first read, and its ``vertices`` too."""
     copy = object.__new__(VPolytope)
-    copy.__dict__.update(dim=body.dim, canonical=True, _source=(body, factor, shift))
+    copy.__dict__.update(dim=body.dim, _source=(body, factor, shift))
     return copy
 
 
@@ -525,15 +512,11 @@ def translate(body: VPolytope, shift) -> VPolytope:
     t = vec(shift)
     if len(t) != body.dim:
         raise DimensionMismatchError("translation length does not match body dimension")
-    if body.canonical:
-        return _affine_copy(body, ONE, t)
-    return VPolytope(body.dim, tuple(vadd(v, t) for v in body.vertices))
+    return _affine_copy(body, ONE, t)
 
 
 def negate(body: VPolytope) -> VPolytope:
-    if body.canonical:
-        return _affine_copy(body, -ONE, None)
-    return VPolytope(body.dim, tuple(vneg(v) for v in body.vertices))
+    return _affine_copy(body, -ONE, None)
 
 
 def scale(body: VPolytope, factor) -> VPolytope:
@@ -542,17 +525,14 @@ def scale(body: VPolytope, factor) -> VPolytope:
     if f < 0:
         raise ValueError("dilation factor must be nonnegative; use negate() first")
     if f == 0:
-        return VPolytope(body.dim, (vzero(body.dim),), canonical=True)
-    if body.canonical:
-        return _affine_copy(body, f, None)
-    return VPolytope(body.dim, tuple(vscale(f, v) for v in body.vertices))
+        return VPolytope(body.dim, (vzero(body.dim),))
+    return _affine_copy(body, f, None)
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
-    """Canonicalized pairwise vertex sums of the two bodies."""
+    """The body of the pairwise vertex sums of the two bodies."""
     check_same_dim(a, b)
-    sums = tuple(vadd(u, v) for u in a.vertices for v in b.vertices)
-    return canonicalize(VPolytope(a.dim, sums))
+    return VPolytope(a.dim, tuple(vadd(u, v) for u in a.vertices for v in b.vertices))
 
 
 @lru_cache(maxsize=None)
@@ -560,25 +540,24 @@ def difference_body(body: VPolytope) -> VPolytope:
     """K + (-K); always origin-symmetric.
 
     For a body that is already centrally symmetric about c this is just
-    2(K - c), which skips the quadratic pairwise-sum canonicalization.
+    2(K - c), which skips the hull of the quadratic pairwise sums.
     """
     sym, center = is_centrally_symmetric(body)
     if sym:
-        return scale(translate(canonicalize(body), vneg(center)), 2)
+        return scale(translate(body, vneg(center)), 2)
     return minkowski_sum(body, negate(body))
 
 
 @lru_cache(maxsize=None)
 def is_centrally_symmetric(body: VPolytope) -> tuple:
-    """(True, center) iff the canonical vertex set equals its reflection
-    through the vertex mean — the only possible center.  A reflection
-    reverses the sorted vertex order, so that holds exactly when the i-th
-    and the i-th last integer images have one sum for every i."""
-    k = canonicalize(body)
-    images = k.image[1]
+    """(True, center) iff the vertex set equals its reflection through the
+    vertex mean — the only possible center.  A reflection reverses the
+    sorted vertex order, so that holds exactly when the i-th and the i-th
+    last integer images have one sum for every i."""
+    images = body.image[1]
     total = list(map(add, images[0], images[-1]))
     if all(list(map(add, p, q)) == total for p, q in zip(images, reversed(images))):
-        return True, vertex_centroid(k)
+        return True, vertex_centroid(body)
     return False, None
 
 
@@ -595,13 +574,11 @@ def vertex_centroid(body: VPolytope) -> Vec:
 
 
 def is_simplex(body: VPolytope) -> bool:
-    """n + 1 canonical vertices and n + 1 ``integer_facets``; the same test
-    ``simplex_facets`` makes, so the facets are found once for both."""
-    k = canonicalize(body)
-    if len(k.vertices) != k.dim + 1:
-        return False
-    planes = integer_facets(k)
-    return planes is not None and len(planes) == k.dim + 1
+    """Full-dimensional with n + 1 ``integer_facets``, the test
+    ``simplex_facets`` makes: a full-dimensional polytope with n + 1 facets
+    is a simplex."""
+    planes = integer_facets(body)
+    return planes is not None and len(planes) == body.dim + 1
 
 
 def normalize_halfspace(half: Halfspace) -> Halfspace:
@@ -618,28 +595,19 @@ def facets(body: VPolytope) -> tuple | None:
     """Exact facet description of a full-dimensional polytope: the
     normalized halfspaces ``normal . x <= offset``, one per facet; None when
     the body is flat.  They are the ``integer_facets``, each offset over the
-    denominator of the canonical body's ``image``, and the canonical body
-    keeps them."""
-    return canonicalize(body)._halfspaces
+    denominator of the body's ``image``, and the body keeps them."""
+    return body._halfspaces
 
 
 def integer_facets(body: VPolytope) -> tuple | None:
     """The facets of a full-dimensional polytope on the integer image of its
-    canonical vertices: one ``(normal, offset, on)`` per facet, with the
-    primitive int outer normal, the int offset over the image's ``den`` and
-    the ascending indices of the canonical vertices on the facet; None when
-    the body is flat.  The canonical body keeps them: the planes of
-    ``_hull`` in ``_in_facet_order``, or an affine copy's original's
-    mapped, and sorted again only for a reflection."""
-    return canonicalize(body)._facets
-
-
-def _hull_facets(images) -> tuple | None:
-    """``integer_facets`` from the ``_hull`` of canonical integer images."""
-    hull = _hull(images)
-    if hull is None:
-        return None
-    return _in_facet_order(images, [(u, b, tuple(on)) for (u, b), on in hull[1].items()])
+    vertices: one ``(normal, offset, on)`` per facet, with the primitive int
+    outer normal, the int offset over the image's ``den`` and the ascending
+    indices of the vertices on the facet; None when the body is flat.  The
+    body keeps them: the planes its constructor kept from ``_hull``, put in
+    ``_in_facet_order``, or an affine copy's original's mapped, and sorted
+    again only for a reflection."""
+    return body._facets
 
 
 def _in_facet_order(images, planes) -> tuple:
@@ -664,7 +632,7 @@ def _in_facet_order(images, planes) -> tuple:
 
 def simplex_facets(body: VPolytope) -> tuple:
     """The ``integer_facets`` of a simplex, a full-dimensional body with
-    n + 1 of them, the i-th opposite the i-th canonical vertex; raises
+    n + 1 of them, the i-th opposite the i-th vertex; raises
     ``DegenerateSimplexError`` for any other body."""
     planes = integer_facets(body)
     if planes is None or len(planes) != body.dim + 1:
@@ -677,7 +645,7 @@ def simplex_facets(body: VPolytope) -> tuple:
 def simplex_hrep(body: VPolytope) -> HPolytope:
     """Exact facet description of a simplex: the ``facets`` of a body with
     n + 1 of them (``simplex_facets``), the i-th opposite the i-th
-    canonical vertex."""
+    vertex."""
     simplex_facets(body)
     return HPolytope(body.dim, facets(body))
 
@@ -726,7 +694,7 @@ def enumerate_vertices(region: HPolytope) -> VPolytope:
             found[x] = None
     if not found:
         raise ValueError("empty halfspace intersection")
-    return VPolytope(n, tuple(sorted(found)), canonical=True)
+    return VPolytope(n, tuple(found))
 
 
 # ---------------------------------------------------------------------------

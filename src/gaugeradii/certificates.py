@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp
-from .bodies import VPolytope, canonicalize, contains_point, scale, support, translate
-from .radii import circumradius
+from .bodies import VPolytope, contains_point, scale, support, translate
+from .radii import InfiniteRadiusError, SinglePointBodyError, circumradius
 from .ratcore import ZERO, is_zero_vec, rat, rat_str, vec, vdot
 
 
@@ -100,12 +100,11 @@ def extract(body: VPolytope, gauge: VPolytope) -> ContainmentCertificate:
     (Caratheodory, done by the LP returning a basic solution).  A certificate
     that fails ``validate`` raises ``ExtractionError``; there is no repair.
     """
-    body, gauge = canonicalize(body), canonicalize(gauge)
     res = circumradius(body, gauge)
     if res is None:
-        raise ValueError("no dilate of the gauge covers the body (infinite circumradius)")
+        raise InfiniteRadiusError("no dilate of the gauge covers the body (infinite circumradius)")
     if res.value == 0:
-        raise ValueError("degenerate containment: the body is a single point")
+        raise SinglePointBodyError("degenerate containment: the body is a single point")
     candidates = res.attaining
     builder = lp.ProgramBuilder()
     n = body.dim

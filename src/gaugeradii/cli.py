@@ -13,9 +13,11 @@ give byte-identical output.  ``--approx`` appends clearly labeled decimal
 renderings for human convenience; they are never used in any comparison.
 
 Exit codes: 0 computed/verified, 1 a verified property failed (report carries
-the counterexample), 2 invalid input, 3 internal failure (a ``RuntimeError``
-such as a certificate that fails validation, or a ``TypeError``, which the
-input loaders have already turned into invalid input where the input was at
+the counterexample), 2 invalid input (``InputError`` and the library's
+named ``ValueError`` subclasses), 3 internal failure (a ``RuntimeError``
+such as a certificate that fails validation, a ``TypeError``, or a plain
+``ValueError``, which no input check raises; the input loaders have
+already turned the last two into invalid input where the input was at
 fault; reported on stderr).
 """
 
@@ -31,7 +33,6 @@ from .bodies import (
     VPolytope,
     body_from_json,
     body_to_json,
-    canonicalize,
     is_centrally_symmetric,
     negate,
     translate,
@@ -307,8 +308,8 @@ def _cmd_verify(args) -> int:
                     "checked": checked,
                     "counterexample": {
                         "label": label,
-                        "body": body_to_json(canonicalize(body)),
-                        "gauge": body_to_json(canonicalize(gauge)),
+                        "body": body_to_json(body),
+                        "gauge": body_to_json(gauge),
                         "details": details,
                     },
                 },
@@ -514,7 +515,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # InputError and the library's input errors
+    except ValueError as exc:  # InputError and the library's named input errors
+        if type(exc) is ValueError:  # a bare one is raised by no input check
+            return _fail(args.command, "internal-error", exc, 3)
         return _fail(args.command, "error", exc, 2)
     except (RuntimeError, TypeError) as exc:
         return _fail(args.command, "internal-error", exc, 3)

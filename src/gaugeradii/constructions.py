@@ -26,7 +26,6 @@ from .bodies import (
     VPolytope,
     body_from_json,
     body_to_json,
-    canonicalize,
     contains_point,
     difference_body,
     enumerate_vertices,
@@ -39,6 +38,10 @@ from .bodies import (
     spans_space,
 )
 from .ratcore import ONE, ZERO, Rational, rat, rat_str
+
+
+class InvalidParameterError(ValueError):
+    """A family parameter is outside the range the construction is defined on."""
 
 
 class NoSpikePointError(ValueError):
@@ -86,7 +89,7 @@ def standard_centered_simplex(n: int) -> VPolytope:
         e[i] = ONE
         verts.append(tuple(e))
     verts.append((-ONE,) * n)
-    return canonicalize(VPolytope(n, tuple(verts)))
+    return VPolytope(n, tuple(verts))
 
 
 def simplex_sandwich_pair(n: int, lam, mu, variant: str = "min") -> ExamplePair:
@@ -100,9 +103,9 @@ def simplex_sandwich_pair(n: int, lam, mu, variant: str = "min") -> ExamplePair:
     """
     lam, mu = rat(lam), rat(mu)
     if not (lam >= mu >= 0 and lam > 0):
-        raise ValueError("parameters must satisfy lam >= mu >= 0 with lam > 0")
+        raise InvalidParameterError("parameters must satisfy lam >= mu >= 0 with lam > 0")
     if variant not in ("min", "max"):
-        raise ValueError("variant must be 'min' or 'max'")
+        raise InvalidParameterError("variant must be 'min' or 'max'")
     S = standard_centered_simplex(n)
     if variant == "min":
         gauge = minkowski_sum(scale(S, lam), scale(negate(S), mu))
@@ -145,7 +148,7 @@ def spiked_difference_pair(n: int, spike=None) -> ExamplePair:
                 f"(n+1)(S ∩ -S) has no vertex outside S - S in dimension {n}"
             )
         p = min(candidates)
-    gauge = canonicalize(VPolytope(n, SS.vertices + (p,)))
+    gauge = VPolytope(n, SS.vertices + (p,))
     return ExamplePair(
         simplex=S,
         gauge=gauge,
@@ -158,7 +161,7 @@ def triangle_mix_gauge(lam) -> ExamplePair:
     """Planar gauge lam*S + (1-lam)*(-S) on the centered triangle, lam in [0,1]."""
     lam = rat(lam)
     if not (ZERO <= lam <= ONE):
-        raise ValueError("mixing parameter must lie in [0, 1]")
+        raise InvalidParameterError("mixing parameter must lie in [0, 1]")
     S = standard_centered_simplex(2)
     gauge = minkowski_sum(scale(S, lam), scale(negate(S), ONE - lam))
     return ExamplePair(
@@ -213,14 +216,14 @@ def random_vpolytope(
 ) -> VPolytope:
     """Deterministic full-dimensional random body: ``vertex_count`` draws
     with denominators up to 3, redrawn until the affine hull is all of
-    R^dim, then canonicalized."""
+    R^dim, then kept as the body of the drawn points."""
     if dim < 2 or vertex_count < dim + 1:
         raise ValueError("need dim >= 2 and at least dim+1 points")
     rng = rng if rng is not None else SplitMix64(seed)
     for _attempt in range(500):
         pts = [rng.point(dim, coordinate_bound) for _ in range(vertex_count)]
         if spans_space(pts):
-            return canonicalize(VPolytope(dim, tuple(pts)))
+            return VPolytope(dim, tuple(pts))
     raise ExhaustedRedrawsError("could not draw a full-dimensional body")
 
 
@@ -261,12 +264,9 @@ def random_pair_suite(trials: int, seed: int, dims=(2, 3), max_vertices: int = 5
 
 
 def random_simplex(dim: int, coordinate_bound: int, rng: SplitMix64) -> VPolytope:
-    """A nondegenerate random simplex (dim+1 affinely independent points).
-
-    Affinely independent points are distinct and all extreme, so the sorted
-    points are already the canonical vertex list."""
+    """A nondegenerate random simplex (dim+1 affinely independent points)."""
     for _attempt in range(500):
         pts = [rng.point(dim, coordinate_bound) for _ in range(dim + 1)]
         if spans_space(pts):
-            return VPolytope(dim, tuple(sorted(pts)), canonical=True)
+            return VPolytope(dim, tuple(pts))
     raise ExhaustedRedrawsError("could not draw a nondegenerate simplex")

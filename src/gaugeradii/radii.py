@@ -29,8 +29,9 @@ simplex.  Against such a gauge the diameter takes that closed form on the
 body's own integer image, pair by pair, with no rational difference
 vector.  Every value can be re-certified independently.
 
-Results are memoized on the (immutable, canonicalized) bodies; a verification
-suite touches the same radii many times over.  ``clear_caches`` empties
+Results are memoized on the bodies, which are immutable and built as their
+vertex sets, so equal bodies are one key; a verification suite touches the
+same radii many times over.  ``clear_caches`` empties
 these memo caches and those of ``bodies`` between independent questions.
 """
 
@@ -45,8 +46,6 @@ from . import lp
 from .bodies import (
     DimensionMismatchError,
     VPolytope,
-    _canonical_form,
-    canonicalize,
     check_same_dim,
     contains_point,
     difference_body,
@@ -65,6 +64,18 @@ from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vzer
 
 class DegenerateGaugeError(ValueError):
     """The gauge body cannot measure anything (e.g. a single point)."""
+
+
+class InfiniteRadiusError(ValueError):
+    """A value would be infinite (affine hulls incompatible)."""
+
+
+class SinglePointBodyError(ValueError):
+    """The body is one point where a positive radius or diameter is needed."""
+
+
+class ZeroDirectionError(ValueError):
+    """A direction that must be nonzero is zero."""
 
 
 class RadiiResult:
@@ -134,6 +145,7 @@ def circumradius_program(body: VPolytope, gauge: VPolytope):
     return builder.build(), (t, lam)
 
 
+@lru_cache(maxsize=None)
 def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     """R(body, gauge); None when no dilate of the gauge can cover the body
     (the affine hulls are incompatible).
@@ -152,11 +164,6 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     (``circumradius_program``), solved on their first read only; its optimum
     is the same value, and its dual gives ``attaining``.  A flat gauge has
     no facets and takes the vertex form for everything."""
-    return _circumradius(canonicalize(body), canonicalize(gauge))
-
-
-@lru_cache(maxsize=None)
-def _circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     check_same_dim(body, gauge)
     planes = integer_facets(gauge)
     if planes is None:
@@ -197,7 +204,7 @@ def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
     """``(R, u, den)``: the facet-form optimum, read off its LP dual, with
     that LP's dual vector u and the denominator den of the body's integer
     image.  The LP has one column y_g >= 0 per facet g.x <= b of the
-    full-dimensional canonical gauge and n + 1 rows,
+    full-dimensional gauge and n + 1 rows,
 
         R = max sum_g y_g h(body, g)  subject to  sum_g y_g g = 0,  sum_g y_g b = 1.
 
@@ -264,10 +271,10 @@ def inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
     gauge in t + R*body means rho*gauge - rho*t in body, so the witness is
     -rho*t, computed on its first read.  No dilate of the body covering the
     gauge means the body is flat across the gauge: rho = 0, witnessed by the
-    first canonical vertex."""
+    first vertex."""
     res = circumradius(gauge, body)
     if res is None:
-        return RadiiResult(ZERO, canonicalize(body).vertices[0])
+        return RadiiResult(ZERO, body.vertices[0])
     if res.value == 0:
         raise DegenerateGaugeError("inradius is unbounded: gauge is a single point")
     rho = ONE / res.value
@@ -305,11 +312,9 @@ def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
         raise DimensionMismatchError("vector length does not match gauge dimension")
     if is_zero_vec(zv):
         return ZERO
-    gauge = canonicalize(gauge)
     directions = _norm_directions(gauge)
     if directions is None:
-        segment = VPolytope(gauge.dim, tuple(sorted((vzero(gauge.dim), zv))), canonical=True)
-        res = _circumradius(segment, gauge)
+        res = circumradius(VPolytope(gauge.dim, (vzero(gauge.dim), zv)), gauge)
         return None if res is None else 2 * res.value
     dc, dirs = directions
     dz, (zi,) = integer_image([zv])
@@ -362,6 +367,7 @@ def _line(a) -> tuple:
     return tuple(x // g for x in a) if next(x for x in a if x) > 0 else tuple(-x // g for x in a)
 
 
+@lru_cache(maxsize=None)
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     """D(body, gauge): the largest pairwise vertex distance in the
     (C - C)/2 norm, with the attaining pair.  None if some difference leaves
@@ -374,13 +380,8 @@ def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     ``Rational`` is formed at the end, with no LP and no
     ``sym_gauge_norm`` call.  Flat gauges and dimensions >= 4 take every
     pair's ``sym_gauge_norm``, which is where the LP norm is used.  Either
-    way the attaining pair is the first pair i < j, in canonical order,
+    way the attaining pair is the first pair i < j, in vertex order,
     whose norm is D; a one-point body has none."""
-    return _diameter(canonicalize(body), canonicalize(gauge))
-
-
-@lru_cache(maxsize=None)
-def _diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     check_same_dim(body, gauge)
     directions = _norm_directions(gauge)
     if directions is None:
@@ -398,8 +399,8 @@ def _diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
 
 
 def _diameter_by_pairs(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
-    verts = body.vertices  # canonical, hence sorted: first attaining pair is
-    best = ZERO            # the lexicographically smallest one
+    verts = body.vertices  # sorted: the first attaining pair is the
+    best = ZERO            # lexicographically smallest one
     pair = None
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -417,7 +418,7 @@ def breadth(body: VPolytope, gauge: VPolytope, direction) -> Rational:
     h(K - K, s) = h(K, s) + h(K, -s)."""
     d = vec(direction)
     if is_zero_vec(d):
-        raise ValueError("breadth needs a nonzero direction")
+        raise ZeroDirectionError("breadth needs a nonzero direction")
     check_same_dim(body, gauge)
     num = width(body, d)
     den = width(gauge, d)
@@ -433,7 +434,7 @@ def jung_ratio(body: VPolytope, gauge: VPolytope) -> Rational | None:
         return None
     diam = diameter(body, gauge)
     if diam is None or diam.value == 0:
-        raise ValueError("Jung ratio needs a body with positive diameter")
+        raise SinglePointBodyError("Jung ratio needs a body with positive diameter")
     return circ.value / diam.value
 
 
@@ -441,6 +442,7 @@ def jung_ratio(body: VPolytope, gauge: VPolytope) -> Rational | None:
 # asymmetry and Minkowski centers
 
 
+@lru_cache(maxsize=None)
 def asymmetry(body: VPolytope) -> AsymmetryResult:
     """Minkowski asymmetry s(K) = R(-K, K) with one Minkowski center.
 
@@ -459,11 +461,6 @@ def asymmetry(body: VPolytope) -> AsymmetryResult:
     ``is_minkowski_center`` tests a point against it, and the concentricity
     LPs of ``theorems`` carry its rows.
     """
-    return _asymmetry(canonicalize(body))
-
-
-@lru_cache(maxsize=None)
-def _asymmetry(body: VPolytope) -> AsymmetryResult:
     sym, center = is_centrally_symmetric(body)
     if sym:  # s = 1 exactly iff the body is symmetric; center is forced
         return AsymmetryResult(ONE, center)
@@ -489,16 +486,15 @@ def is_minkowski_center(body: VPolytope, point) -> bool:
     and the integer images of K and c.  A flat body takes one membership
     test per vertex."""
     c = vec(point)
-    k = canonicalize(body)
-    if len(c) != k.dim:
+    if len(c) != body.dim:
         raise DimensionMismatchError("point length does not match body dimension")
-    s = asymmetry(k).s
-    planes = integer_facets(k)
+    s = asymmetry(body).s
+    planes = integer_facets(body)
     if planes is not None:
         # times q dc den for s = p/q, c = ci/dc and the images of K over den:
         # (q + p) den g.ci <= dc (p b - q h(K, -g) den)
         p, q = s.numerator, s.denominator
-        den, images = k.image
+        den, images = body.image
         dc, (ci,) = integer_image([c])
         return all(
             (q + p) * den * sum(map(mul, g, ci))
@@ -506,10 +502,10 @@ def is_minkowski_center(body: VPolytope, point) -> bool:
             for g, b, _ in planes
         )
     shifted = vscale(ONE + s, c)
-    target = scale(k, s)
+    target = scale(body, s)
     return all(
         contains_point(target, tuple(sc - v for sc, v in zip(shifted, vert)))
-        for vert in k.vertices
+        for vert in body.vertices
     )
 
 
@@ -529,7 +525,7 @@ def is_constant_width(body: VPolytope, gauge: VPolytope) -> bool:
     not."""
     diam = diameter(body, gauge)
     if diam is None:
-        raise ValueError("constant width needs a gauge spanning the body")
+        raise InfiniteRadiusError("constant width needs a gauge spanning the body")
     if diam.value == 0:
         return True
     back = diameter(gauge, body)
@@ -542,13 +538,12 @@ def is_constant_width(body: VPolytope, gauge: VPolytope) -> bool:
 # Taken at import, so that a rebinding of these names (a benchmark counting
 # calls) leaves the caches reachable here.
 _CACHES = (
-    _canonical_form,
     difference_body,
     is_centrally_symmetric,
-    _circumradius,
+    circumradius,
     _norm_directions,
-    _diameter,
-    _asymmetry,
+    diameter,
+    asymmetry,
 )
 
 

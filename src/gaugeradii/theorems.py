@@ -38,7 +38,6 @@ from .bodies import (
     DegenerateSimplexError,
     DimensionMismatchError,
     VPolytope,
-    canonicalize,
     check_same_dim,
     contains_point,
     difference_body,
@@ -59,6 +58,9 @@ from .bodies import (
     width,
 )
 from .radii import (
+    InfiniteRadiusError,
+    SinglePointBodyError,
+    ZeroDirectionError,
     asymmetry,
     circumradius,
     diameter,
@@ -78,8 +80,8 @@ class NotCenteredError(ValueError):
     """The body must be Minkowski centered at the origin."""
 
 
-class InfiniteRadiusError(ValueError):
-    """A chain value would be infinite (affine hulls incompatible)."""
+class NotPlanarError(ValueError):
+    """A planar statement was asked about bodies outside the plane."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +104,13 @@ def gauge_value(z, body: VPolytope) -> Rational | None:
     zv = vec(z)
     if len(zv) != body.dim:
         raise DimensionMismatchError("vector length does not match body dimension")
-    k = canonicalize(body)
-    if not contains_point(k, vzero(k.dim)):
+    if not contains_point(body, vzero(body.dim)):
         raise OriginNotInGaugeError("gauge function needs the origin inside the body")
     if is_zero_vec(zv):
         return ZERO
     builder = lp.ProgramBuilder()
     rho = builder.add_var(objective=ONE)
-    builder.add_hull_membership(k.vertices, [{}] * k.dim, zv, mass=rho)
+    builder.add_hull_membership(body.vertices, [{}] * body.dim, zv, mass=rho)
     out = lp.solve(builder.build())
     return out.value if out.status == lp.OPTIMAL else None
 
@@ -206,7 +207,9 @@ def _chain_diameter(chain_id: str, K: VPolytope, C: VPolytope) -> Rational:
     if d is None:
         raise InfiniteRadiusError("diameter is infinite for this pair")
     if d.value == 0 and chain_id in _OVER_DIAMETER:
-        raise ValueError(f"chain {chain_id!r} divides by D(K, C), which is 0 for a one-point body")
+        raise SinglePointBodyError(
+            f"chain {chain_id!r} divides by D(K, C), which is 0 for a one-point body"
+        )
     return d.value
 
 
@@ -216,18 +219,17 @@ def eval_chain(chain_id: str, body: VPolytope, gauge: VPolytope) -> ChainReport:
         raise ValueError(f"unknown chain {chain_id!r}; choose from {CHAINS}")
     if chain_id in SYMMETRIC_ONLY_CHAINS and not is_centrally_symmetric(gauge)[0]:
         raise GaugeNotSymmetricError(f"chain {chain_id!r} needs a symmetric gauge")
-    K, C = canonicalize(body), canonicalize(gauge)
-    n = rat(check_same_dim(K, C))
+    n = rat(check_same_dim(body, gauge))
 
     if chain_id == "extended-jung":
-        return _extended_jung_chain(K, C)
+        return _extended_jung_chain(body, gauge)
 
-    R = translative_factor(K, C)
-    D = _chain_diameter(chain_id, K, C)
-    sK = asymmetry(K).s
-    sC = asymmetry(C).s
-    r = inradius(K, C).value
-    r_mirror = inradius(K, negate(C)).value
+    R = translative_factor(body, gauge)
+    D = _chain_diameter(chain_id, body, gauge)
+    sK = asymmetry(body).s
+    sC = asymmetry(gauge).s
+    r = inradius(body, gauge).value
+    r_mirror = inradius(body, negate(gauge)).value
 
     if chain_id == "bohnenblust":
         return _values_report(chain_id, (R / D, n / (n + 1)))
@@ -350,18 +352,19 @@ def radius_bound_checks(body: VPolytope, gauge: VPolytope) -> RadiusBoundsReport
     """Check the bounds (a)..(e) on (K, C).  A one-point body is refused: its
     R(K, C) = s(K) r(K, -C) = 0 would run a follow-up whose implication needs
     a full-dimensional body."""
-    K, C = canonicalize(body), canonicalize(gauge)
-    R = translative_factor(K, C)
+    R = translative_factor(body, gauge)
     if R == 0:
-        raise ValueError("radius bounds need R(K, C) > 0, which is 0 for a one-point body")
-    R_neg = translative_factor(K, negate(C))
-    r = inradius(K, C).value
-    r_neg = inradius(K, negate(C)).value
-    CC = difference_body(C)
-    R_cc = translative_factor(K, CC)
-    r_cc = inradius(K, CC).value
-    sK = asymmetry(K).s
-    sC = asymmetry(C).s
+        raise SinglePointBodyError(
+            "radius bounds need R(K, C) > 0, which is 0 for a one-point body"
+        )
+    R_neg = translative_factor(body, negate(gauge))
+    r = inradius(body, gauge).value
+    r_neg = inradius(body, negate(gauge)).value
+    CC = difference_body(gauge)
+    R_cc = translative_factor(body, CC)
+    r_cc = inradius(body, CC).value
+    sK = asymmetry(body).s
+    sC = asymmetry(gauge).s
 
     # All bounds are cross-multiplied so zero inradii (flat bodies) stay exact.
     a = max(sK, sC) * r_neg <= R
@@ -372,10 +375,10 @@ def radius_bound_checks(body: VPolytope, gauge: VPolytope) -> RadiusBoundsReport
 
     gauge_followup = None
     if sC * r_neg == R:
-        gauge_followup = is_mirrored_concentric(K, C)
+        gauge_followup = is_mirrored_concentric(body, gauge)
     body_followup = None
     if sK * r_neg == R:
-        body_followup = is_mirrored_concentric(C, K)
+        body_followup = is_mirrored_concentric(gauge, body)
     return RadiusBoundsReport(
         checks=(("a", a), ("b", b), ("c", c), ("d", d), ("e", e)),
         gauge_equality_followup=gauge_followup,
@@ -387,19 +390,18 @@ def breadth_ratio_bounds(gauge: VPolytope, r, directions) -> bool:
     """For a Minkowski-centered gauge C and r in [0, 1], the ratio
     (h(C,a) + h(rC,-a)) / (h(C,a) + h(C,-a)) stays within
     [(1 + s r)/(1 + s), (r + s)/(1 + s)] for every direction a."""
-    C = canonicalize(gauge)
     rho = rat(r)
     if not (ZERO <= rho <= ONE):
         raise ValueError("the shrink factor must lie in [0, 1]")
-    if not is_minkowski_center(C, vzero(C.dim)):
+    if not is_minkowski_center(gauge, vzero(gauge.dim)):
         raise NotCenteredError("gauge must be Minkowski centered at the origin")
-    s = asymmetry(C).s
+    s = asymmetry(gauge).s
     for a in directions:
         av = vec(a)
         if is_zero_vec(av):
-            raise ValueError("breadth bound needs nonzero directions")
-        h_plus = support(C, av)[0]
-        h_minus = support(C, tuple(-x for x in av))[0]
+            raise ZeroDirectionError("breadth bound needs nonzero directions")
+        h_plus = support(gauge, av)[0]
+        h_minus = support(gauge, tuple(-x for x in av))[0]
         num = h_plus + rho * h_minus
         den = h_plus + h_minus
         if not ((1 + s * rho) * den <= (1 + s) * num <= (rho + s) * den):
@@ -419,16 +421,15 @@ class RatioBoundsReport:
 
 
 def ratio_bound_checks(body: VPolytope, gauge: VPolytope) -> RatioBoundsReport:
-    K, C = canonicalize(body), canonicalize(gauge)
-    R = translative_factor(K, C)
-    r = inradius(K, C).value
-    sK = asymmetry(K).s
-    sC = asymmetry(C).s
+    R = translative_factor(body, gauge)
+    r = inradius(body, gauge).value
+    sK = asymmetry(body).s
+    sC = asymmetry(gauge).s
     lower = R * sC >= r * sK and R * sK >= r * sC
 
-    if is_simplex(K):
-        completeness = "complete" if simplex_complete(K, C)[0] else "incomplete"
-    elif is_constant_width(K, C):
+    if is_simplex(body):
+        completeness = "complete" if simplex_complete(body, gauge)[0] else "incomplete"
+    elif is_constant_width(body, gauge):
         completeness = "complete"
     else:
         completeness = "undecidable"
@@ -437,7 +438,7 @@ def ratio_bound_checks(body: VPolytope, gauge: VPolytope) -> RatioBoundsReport:
     if completeness == "complete":
         upper = R <= sK * sC * r
         if R == sK * sC * r:
-            equality_followup = are_mutually_concentric(K, C)
+            equality_followup = are_mutually_concentric(body, gauge)
     return RatioBoundsReport(lower, completeness, upper, equality_followup)
 
 
@@ -490,23 +491,22 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     with one hull-membership block per point of P, ``alpha c + beta t + p
     = factor * (convex combination of the vertices of Q)``.
     """
-    K, C = canonicalize(body), canonicalize(gauge)
-    n = check_same_dim(K, C)
-    circ = circumradius(K, C)
+    n = check_same_dim(body, gauge)
+    circ = circumradius(body, gauge)
     if circ is None:
         return False
     R = circ.value
-    sigma, sigma_C = (-ONE, negate(C)) if mirrored else (ONE, C)
-    r = inradius(K, sigma_C).value
-    sC = asymmetry(C).s
+    sigma, sigma_C = (-ONE, negate(gauge)) if mirrored else (ONE, gauge)
+    r = inradius(body, sigma_C).value
+    sC = asymmetry(gauge).s
     # (alpha, beta, P, Q, factor) per inclusion
-    inclusions = [(ONE + sC, ZERO, negate(C), C, sC)]
+    inclusions = [(ONE + sC, ZERO, negate(gauge), gauge, sC)]
     if mutual:
-        sK = asymmetry(K).s
-        inclusions.append((ZERO, ONE + sK, negate(K), K, sK))
-    inclusions.append((-sigma * r, ONE, scale(sigma_C, r), K, ONE))
-    inclusions.append((R, -ONE, K, C, R))
-    if integer_facets(K) is None or integer_facets(C) is None:
+        sK = asymmetry(body).s
+        inclusions.append((ZERO, ONE + sK, negate(body), body, sK))
+    inclusions.append((-sigma * r, ONE, scale(sigma_C, r), body, ONE))
+    inclusions.append((R, -ONE, body, gauge, R))
+    if integer_facets(body) is None or integer_facets(gauge) is None:
         builder = lp.ProgramBuilder()
         c_vars = builder.add_vars(n, free=True)
         t_vars = builder.add_vars(n, free=True)
@@ -585,15 +585,14 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 
     Returns (complete, witness c or None).
     """
-    S = canonicalize(simplex)
-    planes = simplex_facets(S)  # raises DegenerateSimplexError when not a simplex
-    n = S.dim
-    d = diameter(S, gauge)
+    planes = simplex_facets(simplex)  # raises DegenerateSimplexError when not a simplex
+    n = simplex.dim
+    d = diameter(simplex, gauge)
     if d is None:
         raise InfiniteRadiusError("gauge does not span the simplex")
     D2 = d.value / 2  # D(S, C')
     p, q = D2.numerator, D2.denominator
-    ds, dg, images = S.image[0], *gauge.image
+    ds, dg, images = simplex.image[0], *gauge.image
     rows = []
     for slack, (a, b, _) in enumerate(planes, n):
         # b / ds - (p / q) w / (dg (n + 1)) for the integer width w over dg
@@ -613,10 +612,9 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 def is_equilateral(simplex: VPolytope, gauge: VPolytope) -> bool:
     """All edges of the simplex have the same symmetrized-gauge length
     (equivalently: every edge is diametral)."""
-    S = canonicalize(simplex)
-    simplex_facets(S)  # validates the simplex
+    simplex_facets(simplex)  # validates the simplex
     norms = set()
-    verts = S.vertices
+    verts = simplex.vertices
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             norms.add(sym_gauge_norm(vsub(verts[j], verts[i]), gauge))
@@ -639,25 +637,23 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     - (S-c)/n lies in -(S-c) as s(S) = n, so S-S contains (1+1/n)(S-c);
     - S-S is spanned by vertex differences of S, whose largest (C-C)/2-norm is D;
     - -(C-c') lies in s(C)(C-c'), so C-C lies in (s(C)+1)(C-c')."""
-    S = canonicalize(simplex)
-    C = canonicalize(gauge)
-    simplex_facets(S)  # validates the simplex
-    n = rat(S.dim)
-    R = translative_factor(S, C)
-    r = inradius(S, C).value
-    r_mirror = inradius(S, negate(C)).value
-    d = diameter(S, C)
+    simplex_facets(simplex)  # validates the simplex
+    n = rat(simplex.dim)
+    R = translative_factor(simplex, gauge)
+    r = inradius(simplex, gauge).value
+    r_mirror = inradius(simplex, negate(gauge)).value
+    d = diameter(simplex, gauge)
     if d is None:
         raise InfiniteRadiusError("gauge does not span the simplex")
     D = d.value
-    sC = asymmetry(C).s
+    sC = asymmetry(gauge).s
 
-    f4 = translative_factor(C, negate(S)) * (sC + 1) * D / (2 * (n + 1))
+    f4 = translative_factor(gauge, negate(simplex)) * (sC + 1) * D / (2 * (n + 1))
     cond_inclusions = f4 <= 1
 
     cond_chains = (
-        eval_chain("gauge-asymmetry-chain", S, C).all_equal
-        and eval_chain("body-asymmetry-chain", S, C).all_equal
+        eval_chain("gauge-asymmetry-chain", simplex, gauge).all_equal
+        and eval_chain("body-asymmetry-chain", simplex, gauge).all_equal
     )
     # Equality in the mirrored concentricity inequality.  (The generalized
     # variant s(C)r + R is an equality even for homothetic self-gauge pairs
@@ -665,7 +661,7 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     # mirrored form closes the equivalence cycle.)
     cond_concentricity = r_mirror + R == (sC + 1) * D / 2
     cond_jung = 2 * (n + 1) * R == n * (sC + 1) * D
-    cond_complete = simplex_complete(S, C)[0] and R == n * sC * r
+    cond_complete = simplex_complete(simplex, gauge)[0] and R == n * sC * r
 
     return ConditionVector(
         entries=(
@@ -681,15 +677,14 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
 def sandwich_equivalence(body: VPolytope, gauge: VPolytope) -> ConditionVector:
     """Equality throughout the complete chain is equivalent to the closing
     inclusion D/2 (s(C)+1) C in a translate of (s(K)+1)(-K)."""
-    K, C = canonicalize(body), canonicalize(gauge)
-    chain = eval_chain("complete-chain", K, C)
-    d = diameter(K, C)
+    chain = eval_chain("complete-chain", body, gauge)
+    d = diameter(body, gauge)
     if d is None:
         raise InfiniteRadiusError("diameter is infinite for this pair")
     D = d.value
-    sK = asymmetry(K).s
-    sC = asymmetry(C).s
-    closing = translative_factor(C, negate(K)) * D * (sC + 1) / (2 * (sK + 1)) <= 1
+    sK = asymmetry(body).s
+    sC = asymmetry(gauge).s
+    closing = translative_factor(gauge, negate(body)) * D * (sC + 1) / (2 * (sK + 1)) <= 1
     return ConditionVector(
         entries=(
             ("complete_chain_equalities", chain.all_equal),
@@ -712,28 +707,26 @@ def triangle_gauge_decomposition(simplex: VPolytope, gauge: VPolytope):
     verified by exact vertex-set equality.  (A decomposition forces
     C - C = S - S; the final check covers that.)
     """
-    S = canonicalize(simplex)
-    if S.dim != 2:
-        raise ValueError("the decomposition is a planar construction")
-    hrep = simplex_hrep(S)
-    C = canonicalize(gauge)
-    negS = negate(S)
+    if simplex.dim != 2:
+        raise NotPlanarError("the decomposition is a planar construction")
+    hrep = simplex_hrep(simplex)
+    negS = negate(simplex)
     rows = []
     rhs = []
     for half in hrep.halfspaces:
         a = half.normal
-        h_s = support(S, a)[0]
+        h_s = support(simplex, a)[0]
         h_neg = support(negS, a)[0]
         rows.append([a[0], a[1], h_s - h_neg])
-        rhs.append(support(C, a)[0] - h_neg)
+        rhs.append(support(gauge, a)[0] - h_neg)
     solved = solve_square(rows, rhs)
     if solved is None:
         return None
     t, lam = solved[:2], solved[2]
     if not (ZERO <= lam <= ONE):
         return None
-    mixed = translate(minkowski_sum(scale(S, lam), scale(negS, ONE - lam)), t)
-    if not same_vertex_set(C, mixed):
+    mixed = translate(minkowski_sum(scale(simplex, lam), scale(negS, ONE - lam)), t)
+    if not same_vertex_set(gauge, mixed):
         return None
     return lam, t
 
@@ -745,30 +738,28 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     Condition (i) is the chain of ``simplex_equality_conditions`` with the
     middle link an equality, i.e. constant width; its first and third links
     hold always, for the reasons given there."""
-    S0 = canonicalize(simplex)
-    if S0.dim != 2:
-        raise ValueError("this equivalence is planar")
-    if len(S0.vertices) != 3:
+    if simplex.dim != 2:
+        raise NotPlanarError("this equivalence is planar")
+    if len(simplex.vertices) != 3:
         raise DegenerateSimplexError("need a triangle")
-    center = asymmetry(S0).center
-    S = translate(S0, tuple(-x for x in center))
-    C = canonicalize(gauge)
-    R = translative_factor(S, C)
-    r = inradius(S, C).value
-    r_mirror = inradius(S, negate(C)).value
-    D = diameter(S, C).value
-    sC = asymmetry(C).s
+    center = asymmetry(simplex).center
+    S = translate(simplex, tuple(-x for x in center))
+    R = translative_factor(S, gauge)
+    r = inradius(S, gauge).value
+    r_mirror = inradius(S, negate(gauge)).value
+    D = diameter(S, gauge).value
+    sC = asymmetry(gauge).s
     j_plus = R / D
-    j_minus = translative_factor(negate(S), C) / D  # D(-S, C) = D(S, C)
+    j_minus = translative_factor(negate(S), gauge) / D  # D(-S, C) = D(S, C)
 
-    f4 = translative_factor(C, negate(S)) * (sC + 1) * D / 6
+    f4 = translative_factor(gauge, negate(S)) * (sC + 1) * D / 6
 
-    cond_ii = eval_chain("complete-chain", S, C).all_equal
+    cond_ii = eval_chain("complete-chain", S, gauge).all_equal
     # Mirrored concentricity equality; see simplex_equality_conditions for
     # why the mirrored (not the generalized) form is the right condition.
     cond_iii = r_mirror + R == (sC + 1) * D / 2
     cond_iv = 3 * j_plus == sC + 1
-    constant = is_constant_width(S, C)
+    constant = is_constant_width(S, gauge)
     cond_i = constant and f4 <= 1
     cond_v = constant and R == 2 * sC * r
     cond_vi = constant and j_plus >= j_minus
@@ -777,7 +768,7 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     # dimensional here, since R(S, C) is finite).  The decomposition is
     # taken at unit scale, on C / rho.
     a = facets(S)[0].normal
-    decomposition = triangle_gauge_decomposition(S, scale(C, width(S, a) / width(C, a)))
+    decomposition = triangle_gauge_decomposition(S, scale(gauge, width(S, a) / width(gauge, a)))
     cond_vii = decomposition is not None and decomposition[0] <= rat("1/2")
 
     return ConditionVector(
@@ -811,23 +802,21 @@ class SimplexRatioReport:
 
 
 def complete_simplex_ratio_laws(simplex: VPolytope, gauge: VPolytope) -> SimplexRatioReport:
-    S = canonicalize(simplex)
-    C = canonicalize(gauge)
-    if not simplex_complete(S, C)[0]:
+    if not simplex_complete(simplex, gauge)[0]:
         return SimplexRatioReport(applicable=False, bounds_hold=None, cross_law_holds=None)
-    n = rat(S.dim)
-    sC = asymmetry(C).s
+    n = rat(simplex.dim)
+    sC = asymmetry(gauge).s
     reports = {}
-    for label, body in (("plus", S), ("minus", negate(S))):
-        R = translative_factor(body, C)
-        r = inradius(body, C).value
+    for label, body in (("plus", simplex), ("minus", negate(simplex))):
+        R = translative_factor(body, gauge)
+        r = inradius(body, gauge).value
         ratio = R / r
         reports[label] = {
             "ratio": ratio,
             "in_bounds": n <= ratio * sC and ratio <= n * sC,
             "right_eq": ratio == n * sC,
             "left_eq": ratio * sC == n,
-            "extremal": simplex_equality_conditions(body, C).all_true,
+            "extremal": simplex_equality_conditions(body, gauge).all_true,
         }
     bounds = reports["plus"]["in_bounds"] and reports["minus"]["in_bounds"]
     cross = (

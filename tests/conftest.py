@@ -12,6 +12,9 @@ library decides on integer images with no LP in every dimension, are
 checked against the general routes they replaced: one membership LP per
 point, brute force over vertex subsets with rational cofactor normals,
 membership LPs, and LPs maximizing each coordinate over a halfspace region.
+Those oracles take raw point lists, and the generators of hull cases yield
+point lists, since a body is built as its hull: an oracle reading a body's
+vertices would compare the hull with itself.
 The (C - C)/2 norm is checked against its norm LP, which also checks the
 norm taken as twice a segment's circumradius.  The diameter, taken on
 integer images, is checked against the per-pair ``sym_gauge_norm`` loop it
@@ -34,7 +37,6 @@ from gaugeradii import lp
 from gaugeradii.bodies import (
     Halfspace,
     VPolytope,
-    canonicalize,
     check_same_dim,
     facets,
     negate,
@@ -126,7 +128,6 @@ def solve_counter(monkeypatch):
 def inradius_by_lp(body, gauge):
     """r(body, gauge) from its own containment LP: maximize lambda subject to
     lambda*c + t in the body for every gauge vertex c."""
-    body, gauge = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(body, gauge)
     builder = lp.ProgramBuilder()
     t = builder.add_vars(n, free=True)
@@ -146,7 +147,6 @@ def circumradius_by_vertices(body, gauge):
     minimize lambda subject to v in t + lambda*conv(gauge) for every body
     vertex v; None when infeasible (no dilate of a flat gauge covers the
     body)."""
-    body, gauge = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(body, gauge)
     builder = lp.ProgramBuilder()
     t = builder.add_vars(n, free=True)
@@ -164,10 +164,9 @@ def minkowski_center_by_vertices(body):
     """s(K) and a Minkowski center from the vertex-form LP of R(-K, K): its
     witness t gives the center c = -t/(1 + s).  A one-point body is its own
     center, with s = 1."""
-    k = canonicalize(body)
-    if len(k.vertices) == 1:
-        return ONE, k.vertices[0]
-    s, t = circumradius_by_vertices(negate(k), k)
+    if len(body.vertices) == 1:
+        return ONE, body.vertices[0]
+    s, t = circumradius_by_vertices(negate(body), body)
     return s, tuple(-x / (1 + s) for x in t)
 
 
@@ -176,17 +175,16 @@ def minkowski_center_is_unique(body):
     the largest value of each coordinate over the center polytope, the c
     with -v + (1 + s) c in sK for every vertex v of K, agree.  Two LPs per
     coordinate, one membership block per vertex."""
-    k = canonicalize(body)
-    s, _ = minkowski_center_by_vertices(k)
-    n = k.dim
+    s, _ = minkowski_center_by_vertices(body)
+    n = body.dim
     for j in range(n):
         ends = []
         for sign in (ONE, -ONE):
             builder = lp.ProgramBuilder()
             c = [builder.add_var(objective=sign if i == j else ZERO, free=True) for i in range(n)]
-            for v in k.vertices:
+            for v in body.vertices:
                 lhs = [{ci: -(1 + s)} for ci in c]
-                builder.add_hull_membership(k.vertices, lhs, vneg(v), scale=s)
+                builder.add_hull_membership(body.vertices, lhs, vneg(v), scale=s)
             out = lp.solve(builder.build())
             assert out.status == lp.OPTIMAL
             ends.append(sign * out.value)
@@ -201,7 +199,6 @@ def circumradius_by_facet_rows(body, gauge):
     g.t + b lambda - slack = h(body, g) for every facet g.x <= b of the
     gauge, t free and lambda >= 0, one row per facet; the support values are
     rational."""
-    body, gauge = canonicalize(body), canonicalize(gauge)
     n = check_same_dim(body, gauge)
     halves = facets(gauge)
     assert halves is not None, "the facet form needs a full-dimensional gauge"
@@ -243,7 +240,7 @@ def concentric_by_facet_rows(body, gauge, mirrored, mutual):
     ``theorems._concentric_feasible`` written as its rows over (c, t), one
     per facet of a full-dimensional container, with rational support
     values."""
-    K, C = canonicalize(body), canonicalize(gauge)
+    K, C = body, gauge
     n = check_same_dim(K, C)
     circ = circumradius(K, C)
     if circ is None:
@@ -267,15 +264,19 @@ def concentric_by_facet_rows(body, gauge, mirrored, mutual):
 
 
 def _in_hull_by_lp(point, points):
+    """Whether the point lies in the hull of the list of points, from one
+    membership LP."""
     builder = lp.ProgramBuilder()
-    builder.add_hull_membership(points, [{}] * len(point), point)
+    builder.add_hull_membership([vec(p) for p in points], [{}] * len(point), vec(point))
     return lp.solve(builder.build()).status == lp.OPTIMAL
 
 
-def canonicalize_by_lp(body):
-    """The extreme points of the body, sorted: each point is dropped when one
-    membership LP puts it in the hull of the others, in a single pass."""
-    pts = list(dict.fromkeys(body.vertices))
+def canonicalize_by_lp(points):
+    """The extreme points of a list of points, sorted, as a vertex tuple:
+    each point is dropped when one membership LP puts it in the hull of the
+    others, in a single pass.  It reads the raw list, never a body, so it
+    does not see the library's hull."""
+    pts = list(dict.fromkeys(map(vec, points)))
     if len(pts) > 1:
         i = 0
         while i < len(pts):
@@ -284,7 +285,7 @@ def canonicalize_by_lp(body):
                 continue
             pts.insert(i, p)
             i += 1
-    return VPolytope(body.dim, tuple(sorted(pts)), canonical=True)
+    return tuple(sorted(pts))
 
 
 def bounded_by_lp(region):
@@ -404,12 +405,13 @@ def cofactor_normal(points):
     return tuple(normal)
 
 
-def facets_by_subsets(body):
-    """The normalized facets of a full-dimensional body, None for a flat one,
-    by brute force over n-subsets of the vertices of ``canonicalize_by_lp``,
-    in reverse lexicographic subset order, each facet kept where first met."""
-    verts = canonicalize_by_lp(body).vertices
-    n = body.dim
+def facets_by_subsets(points):
+    """The normalized facets of the hull of a list of points, None for a
+    flat one, by brute force over n-subsets of the vertices of
+    ``canonicalize_by_lp``, in reverse lexicographic subset order, each
+    facet kept where first met."""
+    verts = canonicalize_by_lp(points)
+    n = len(verts[0])
     found = {}
     for subset in reversed(list(itertools.combinations(range(len(verts)), n))):
         normal = cofactor_normal([verts[i] for i in subset])
@@ -430,16 +432,17 @@ def facets_by_subsets(body):
     return tuple(found) or None
 
 
-def sym_gauge_norm_by_lp(z, gauge):
-    """The (C - C)/2 norm of z from its LP: minimize sum nu + sum nu' subject
-    to z = sum nu_j c_j - sum nu'_j c_j and sum nu = sum nu'; None when
-    infeasible (z outside the span of C - C)."""
+def sym_gauge_norm_by_lp(z, points):
+    """The (C - C)/2 norm of z, for C the hull of a list of points, from its
+    LP: minimize sum nu + sum nu' subject to z = sum nu_j c_j - sum nu'_j c_j
+    over the points c_j and sum nu = sum nu'; None when infeasible (z
+    outside the span of C - C)."""
     zv = vec(z)
-    verts = canonicalize_by_lp(gauge).vertices
+    verts = canonicalize_by_lp(points)
     builder = lp.ProgramBuilder()
     plus = builder.add_vars(len(verts), objective=ONE)
     minus = builder.add_vars(len(verts), objective=ONE)
-    for k in range(gauge.dim):
+    for k in range(len(zv)):
         row = {}
         for p, m, c in zip(plus, minus, verts):
             if c[k]:
@@ -455,9 +458,9 @@ def sym_gauge_norm_by_lp(z, gauge):
 
 def diameter_by_pairs(body, gauge):
     """``(D, pair)`` from the (C - C)/2 norm of every vertex difference, the
-    pair the first one, in canonical order, to attain D (None for a
+    pair the first one, in vertex order, to attain D (None for a
     one-point body); None when some difference leaves the span of C - C."""
-    verts = canonicalize(body).vertices
+    verts = body.vertices
     best, pair = ZERO, None
     for i, j in itertools.combinations(range(len(verts)), 2):
         norm = sym_gauge_norm(vsub(verts[j], verts[i]), gauge)
@@ -473,7 +476,7 @@ def gauge_value_by_cone(z, body):
     z = sum nu_j v_j over the vertices v_j of the body, nu >= 0; None when
     infeasible (z outside the cone of the body)."""
     zv = vec(z)
-    verts = canonicalize(body).vertices
+    verts = body.vertices
     builder = lp.ProgramBuilder()
     nus = builder.add_vars(len(verts), objective=ONE)
     for k in range(body.dim):
@@ -543,7 +546,7 @@ def planar_point_sets(count, seed):
             pts = [rng.point(2, 2, den_bound) for _ in range(size)]
         if trial % 4 == 0:
             pts.append(pts[rng.below(size)])
-        yield V(pts)
+        yield pts
 
 
 def family_pairs():
@@ -568,18 +571,20 @@ def family_pairs():
 
 @st.composite
 def small_bodies(draw, dim):
-    """1 to dim+2 points with coordinates in [-3, 3], denominators up to 3."""
+    """A list of 1 to dim+2 points with coordinates in [-3, 3],
+    denominators up to 3."""
     q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
     count = draw(st.integers(1, dim + 2))
-    return V([draw(st.tuples(*[q] * dim)) for _ in range(count)])
+    return [draw(st.tuples(*[q] * dim)) for _ in range(count)]
 
 
 def lattice_bodies(dim):
-    """1 to 14 points of {-1, 0, 1}^dim over a common denominator 1, 2 or 3:
-    many repeated, collinear and coplanar points, and flat sets."""
+    """A list of 1 to 14 points of {-1, 0, 1}^dim over a common denominator
+    1, 2 or 3: many repeated, collinear and coplanar points, and flat
+    sets."""
     point = st.tuples(*[st.integers(-1, 1)] * dim)
     return st.builds(
-        lambda pts, den: V([tuple(rat(x) / den for x in p) for p in pts]),
+        lambda pts, den: [tuple(rat(x) / den for x in p) for p in pts],
         st.lists(point, min_size=1, max_size=14),
         st.integers(1, 3),
     )
@@ -588,25 +593,25 @@ def lattice_bodies(dim):
 def spatial_hull_cases(seed):
     """Seeded 3-D point lists beyond ``test_bodies.spatial_point_sets``:
     small-integer lattice sets in {-1, 0, 1}^3 (many coplanar points),
-    rational points, repeats, sets on one plane or line, and the 12-vertex
-    sandwich gauges with their reflections."""
+    rational points, repeats, sets on one plane or line, and the vertices of
+    the 12-vertex sandwich gauges and of their reflections."""
     rng = SplitMix64(seed)
     for trial in range(30):
         den = 1 + trial % 3
         size = 4 + rng.below(11)
         pts = [tuple(rat(rng.below(3) - 1) / den for _ in range(3)) for _ in range(size)]
-        yield V(pts + pts[: trial % 3])
-        yield V([rng.point(3, 3, 4) for _ in range(4 + rng.below(9))])
-        yield V([(x, y, rat(trial % 2)) for x, y, _ in pts])
-        yield V([(x, x, y) for x, y, _ in pts])
+        yield pts + pts[: trial % 3]
+        yield [rng.point(3, 3, 4) for _ in range(4 + rng.below(9))]
+        yield [(x, y, rat(trial % 2)) for x, y, _ in pts]
+        yield [(x, x, y) for x, y, _ in pts]
     for lam, mu in (("1", "1/2"), ("3", "1"), ("2", "2"), ("1", "0")):
         for variant in ("min", "max"):
             gauge = simplex_sandwich_pair(3, lam, mu, variant).gauge
-            yield gauge
-            yield negate(gauge)
+            yield list(gauge.vertices)
+            yield list(negate(gauge).vertices)
 
 
 @st.composite
 def body_gauge_pairs(draw):
     dim = draw(st.sampled_from((2, 3)))
-    return draw(small_bodies(dim)), draw(small_bodies(dim))
+    return V(draw(small_bodies(dim))), V(draw(small_bodies(dim)))

@@ -1,8 +1,10 @@
-"""Polytope operations: support, Minkowski algebra, canonical forms, facet
-structure and enumeration, cross-checked against the LP-free oracles in
-conftest (2D hulls, barycentric membership) and, for the hull, facets,
-membership and boundedness in one to four dimensions and the planar and
-spatial norm, against the LP and brute-force routes they replaced."""
+"""Polytope operations: construction as the vertex set, support, Minkowski
+algebra, facet structure and enumeration, cross-checked against the LP-free
+oracles in conftest (2D hulls, barycentric membership) and, for the hull,
+facets, membership and boundedness in one to four dimensions and the planar
+and spatial norm, against the LP and brute-force routes they replaced.
+Those oracles read the raw point lists a body is built from, since the
+body itself already holds the library's hull."""
 
 import itertools
 import math
@@ -152,10 +154,13 @@ def test_contains_point(square, triangle):
 
 
 def test_canonicalize_removes_interior_points(triangle):
-    fat = VPolytope(2, triangle.vertices + (vec((0, 0)), vec(("1/3", "1/3"))))
-    k = canonicalize(fat)
-    assert k.canonical and sorted(k.vertices) == sorted(triangle.vertices)
-    assert canonicalize(k) == k
+    """A listing with interior points and a repeat is built as its vertex
+    set; ``canonicalize`` returns the body itself."""
+    listed = triangle.vertices + (vec((0, 0)), vec(("1/3", "1/3")), triangle.vertices[0])
+    fat = VPolytope(2, listed)
+    assert fat.vertices == triangle.vertices == canonicalize_by_lp(listed)
+    assert fat == triangle and hash(fat) == hash(triangle)
+    assert canonicalize(fat) is fat
 
 
 def test_simplex_hrep_standard (triangle):
@@ -189,10 +194,11 @@ def test_simplex_hrep_rejects_degenerate():
     outcomes = set()
     for trial in range(3000):
         n = 2 + trial % 2
-        body = V([tuple(rng.below(3) - 1 for _ in range(n)) for _ in range(n + 1)])
+        pts = [tuple(rng.below(3) - 1 for _ in range(n)) for _ in range(n + 1)]
+        body = V(pts)
         simplex = is_simplex(body)
-        assert simplex == is_simplex_by_rank(body)
-        flat_but_long = not simplex and len(canonicalize(body).vertices) == n + 1
+        assert simplex == is_simplex_by_rank(pts)
+        flat_but_long = not simplex and len(body.vertices) == n + 1
         if simplex:
             assert len(simplex_hrep(body).halfspaces) == n + 1
         else:
@@ -202,21 +208,19 @@ def test_simplex_hrep_rejects_degenerate():
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
-def is_simplex_by_rank(body):
-    """Oracle: n + 1 canonical vertices whose differences have rank n."""
-    k = canonicalize(body)
-    base = k.vertices[0]
-    return len(k.vertices) == k.dim + 1 and rank([vsub(v, base) for v in k.vertices[1:]]) == k.dim
+def is_simplex_by_rank(points):
+    """Oracle: n + 1 listed points whose differences have rank n."""
+    n = len(points[0])
+    return len(points) == n + 1 and rank([vsub(v, points[0]) for v in points[1:]]) == n
 
 
 def simplex_hrep_by_cofactors(body):
-    """Oracle: the facet of a simplex opposite each canonical vertex in turn,
-    its normal from cofactor determinants, oriented by that vertex."""
-    s = canonicalize(body)
-    n = s.dim
+    """Oracle: the facet of a simplex opposite each vertex in turn, its
+    normal from cofactor determinants, oriented by that vertex."""
+    n = body.dim
     halves = []
     for i in range(n + 1):
-        rest = [v for k, v in enumerate(s.vertices) if k != i]
+        rest = [v for k, v in enumerate(body.vertices) if k != i]
         dirs = [vsub(v, rest[0]) for v in rest[1:]]
         normal = tuple(
             (ONE if j % 2 == 0 else -ONE)
@@ -224,7 +228,7 @@ def simplex_hrep_by_cofactors(body):
             for j in range(n)
         )
         offset = vdot(normal, rest[0])
-        if vdot(normal, s.vertices[i]) > offset:
+        if vdot(normal, body.vertices[i]) > offset:
             normal, offset = vneg(normal), -offset
         halves.append(normalize_halfspace(Halfspace(normal, offset)))
     return tuple(halves)
@@ -243,8 +247,8 @@ def test_simplex_hrep_is_the_simplex_case_of_facets():
 
 
 def test_facets_round_trip_random_bodies():
-    """The facets of random bodies enumerate back to their canonical
-    vertices; in the plane there is one facet per hull edge."""
+    """The facets of random bodies enumerate back to their vertices; in the
+    plane there is one facet per hull edge."""
     rng = SplitMix64(4242)
     for trial in range(40):
         n = 2 + trial % 2
@@ -263,50 +267,52 @@ def test_planar_hull_and_facets_match_oracles():
     tuples in the same order, for one and two points, repeats, collinear
     sets and non-integer coordinates."""
     shapes = Counter()
-    for body in planar_point_sets(3000, 31415):
-        k = canonicalize(body)
-        assert k == canonicalize_by_lp(body)
+    for pts in planar_point_sets(3000, 31415):
+        body = V(pts)
+        assert body.vertices == canonicalize_by_lp(pts)
         halves = facets(body)
-        assert halves == facets_by_subsets(body)
-        distinct = len(set(body.vertices))
+        assert halves == facets_by_subsets(pts)
+        distinct = len(set(pts))
         if halves is not None:
             shapes["polygon"] += 1
         else:
             shapes[("point", "segment", "collinear")[min(distinct, 3) - 1]] += 1
-        shapes["repeats"] += distinct < len(body.vertices)
-        shapes["fractions"] += any(x.denominator > 1 for v in body.vertices for x in v)
+        shapes["repeats"] += distinct < len(pts)
+        shapes["fractions"] += any(x.denominator > 1 for v in pts for x in v)
     assert set(shapes) == {"polygon", "point", "segment", "collinear", "repeats", "fractions"}
     assert min(shapes.values()) >= 100, shapes
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(small_bodies(2), st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 2))
-def test_planar_routes_match_oracles_hypothesis(body, z):
-    assert canonicalize(body) == canonicalize_by_lp(body)
-    assert facets(body) == facets_by_subsets(body)
-    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
+def test_planar_routes_match_oracles_hypothesis(points, z):
+    body = V(points)
+    assert body.vertices == canonicalize_by_lp(points)
+    assert facets(body) == facets_by_subsets(points)
+    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, points)
 
 
 def spatial_point_sets(seed):
     """Seeded 3-D point lists: boxes and cubes, prisms over random polygons,
-    difference bodies (facets with more than three vertices), random sets,
-    coplanar and collinear sets, and repeated points."""
+    the vertices of difference bodies (facets with more than three
+    vertices), random sets, coplanar and collinear sets, and repeated
+    points."""
     rng = SplitMix64(seed)
     for trial in range(12):
         a, b, c = (1 + rng.below(3) for _ in range(3))
         lo = rng.point(3, 2, 2)
-        yield V([tuple(o + d for o, d in zip(lo, (x, y, z))) for x in (0, a) for y in (0, b) for z in (0, c)])
+        yield [tuple(o + d for o, d in zip(lo, (x, y, z))) for x in (0, a) for y in (0, b) for z in (0, c)]
         base = [rng.point(2, 3) for _ in range(3 + rng.below(4))]
         h = rng.rational(2, 3) or rat(1)
-        yield V([(x, y, z) for x, y in base for z in (0, h)])
+        yield [(x, y, z) for x, y in base for z in (0, h)]
         body = random_vpolytope(3, 4 + trial % 3, 3, 0, rng=rng)
-        yield difference_body(body)
+        yield list(difference_body(body).vertices)
         pts = [rng.point(3, 2, 1 + trial % 4) for _ in range(4 + rng.below(5))]
-        yield V(pts + [pts[rng.below(len(pts))]])
+        yield pts + [pts[rng.below(len(pts))]]
         u, w, p = rng.point(3, 2), rng.point(3, 2), rng.point(3, 2)
         ts = [(rng.rational(2), rng.rational(2)) for _ in range(3 + rng.below(4))]
-        yield V([tuple(pk + t * uk + r * wk for pk, uk, wk in zip(p, u, w)) for t, r in ts])
-        yield V([tuple(pk + t * uk for pk, uk in zip(p, u)) for t, _ in ts])
+        yield [tuple(pk + t * uk + r * wk for pk, uk, wk in zip(p, u, w)) for t, r in ts]
+        yield [tuple(pk + t * uk for pk, uk in zip(p, u)) for t, _ in ts]
 
 
 def test_spatial_facets_match_subset_oracle(solve_counter):
@@ -320,28 +326,29 @@ def test_spatial_facets_match_subset_oracle(solve_counter):
     are the brute force's too."""
     rng = SplitMix64(1618)
     shapes = Counter()
-    for body in [*spatial_point_sets(2718), *spatial_hull_cases(3141)]:
+    for pts in [*spatial_point_sets(2718), *spatial_hull_cases(3141)]:
         solve_counter.reset()
-        k, halves = canonicalize(body), facets(body)
-        verts = k.vertices
-        probes = [*verts[:3], vertex_centroid(k), vscale(rat("1/2"), vadd(verts[0], verts[-1]))]
+        body = V(pts)
+        halves = facets(body)
+        verts = body.vertices
+        probes = [*verts[:3], vertex_centroid(body), vscale(rat("1/2"), vadd(verts[0], verts[-1]))]
         probes += [rng.point(3, 2, 1 + rng.below(3)) for _ in range(4)]
         inside = [contains_point(body, p) for p in probes]
         assert solve_counter.count == 0
-        assert k == canonicalize_by_lp(body)
-        assert halves == facets_by_subsets(body)
-        assert inside == [_in_hull_by_lp(p, list(body.vertices)) for p in probes]
+        assert verts == canonicalize_by_lp(pts)
+        assert halves == facets_by_subsets(pts)
+        assert inside == [_in_hull_by_lp(p, pts) for p in probes]
         shapes["flat" if halves is None else "solid"] += 1
-        shapes["dropped"] += len(verts) < len(set(body.vertices))
+        shapes["dropped"] += len(verts) < len(set(pts))
         shapes["big facet"] += halves is not None and any(
             sum(vdot(g, v) == b for v in verts) > 3 for g, b in halves
         )
         shapes["outside"] += not all(inside)
     assert min(shapes.values()) >= 30, shapes
-    segment = V([(2,), ("-1/2",), (1,)])
+    segment = [(2,), ("-1/2",), (1,)]
     unit_4d = [tuple(int(i == k) for i in range(4)) for k in range(4)]
-    for body in (segment, V([(0, 0, 0, 0), (1, 1, 1, 1)] + unit_4d)):
-        assert facets(body) == facets_by_subsets(body) is not None
+    for pts in (segment, [(0, 0, 0, 0), (1, 1, 1, 1)] + unit_4d):
+        assert facets(V(pts)) == facets_by_subsets(pts) is not None
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -349,13 +356,14 @@ def test_spatial_facets_match_subset_oracle(solve_counter):
     st.one_of(small_bodies(3), lattice_bodies(3)),
     st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * 3),
 )
-def test_spatial_routes_match_oracles_hypothesis(body, z):
-    k = canonicalize(body)
-    assert k == canonicalize_by_lp(body)
-    assert facets(body) == facets_by_subsets(body)
-    for p in (vec(z), vertex_centroid(k), vscale(rat("1/2"), vadd(k.vertices[0], k.vertices[-1]))):
-        assert contains_point(body, p) == _in_hull_by_lp(p, list(body.vertices))
-    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, body)
+def test_spatial_routes_match_oracles_hypothesis(points, z):
+    body = V(points)
+    verts = body.vertices
+    assert verts == canonicalize_by_lp(points)
+    assert facets(body) == facets_by_subsets(points)
+    for p in (vec(z), vertex_centroid(body), vscale(rat("1/2"), vadd(verts[0], verts[-1]))):
+        assert contains_point(body, p) == _in_hull_by_lp(p, points)
+    assert sym_gauge_norm(z, body) == sym_gauge_norm_by_lp(z, points)
 
 
 def hull_point_sets(count, seed):
@@ -379,7 +387,7 @@ def hull_point_sets(count, seed):
         else:
             base, step = rng.point(n, 2, 2), rng.point(n, 2, 3)
             pts = [tuple(b + rng.rational(2) * d for b, d in zip(base, step)) for _ in range(size)]
-        yield V(pts + pts[: trial % 3])
+        yield pts + pts[: trial % 3]
 
 
 def test_hull_matches_oracles_in_every_dimension(solve_counter):
@@ -390,16 +398,17 @@ def test_hull_matches_oracles_in_every_dimension(solve_counter):
     and a vertex, and no LP solved for any of it."""
     rng = SplitMix64(2024)
     shapes = Counter()
-    for body in hull_point_sets(240, 577):
+    for pts in hull_point_sets(240, 577):
         solve_counter.reset()
-        k, halves = canonicalize(body), facets(body)
+        body = V(pts)
+        halves = facets(body)
         probes = [rng.point(body.dim, 2, 1 + rng.below(3)) for _ in range(3)]
-        probes += [vertex_centroid(k), k.vertices[0]]
+        probes += [vertex_centroid(body), body.vertices[0]]
         inside = [contains_point(body, p) for p in probes]
         assert solve_counter.count == 0
-        assert k == canonicalize_by_lp(body)
-        assert halves == facets_by_subsets(body)
-        assert inside == [_in_hull_by_lp(p, list(body.vertices)) for p in probes]
+        assert body.vertices == canonicalize_by_lp(pts)
+        assert halves == facets_by_subsets(pts)
+        assert inside == [_in_hull_by_lp(p, pts) for p in probes]
         shapes[body.dim, halves is None] += 1
         shapes["outside"] += not all(inside)
     assert min(shapes.values()) >= 15, shapes
@@ -408,8 +417,8 @@ def test_hull_matches_oracles_in_every_dimension(solve_counter):
 @st.composite
 def bodies_with_point(draw):
     n = draw(st.integers(1, 4))
-    body = draw(st.one_of(small_bodies(n), lattice_bodies(n)))
-    return body, draw(st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * n))
+    points = draw(st.one_of(small_bodies(n), lattice_bodies(n)))
+    return points, draw(st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * n))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -418,13 +427,14 @@ def test_hull_routes_match_oracles_hypothesis(case):
     """The oracles' answers in one to four dimensions, and the boundedness
     decision for the region with the points as normals and offset 1, which
     holds the origin."""
-    body, z = case
-    k = canonicalize(body)
-    assert k == canonicalize_by_lp(body)
-    assert facets(body) == facets_by_subsets(body)
-    for p in (vec(z), vertex_centroid(k), vscale(rat("1/2"), vadd(k.vertices[0], k.vertices[-1]))):
-        assert contains_point(body, p) == _in_hull_by_lp(p, list(body.vertices))
-    region = HPolytope(body.dim, tuple(Halfspace(v, ONE) for v in body.vertices))
+    points, z = case
+    body = V(points)
+    verts = body.vertices
+    assert verts == canonicalize_by_lp(points)
+    assert facets(body) == facets_by_subsets(points)
+    for p in (vec(z), vertex_centroid(body), vscale(rat("1/2"), vadd(verts[0], verts[-1]))):
+        assert contains_point(body, p) == _in_hull_by_lp(p, points)
+    region = HPolytope(body.dim, tuple(Halfspace(vec(v), ONE) for v in points))
     try:
         bounded = enumerate_vertices(region) is not None
     except UnboundedRegionError:
@@ -438,7 +448,7 @@ def test_four_dimensional_sandwich_facets_keep_the_subset_order(variant):
     affinely dependent, so the order key is the first independent subset;
     the sandwich gauges' facets are the brute force's, order included."""
     gauge = simplex_sandwich_pair(4, 1, "1/2", variant).gauge
-    assert facets(gauge) == facets_by_subsets(gauge) is not None
+    assert facets(gauge) == facets_by_subsets(gauge.vertices) is not None
 
 
 def test_planar_contains_point_matches_hull_lp():
@@ -447,49 +457,110 @@ def test_planar_contains_point_matches_hull_lp():
     included."""
     rng = SplitMix64(577)
     inside = Counter()
-    for body in planar_point_sets(400, 1123):
-        points = [rng.point(2, 2, 1 + rng.below(4)) for _ in range(4)] + list(body.vertices[:2])
-        for p in points:
+    for pts in planar_point_sets(400, 1123):
+        body = V(pts)
+        for p in [rng.point(2, 2, 1 + rng.below(4)) for _ in range(4)] + pts[:2]:
             got = contains_point(body, p)
-            assert got == _in_hull_by_lp(p, list(body.vertices))
+            assert got == _in_hull_by_lp(p, pts)
             inside[(facets(body) is not None, got)] += 1
     assert min(inside.values()) >= 50, inside
 
 
 def test_body_hash_is_the_key_hash():
-    """Taken once: a canonical body hashes on (dim, image, canonical), any
-    other on its fields (dim, vertices, canonical).  Equal bodies hash
-    alike, and a body equals a canonical one only if it is canonical too."""
-    for body in list(planar_point_sets(50, 8)) + list(spatial_point_sets(9)):
-        for b in (body, canonicalize(body)):
-            key = b.image if b.canonical else b.vertices
-            assert hash(b) == hash((b.dim, key, b.canonical))
-            again = VPolytope(b.dim, b.vertices, b.canonical)
-            assert again == b and hash(again) == hash(b)
-            assert VPolytope(b.dim, b.vertices, not b.canonical) != b
+    """Taken once, on the one key (dim, image).  A body built again from its
+    vertices or from its listing reversed equals it and hashes alike, and a
+    body with one vertex more does not equal it."""
+    for pts in list(planar_point_sets(50, 8)) + list(spatial_point_sets(9)):
+        body = V(pts)
+        assert hash(body) == hash((body.dim, body.image))
+        for again in (VPolytope(body.dim, body.vertices), V(pts[::-1])):
+            assert again == body and hash(again) == hash(body)
+        far = tuple(x + 100 for x in body.vertices[0])
+        assert VPolytope(body.dim, body.vertices + (far,)) != body
+
+
+@st.composite
+def listings(draw):
+    """``(n, points, listing)``: a point set in one to four dimensions, one
+    point and flat sets included, and another listing of the same hull:
+    permuted, with repeats and with points on a segment between two of the
+    points (an edge or a chord) and the mean of the points added, and in
+    int coordinates where a coordinate is integral."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.one_of(small_bodies(n), lattice_bodies(n)))
+    pick = st.sampled_from(points)
+    extra = [tuple(sum(x) / len(points) for x in zip(*points))]
+    for p, q, t in draw(st.lists(st.tuples(pick, pick, st.fractions(0, 1, max_denominator=4)), max_size=3)):
+        extra.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    listing = draw(st.permutations(points + extra + draw(st.lists(pick, max_size=3))))
+    if draw(st.booleans()):
+        listing = [tuple(int(x) if x.denominator == 1 else x for x in p) for p in listing]
+    return n, points, listing
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(listings())
+def test_any_listing_gives_the_body_of_its_vertices(case):
+    """Construction is canonical: any listing of a point set gives a body
+    that equals, and hashes like, the body of its sorted vertices, with the
+    same vertices, image, integer facets and facets."""
+    n, points, listing = case
+    body = VPolytope(n, tuple(listing))
+    assert body.vertices == canonicalize_by_lp(points)
+    for other in (VPolytope(n, tuple(points)), VPolytope(n, tuple(sorted(body.vertices)))):
+        assert other == body and hash(other) == hash(body)
+        assert other.vertices == body.vertices
+        assert other.image == body.image == integer_image(body.vertices)
+        assert integer_facets(other) == integer_facets(body)
+        assert facets(other) == facets(body)
+
+
+def test_constructed_bodies_keep_their_hull(monkeypatch):
+    """The constructor's ``_hull`` call serves the body's facets: reading
+    ``integer_facets`` and ``facets`` of a constructed body, flat or not,
+    in one to four dimensions, hulls nothing more."""
+    calls = Counter()
+    original = bodies._hull
+
+    def counting(pts):
+        calls["hull"] += 1
+        return original(pts)
+
+    monkeypatch.setattr(bodies, "_hull", counting)
+    seen = Counter()
+    for pts in hull_point_sets(120, 1729):
+        calls.clear()
+        body = V(pts)
+        assert calls["hull"] >= 1
+        built = calls["hull"]
+        planes, halves = integer_facets(body), facets(body)
+        assert calls["hull"] == built
+        assert (planes is None) == (halves is None)
+        seen[body.dim, halves is None] += 1
+    assert all(seen[n, flat] >= 5 for n in (2, 3, 4) for flat in (False, True)), seen
 
 
 # ---------------------------------------------------------------------------
-# affine copies of canonical bodies
+# affine copies
 
 
 def assert_copy_is_fresh(copy, mapped):
-    """A canonical copy against a freshly built body on the same vertices:
+    """An affine copy against a freshly built body on the same vertices:
     the vertex tuple is the sorted ``mapped`` points (what the copies
     returned before they kept their order), and the integer image, the
     integer facets and the ``facets`` halfspaces agree, order included."""
-    assert copy.canonical
     assert copy.vertices == tuple(sorted(mapped))
     fresh = VPolytope(copy.dim, tuple(mapped))
-    assert canonicalize(fresh).vertices == copy.vertices
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert fresh.vertices == copy.vertices
     assert copy.image == integer_image(copy.vertices)
     assert integer_facets(copy) == integer_facets(fresh)
     assert facets(copy) == facets(fresh)
 
 
 def copies_of(k, factor, shift):
-    """``(copy, mapped vertices)`` for the three affine maps of a canonical
-    body and two of their compositions."""
+    """``(copy, mapped vertices)`` for the three affine maps of a body and
+    two of their compositions."""
     f, t = rat(factor), vec(shift)
     neg = [vneg(v) for v in k.vertices]
     yield negate(k), neg
@@ -504,8 +575,8 @@ def test_affine_copies_match_fresh_bodies():
     sandwich gauges: every copy equals a fresh body, and once the original
     has its facets, no copy hulls again."""
     rng = SplitMix64(99)
-    cases = [b for b in hull_point_sets(160, 31) if b.dim >= 2]
-    cases += list(spatial_hull_cases(5))[:40]
+    cases = [V(p) for p in hull_point_sets(160, 31) if len(p[0]) >= 2]
+    cases += [V(p) for p in list(spatial_hull_cases(5))[:40]]
     cases += [simplex_sandwich_pair(n, 1, "1/2", v).gauge for n in (2, 3, 4) for v in ("min", "max")]
     seen = Counter()
     calls = Counter()
@@ -515,8 +586,7 @@ def test_affine_copies_match_fresh_bodies():
         calls["hull"] += 1
         return original(pts)
 
-    for body in cases:
-        k = canonicalize(body)
+    for k in cases:
         integer_facets(k)
         factor = abs(rng.rational(3, 4)) or rat("5/2")
         shift = rng.point(k.dim, 3, 5)
@@ -551,17 +621,16 @@ def eager_copies(k, factor, shift):
 def test_affine_copies_build_vertices_lazily():
     """A chained copy builds no vertex tuple for its image, its facets, its
     hash or an equality test; read last, its vertices are the tuple the
-    eager maps build, and the copy equals, and hashes like, a fresh
-    canonical body on the same points."""
+    eager maps build, and the copy equals, and hashes like, a fresh body
+    on the same points."""
     rng = SplitMix64(404)
-    cases = [b for b in hull_point_sets(60, 17) if b.dim >= 2]
+    cases = [V(p) for p in hull_point_sets(60, 17) if len(p[0]) >= 2]
     cases += [simplex_sandwich_pair(n, 1, "1/2", "max").simplex for n in (2, 3, 4)]
-    for body in cases:
-        k = canonicalize(body)
+    for k in cases:
         factor = abs(rng.rational(3, 4)) or rat("5/2")
         shift = rng.point(k.dim, 3, 5)
         for (copy, _), eager in zip(copies_of(k, factor, shift), eager_copies(k, factor, shift)):
-            fresh = VPolytope(k.dim, tuple(sorted(eager)), canonical=True)
+            fresh = VPolytope(k.dim, eager)
             integer_facets(copy)
             assert copy == fresh and hash(copy) == hash(fresh)
             assert "vertices" not in vars(copy)
@@ -577,8 +646,8 @@ def test_affine_copies_build_vertices_lazily():
     ))
 )
 def test_affine_copies_match_fresh_bodies_hypothesis(case):
-    body, factor, shift = case
-    for copy, mapped in copies_of(canonicalize(body), factor, shift):
+    points, factor, shift = case
+    for copy, mapped in copies_of(V(points), factor, shift):
         assert_copy_is_fresh(copy, mapped)
 
 

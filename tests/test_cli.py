@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gaugeradii import certificates, cli, radii
+from gaugeradii import certificates, cli, constructions, radii, theorems
 from gaugeradii.bodies import body_from_json, body_to_json, canonicalize
 from gaugeradii.cli import main
 from gaugeradii.ratcore import vec
@@ -386,6 +386,55 @@ def test_verify_violation_reports_counterexample(capsys, body_files, monkeypatch
     dump = report["results"]["counterexample"]
     assert dump["details"] == {"forced": True}
     assert "vertices" in dump["body"]
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["compute", "--body", "{point}", "--gauge", "{square}", "--which", "jung"],
+     radii.SinglePointBodyError, "positive diameter"),
+    (["certify", "--body", "{point}", "--gauge", "{square}"],
+     radii.SinglePointBodyError, "single point"),
+    (["verify", "--suite", "triangle-conditions", "--family", "simplex", "--dim", "3"],
+     theorems.NotPlanarError, "planar"),
+    (["verify", "--suite", "chains", "--family", "sandwich", "--lambda", "1", "--mu", "2"],
+     constructions.InvalidParameterError, "lam >= mu"),
+    (["construct", "--family", "sandwich", "--lambda", "0", "--out", "{pair}"],
+     constructions.InvalidParameterError, "lam >= mu"),
+    (["verify", "--suite", "chains", "--family", "triangle-mix", "--lambda", "3/2"],
+     constructions.InvalidParameterError, "[0, 1]"),
+], ids=["jung", "certify", "triangle-3d", "sandwich-mu", "construct-lambda", "mix-lambda"])
+def test_named_input_errors_exit_2(capsys, body_files, tmp_path, monkeypatch, argv, error, message):
+    """Each input the library refuses with a named ``ValueError`` subclass
+    exits 2, "error", with nothing on stdout; the error is the named class."""
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"]]}))
+    paths = {"point": str(point), "square": body_files[0], "pair": str(tmp_path / "pair.json")}
+    raised = []
+    fail = cli._fail
+
+    def recording(command, status, exc, code):
+        raised.append(exc)
+        return fail(command, status, exc, code)
+
+    monkeypatch.setattr(cli, "_fail", recording)
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["status"] == "error" and message in json.loads(err)["error"]
+    assert type(raised[0]) is error and issubclass(error, ValueError)
+
+
+def test_plain_value_error_exits_3(capsys, body_files, monkeypatch):
+    """A plain ``ValueError``, which no input check raises, is a fault of
+    the program: exit 3, "internal-error", not bad input."""
+    def broken(body):
+        return max([])  # ValueError: max() arg is an empty sequence
+
+    square, triangle = body_files
+    monkeypatch.setattr(radii, "asymmetry", broken)
+    code, out, err = run(capsys, ["compute", "--body", square, "--gauge", triangle,
+                                  "--which", "s"])
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["status"] == "internal-error" and "empty" in report["error"]
 
 
 @pytest.mark.parametrize("fault", [

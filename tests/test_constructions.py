@@ -10,6 +10,7 @@ from gaugeradii.bodies import (
     canonicalize,
     contains_point,
     difference_body,
+    integer_facets,
     is_centrally_symmetric,
     negate,
     same_vertex_set,
@@ -177,15 +178,17 @@ def test_full_dimension_decisions_match_rank_route(monkeypatch):
 
 
 def test_random_simplex_is_canonical():
-    # built as canonical without hull LPs: it must be what canonicalize
-    # makes of the same points, in any order
+    # its n + 1 drawn points are its sorted vertices, and the same points in
+    # any order make the same body, with the same facets
     rng = SplitMix64(8)
     for trial in range(40):
         dim = 2 + trial % 2
         simplex = random_simplex(dim, 1 + trial % 3, rng)
-        assert simplex.canonical
+        assert len(simplex.vertices) == dim + 1
+        assert simplex.vertices == tuple(sorted(simplex.vertices))
         shuffled = VPolytope(dim, simplex.vertices[1:] + simplex.vertices[:1])
-        assert canonicalize(shuffled) == simplex
+        assert canonicalize(shuffled) == shuffled == simplex
+        assert integer_facets(shuffled) == integer_facets(simplex)
 
 
 def test_random_nonsymmetric_bodies():

@@ -62,7 +62,9 @@ from gaugeradii.constructions import (
 )
 from gaugeradii.radii import (
     DegenerateGaugeError,
-    _circumradius,
+    InfiniteRadiusError,
+    SinglePointBodyError,
+    ZeroDirectionError,
     _facet_circumradius,
     asymmetry,
     breadth,
@@ -167,11 +169,11 @@ def test_planar_sym_gauge_norm_matches_lp_oracle():
     own denominators and for a difference of two gauge points."""
     rng = SplitMix64(27182)
     outcomes = set()
-    for gauge in planar_point_sets(3000, 16180):
-        pts = gauge.vertices
+    for pts in planar_point_sets(3000, 16180):
+        gauge = V(pts)
         for z in (rng.point(2, 3, 5), vsub(pts[rng.below(len(pts))], pts[0])):
             got = sym_gauge_norm(z, gauge)
-            assert got == sym_gauge_norm_by_lp(z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, pts)
             outcomes.add("none" if got is None else "zero" if got == 0 else "positive")
     assert outcomes == {"none", "zero", "positive"}
 
@@ -189,7 +191,7 @@ def test_spatial_sym_gauge_norm_matches_lp_oracle():
             for i, v in enumerate(verts):
                 for w in verts[i + 1:]:
                     z = vsub(w, v)
-                    assert sym_gauge_norm(z, g) == sym_gauge_norm_by_lp(z, g), (z, g)
+                    assert sym_gauge_norm(z, g) == sym_gauge_norm_by_lp(z, g.vertices), (z, g)
                     count += 1
     assert count >= 100 * 3 * 6
 
@@ -200,12 +202,13 @@ def test_spatial_sym_gauge_norm_matches_lp_oracle_on_hull_cases():
     and of a random vector equals the norm LP, None included."""
     rng = SplitMix64(2024)
     outcomes = Counter()
-    for gauge in spatial_hull_cases(577):
-        pts = canonicalize(gauge).vertices
+    for listed in spatial_hull_cases(577):
+        gauge = V(listed)
+        pts = gauge.vertices
         zs = [vsub(p, pts[0]) for p in pts[1:4]] + [vsub(pts[-1], pts[1]), rng.point(3, 3, 5)]
         for z in zs:
             got = sym_gauge_norm(z, gauge)
-            assert got == sym_gauge_norm_by_lp(z, gauge), (z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, listed), (z, gauge)
             outcomes["none" if got is None else "flat" if facets(gauge) is None else "solid"] += 1
     assert min(outcomes.values()) >= 30, outcomes
 
@@ -218,8 +221,8 @@ def test_lp_route_norm_is_memoized_once():
     cube = V([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     for gauge, on_lp_route in ((flat, True), (cube, False)):
         clear_caches()
-        assert sym_gauge_norm((1, 1, 0), gauge) == 2 == sym_gauge_norm_by_lp((1, 1, 0), gauge)
-        assert _circumradius.cache_info().currsize == on_lp_route
+        assert sym_gauge_norm((1, 1, 0), gauge) == 2 == sym_gauge_norm_by_lp((1, 1, 0), gauge.vertices)
+        assert circumradius.cache_info().currsize == on_lp_route
 
 
 def test_flat_spatial_gauge_norms_match_lp_oracle():
@@ -238,18 +241,18 @@ def test_flat_spatial_gauge_norms_match_lp_oracle():
         zs += [(0, 0, 1), (1, 0, 0)] + [rng.point(3, 3, 4) for _ in range(4)]
         for z in zs:
             got = sym_gauge_norm(z, gauge)
-            assert got == sym_gauge_norm_by_lp(z, gauge), (z, gauge)
+            assert got == sym_gauge_norm_by_lp(z, gauge.vertices), (z, gauge)
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(small_bodies(3), small_bodies(3))
-def test_spatial_sym_gauge_norm_matches_lp_oracle_hypothesis(body, gauge):
-    pts = body.vertices
+def test_spatial_sym_gauge_norm_matches_lp_oracle_hypothesis(points, listed):
+    pts, gauge = V(points).vertices, V(listed)
     for p in pts[1:]:
         z = vsub(p, pts[0])
-        assert sym_gauge_norm(z, gauge) == sym_gauge_norm_by_lp(z, gauge)
+        assert sym_gauge_norm(z, gauge) == sym_gauge_norm_by_lp(z, listed)
 
 
 def test_norm_is_twice_segment_circumradius(triangle):
@@ -310,7 +313,7 @@ def test_int_diameter_matches_pair_oracle_on_families(triangle, square):
 def test_int_diameter_matches_pair_oracle_hypothesis(pair):
     """Bodies of one to many points, flat ones and one-point ones among
     them, in the plane and in space."""
-    body, gauge = pair
+    body, gauge = map(V, pair)
     clear_caches()
     assert diameter_outcome(body, gauge) == pairs_outcome(body, gauge)
 
@@ -435,8 +438,8 @@ def test_minkowski_center_matches_vertex_form():
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from((2, 3)).flatmap(small_bodies))
-def test_minkowski_center_matches_vertex_form_hypothesis(body):
-    check_center_against_vertex_form(body)
+def test_minkowski_center_matches_vertex_form_hypothesis(points):
+    check_center_against_vertex_form(V(points))
 
 
 def test_breadth(square, triangle):
@@ -448,8 +451,18 @@ def test_breadth(square, triangle):
         assert breadth(body, gauge, d) == breadth(
             difference_body(body), difference_body(gauge), d
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroDirectionError):
         breadth(square, triangle, (0, 0))
+
+
+def test_refusals_are_named_errors(square):
+    """What the radii refuse is a named ``ValueError`` subclass, never a
+    plain one: a one-point body has no Jung ratio, and constant width is
+    undefined against a gauge that does not span the body."""
+    with pytest.raises(SinglePointBodyError):
+        jung_ratio(V([(0, 0)]), square)
+    with pytest.raises(InfiniteRadiusError):
+        is_constant_width(square, V([(0, 0), (1, 0)]))
 
 
 @pytest.mark.parametrize(
@@ -750,7 +763,7 @@ def check_simplex_closed_forms(simplex, bodies, gauges):
     n = S.dim
     assert len(integer_facets(S)) == n + 1
     for K in map(canonicalize, bodies):
-        assert _circumradius(K, S).value == _facet_circumradius(K, S)[0], (K, S)
+        assert circumradius(K, S).value == _facet_circumradius(K, S)[0], (K, S)
     s, u, den = _facet_circumradius(negate(S), S)
     res = asymmetry(S)
     assert res.s == s == n
@@ -808,7 +821,7 @@ def simplex_cases(draw):
     assume(spans_space(points))
     factor = draw(st.fractions(min_value=Fraction(1, 5), max_value=4, max_denominator=5))
     shift = draw(st.tuples(*[q] * n))
-    return V(points), draw(small_bodies(n)), factor, shift
+    return V(points), V(draw(small_bodies(n))), factor, shift
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -43,6 +43,7 @@ from gaugeradii.constructions import (
     triangle_mix_gauge,
 )
 from gaugeradii.radii import (
+    SinglePointBodyError,
     asymmetry,
     circumradius,
     diameter,
@@ -57,6 +58,7 @@ from gaugeradii.theorems import (
     GaugeNotSymmetricError,
     InfiniteRadiusError,
     NotCenteredError,
+    NotPlanarError,
     OriginNotInGaugeError,
     are_mutually_concentric,
     breadth_ratio_bounds,
@@ -737,7 +739,7 @@ def triangle_equality_conditions_by_inclusion_chain(simplex, gauge):
     the first and third links hold and that the middle one is constant width."""
     S0 = canonicalize(simplex)
     if S0.dim != 2:
-        raise ValueError("this equivalence is planar")
+        raise NotPlanarError("this equivalence is planar")
     if len(S0.vertices) != 3:
         raise DegenerateSimplexError("need a triangle")
     center = asymmetry(S0).center
@@ -936,7 +938,7 @@ def is_constant_width_by_difference_bodies(body, gauge):
     same vertex set."""
     diam = diameter(body, gauge)
     if diam is None:
-        raise ValueError("constant width needs a gauge spanning the body")
+        raise InfiniteRadiusError("constant width needs a gauge spanning the body")
     return same_vertex_set(
         difference_body(body), scale(difference_body(gauge), diam.value / 2)
     )
@@ -956,7 +958,7 @@ def extended_jung_by_difference_bodies(body, gauge):
     if d is None:
         raise InfiniteRadiusError("diameter is infinite for this pair")
     if d.value == 0:
-        raise ValueError("chain 'extended-jung' divides by D(K, C)")
+        raise SinglePointBodyError("chain 'extended-jung' divides by D(K, C)")
     D = d.value
     sC = asymmetry(C).s
     f1 = direct_factor(scale(K0, (sK + 1) / sK), KK)
@@ -970,7 +972,7 @@ def triangle_gauge_decomposition_with_precheck(simplex, gauge):
     C - C = S - S."""
     S = canonicalize(simplex)
     if S.dim != 2:
-        raise ValueError("the decomposition is a planar construction")
+        raise NotPlanarError("the decomposition is a planar construction")
     simplex_hrep(S)
     if not same_vertex_set(difference_body(canonicalize(gauge)), difference_body(S)):
         return None
@@ -1037,9 +1039,9 @@ def test_difference_body_free_paths_match_oracles():
         decomposition = outcome(triangle_gauge_decomposition, body, gauge)
         assert decomposition == outcome(triangle_gauge_decomposition_with_precheck, body, gauge)
         decompositions.add(kind(decomposition))
-    assert widths >= {True, False, ValueError}
-    assert chains >= {tuple, ValueError, InfiniteRadiusError}
-    assert decompositions >= {tuple, type(None), ValueError, DegenerateSimplexError}
+    assert widths >= {True, False, InfiniteRadiusError}
+    assert chains >= {tuple, SinglePointBodyError, InfiniteRadiusError}
+    assert decompositions >= {tuple, type(None), NotPlanarError, DegenerateSimplexError}
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
