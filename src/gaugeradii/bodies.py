@@ -14,19 +14,19 @@ set: its constructor keeps exactly the extreme points of the listed ones,
 sorted, so equality of polytopes is a plain comparison.  The only other
 bodies are affine copies of such a body (``_affine_copy``).
 
-Hulls, facets, membership, supports, widths and the full-dimension test
-``spans_space`` are decided on ``integer_image``: the points times the lcm
-of their denominators, so every sign and dot product is a Python int
-operation, and a ``Rational`` is formed only for a result.  A body keeps
-its image and its ``integer_facets``, which ``radii`` and ``theorems``
-write their facet-form LPs from; both come from the one ``_hull`` call
-that found its vertices.  An affine copy maps its original's, and builds
-its ``Fraction`` vertices only when they are read.  One hull, ``_hull``,
+Hulls, facets, membership, supports and widths are decided on
+``integer_image``: the points times the lcm of their denominators, so
+every sign and dot product is a Python int operation, and a ``Rational``
+is formed only for a result.  A body keeps its image and its
+``integer_facets``, which ``radii`` and ``theorems`` write their
+facet-form LPs from; both come from the one ``_hull`` call that found
+its vertices.  An affine copy maps its original's, and builds its
+``Fraction`` vertices only when they are read.  One hull, ``_hull``,
 serves every dimension: Andrew's monotone chain in the plane,
 beneath-beyond elsewhere, with face normals from cross products in space
 and from the Bareiss determinants of ``ratcore.int_det`` beyond.  A flat
-set is hulled inside its affine hull, projected onto the coordinates that
-map it one-to-one.  Nothing here solves an LP.
+set is hulled inside its affine hull, projected onto the coordinates
+that map it one-to-one.  Nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -324,14 +324,6 @@ def _differences(images) -> list:
     """The int differences of ``images[1:]`` to ``images[0]``."""
     base = images[0]
     return [[a - b for a, b in zip(p, base)] for p in images[1:]]
-
-
-def spans_space(points) -> bool:
-    """True when the affine hull of ``points`` is the whole space: the
-    differences of their integer images to the first are n independent
-    vectors under ``_independent``."""
-    _, images = integer_image(points)
-    return len(_independent(_differences(images), len(images[0]))[0]) == len(images[0])
 
 
 def contains_point(body, point) -> bool:

@@ -29,13 +29,13 @@ from .bodies import (
     contains_point,
     difference_body,
     enumerate_vertices,
+    integer_facets,
     intersect,
     is_centrally_symmetric,
     minkowski_sum,
     negate,
     scale,
     simplex_hrep,
-    spans_space,
 )
 from .ratcore import ONE, ZERO, Rational, rat, rat_str
 
@@ -214,16 +214,16 @@ def random_vpolytope(
     *,
     rng: SplitMix64 | None = None,
 ) -> VPolytope:
-    """Deterministic full-dimensional random body: ``vertex_count`` draws
-    with denominators up to 3, redrawn until the affine hull is all of
-    R^dim, then kept as the body of the drawn points."""
+    """Deterministic full-dimensional random body: the body of
+    ``vertex_count`` draws with denominators up to 3, redrawn until it has
+    facets, that is until the affine hull is all of R^dim."""
     if dim < 2 or vertex_count < dim + 1:
         raise ValueError("need dim >= 2 and at least dim+1 points")
     rng = rng if rng is not None else SplitMix64(seed)
     for _attempt in range(500):
-        pts = [rng.point(dim, coordinate_bound) for _ in range(vertex_count)]
-        if spans_space(pts):
-            return VPolytope(dim, tuple(pts))
+        body = VPolytope(dim, tuple(rng.point(dim, coordinate_bound) for _ in range(vertex_count)))
+        if integer_facets(body) is not None:
+            return body
     raise ExhaustedRedrawsError("could not draw a full-dimensional body")
 
 
@@ -266,7 +266,7 @@ def random_pair_suite(trials: int, seed: int, dims=(2, 3), max_vertices: int = 5
 def random_simplex(dim: int, coordinate_bound: int, rng: SplitMix64) -> VPolytope:
     """A nondegenerate random simplex (dim+1 affinely independent points)."""
     for _attempt in range(500):
-        pts = [rng.point(dim, coordinate_bound) for _ in range(dim + 1)]
-        if spans_space(pts):
-            return VPolytope(dim, tuple(pts))
+        body = VPolytope(dim, tuple(rng.point(dim, coordinate_bound) for _ in range(dim + 1)))
+        if integer_facets(body) is not None:
+            return body
     raise ExhaustedRedrawsError("could not draw a nondegenerate simplex")

@@ -413,6 +413,28 @@ def _diameter_by_pairs(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     return RadiiResult(best, attaining=pair)
 
 
+def largest_vertex_norm(body: VPolytope, gauge: VPolytope) -> Rational | None:
+    """The largest (C - C)/2 norm of a vertex of the body, that is the
+    largest ``sym_gauge_norm(v, gauge)`` over its vertices v.
+
+    Against a full-dimensional gauge in two or three dimensions it is read,
+    as in ``diameter``, off the body's integer image: the ratios
+    |a.x| / w over its image points x and the directions (a, w) of
+    ``_norm_directions`` are compared on ints, and one ``Rational`` is
+    formed at the end.  Flat gauges and dimensions >= 4 take the
+    ``sym_gauge_norm`` of every vertex, and give None when some vertex
+    leaves the span of C - C."""
+    check_same_dim(body, gauge)
+    directions = _norm_directions(gauge)
+    if directions is None:
+        norms = [sym_gauge_norm(v, gauge) for v in body.vertices]
+        return None if None in norms else max(norms)
+    dc, dirs = directions
+    den, images = body.image
+    num, w = _largest_ratio((abs(sum(map(mul, a, x))), w) for x in images for a, w in dirs)
+    return Rational(2 * dc * num, den * w)
+
+
 def breadth(body: VPolytope, gauge: VPolytope, direction) -> Rational:
     """s-breadth: 2 h(K - K, s) / h(C - C, s), via ``width``, since
     h(K - K, s) = h(K, s) + h(K, -s)."""

@@ -67,6 +67,7 @@ from .radii import (
     inradius,
     is_constant_width,
     is_minkowski_center,
+    largest_vertex_norm,
     sym_gauge_norm,
 )
 from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_square, vec, vneg, vsub, vzero
@@ -287,7 +288,7 @@ def _extended_jung_chain(K: VPolytope, C: VPolytope) -> ChainReport:
     K0 = translate(K, tuple(-x for x in asym.center))
     _chain_diameter("extended-jung", K, C)
     sC = asymmetry(C).s
-    f1 = max(sym_gauge_norm(v, K) for v in K0.vertices) * (sK + 1) / (2 * sK)
+    f1 = largest_vertex_norm(K0, K) * (sK + 1) / (2 * sK)
     f3 = translative_factor(difference_body(C), C) / (sC + 1)
     return _inclusion_report(
         "extended-jung",

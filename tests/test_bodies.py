@@ -59,7 +59,6 @@ from gaugeradii.bodies import (
     same_vertex_set,
     scale,
     simplex_hrep,
-    spans_space,
     support,
     translate,
     vertex_centroid,
@@ -651,9 +650,10 @@ def test_affine_copies_match_fresh_bodies_hypothesis(case):
         assert_copy_is_fresh(copy, mapped)
 
 
-def test_spans_space_matches_rank():
-    """Full dimension on integer images equals the rational rank test, on
-    sets of 1 to 6 points in 1 to 4 dimensions, many of them flat."""
+def test_full_dimension_from_constructor_matches_rank():
+    """A body has facets exactly when the rational rank test calls its
+    points full-dimensional, on sets of 1 to 6 points in 1 to 4
+    dimensions, many of them flat."""
     rng = SplitMix64(3141)
     seen = Counter()
     for trial in range(2000):
@@ -662,7 +662,7 @@ def test_spans_space_matches_rank():
         if trial % 5 == 0 and len(pts) > 2:  # push the last point into the span of the others
             pts[-1] = tuple(a + rng.rational(2) * (b - a) for a, b in zip(pts[0], pts[1]))
         full = rank([vsub(p, pts[0]) for p in pts[1:]]) == n if len(pts) > 1 else False
-        assert spans_space(pts) == full
+        assert (integer_facets(VPolytope(n, pts)) is not None) == full
         seen[full] += 1
     assert min(seen.values()) >= 300, seen
 

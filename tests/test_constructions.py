@@ -162,17 +162,19 @@ def seeded_draws():
 
 
 def test_full_dimension_decisions_match_rank_route(monkeypatch):
-    """Every accept or redraw decision on integer images is the one the
-    rational rank test makes, so the drawn bodies are the same."""
+    """Every accept or redraw decision, made on whether the drawn body has
+    facets, is the one the rational rank test makes on its points, so the
+    drawn bodies are the same."""
     draws = seeded_draws()
     redraws = []
 
-    def by_rank(pts):
-        full = rank([vsub(p, pts[0]) for p in pts[1:]]) == len(pts[0])
+    def by_rank(body):
+        pts = body.vertices
+        full = rank([vsub(p, pts[0]) for p in pts[1:]]) == body.dim
         redraws.append(not full)
-        return full
+        return full or None  # the generators only ask whether this is None
 
-    monkeypatch.setattr(constructions, "spans_space", by_rank)
+    monkeypatch.setattr(constructions, "integer_facets", by_rank)
     assert seeded_draws() == draws
     assert sum(redraws) >= 50
 

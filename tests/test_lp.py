@@ -2,13 +2,16 @@
 verification sweep (every optimal outcome rechecked, every infeasibility
 certified by a Farkas ray)."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from gaugeradii import kernel, lp
-from gaugeradii.constructions import SplitMix64
+from gaugeradii import kernel, lp, radii, theorems
+from gaugeradii.bodies import negate
+from gaugeradii.constructions import SplitMix64, random_pair_suite, simplex_sandwich_pair
 from gaugeradii.ratcore import Rational, rat
 
 
@@ -303,3 +306,84 @@ def test_int_rows_over_any_denominator_match_fraction_oracle():
         assert path == expected_path
         seen[out.status] += 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# programs the library solves
+
+
+def witness_programs():
+    """The vertex-form circumradius LPs R(K, C) of the first 20 three-dimensional
+    pairs of the acceptance stream: the witness LP that
+    ``circumradius(...).attaining`` solves.  Most of their tableaus grow past
+    ``kernel.REDUCE_AT``."""
+    pairs = random_pair_suite(40, 20240817)
+    return [radii.circumradius_program(K, C)[0] for K, C in pairs if K.dim == 3]
+
+
+def concentricity_programs():
+    """Every LP the three concentricity predicates solve on sandwich-family
+    pairs (n = 2, 3, both variants, S and -S), the Farkas LPs among them."""
+    programs = []
+    solve = lp.solve
+
+    def recording(program):
+        programs.append(program)
+        return solve(program)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "solve", recording)
+        for n in (2, 3):
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, 3, 1, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    radii.clear_caches()
+                    theorems.is_minkowski_concentric(S, pair.gauge)
+                    theorems.is_mirrored_concentric(S, pair.gauge)
+                    theorems.are_mutually_concentric(S, pair.gauge)
+    radii.clear_caches()
+    return programs
+
+
+def test_library_programs_match_fraction_oracle():
+    """Outcome and pivot sequence equal the rational engine's on the
+    programs whose rows the kernel reduces past its bound."""
+    programs = witness_programs() + concentricity_programs()
+    # a Farkas LP has 2n + 1 rows and no free column
+    farkas = sum(p.num_rows in (5, 7) and not any(p.free) for p in programs)
+    assert len(programs) == 60 and farkas == 24
+    for program in programs:
+        assert assert_same_as_oracle(program) == lp.OPTIMAL
+
+
+def test_pivots_on_library_programs_keep_touched_rows_bounded(monkeypatch):
+    """After every pivot of those solves: the pivot row is in lowest terms,
+    a touched row the elimination left below ``kernel.REDUCE_AT`` keeps
+    the unreduced denominator ``dens[i] * v``, and one that reached the
+    bound is in lowest terms.  Most of the witness LPs reach it."""
+    programs = witness_programs()
+    counts = {"fired": 0, "lazy": 0}
+    pivot = kernel.pivot
+
+    def checked(rows, pr, pc):
+        touched = [(i, rows.dens[i], row[pc]) for i, row in enumerate(rows) if i != pr and row[pc]]
+        pivot(rows, pr, pc)
+        p = rows.dens[pr]
+        assert gcd(p, *rows[pr]) == 1
+        for i, d, f in touched:
+            unreduced = d * (p // gcd(f, p))
+            if unreduced >= kernel.REDUCE_AT:
+                counts["fired"] += 1
+                assert gcd(rows.dens[i], *rows[i]) == 1
+            else:
+                counts["lazy"] += 1
+                assert rows.dens[i] == unreduced
+
+    monkeypatch.setattr(kernel, "pivot", checked)
+    reaching = 0
+    for program in programs:
+        fired = counts["fired"]
+        lp.solve(program)
+        reaching += counts["fired"] > fired
+    assert len(programs) == 20 and reaching >= 10
+    assert counts["lazy"] > 10 * counts["fired"]

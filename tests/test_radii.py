@@ -44,7 +44,6 @@ from gaugeradii.bodies import (
     same_vertex_set,
     scale,
     simplex_hrep,
-    spans_space,
     support,
     translate,
     vertex_centroid,
@@ -76,7 +75,7 @@ from gaugeradii.radii import (
     jung_ratio,
     sym_gauge_norm,
 )
-from gaugeradii.ratcore import rat, vadd, vec, vsub
+from gaugeradii.ratcore import rat, vadd, vec, vneg, vsub
 from gaugeradii.theorems import gauge_value
 
 
@@ -340,6 +339,34 @@ def test_int_diameter_calls_no_norm_and_solves_no_lp(monkeypatch, solve_counter,
         assert solve_counter.count == 0 and calls == []
     res = diameter(square, V([(0, 0), (2, 1)]))
     assert res is None and len(calls) == 1
+
+
+def test_largest_vertex_norm_matches_norm_loop(monkeypatch, triangle, square):
+    """The largest vertex norm read off the integer image equals the largest
+    ``sym_gauge_norm`` of a vertex, with no norm call against a full
+    planar or spatial gauge: the acceptance stream's bodies re-centered at
+    their vertex centroids against themselves (the extended Jung chain's
+    use), and its bodies against C and -C.  Flat gauges keep the loop, and
+    a vertex off their span gives None."""
+    cases = []
+    for body, gauge in random_pair_suite(40, 20240817):
+        centered = translate(body, vneg(vertex_centroid(body)))
+        cases += [(centered, body), (body, gauge), (body, negate(gauge))]
+    expected = [max(sym_gauge_norm(v, gauge) for v in body.vertices) for body, gauge in cases]
+    calls = []
+    norm = radii.sym_gauge_norm
+
+    def counting(z, gauge):
+        calls.append(z)
+        return norm(z, gauge)
+
+    monkeypatch.setattr(radii, "sym_gauge_norm", counting)
+    assert [radii.largest_vertex_norm(body, gauge) for body, gauge in cases] == expected
+    assert calls == []
+    segment = V([(0, 0), (2, 1)])  # (C - C)/2 is the segment from -(1, 1/2) to (1, 1/2)
+    on_line = V([(0, 0), (rat("1/3"), rat("1/6")), (-4, -2)])
+    assert radii.largest_vertex_norm(on_line, segment) == 4 and len(calls) == 2
+    assert radii.largest_vertex_norm(triangle, segment) is None
 
 
 def test_diameter_identities():
@@ -818,7 +845,7 @@ def simplex_cases(draw):
     n = draw(st.integers(1, 4))
     q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     points = draw(st.lists(st.tuples(*[q] * n), min_size=n + 1, max_size=n + 1))
-    assume(spans_space(points))
+    assume(integer_facets(V(points)) is not None)
     factor = draw(st.fractions(min_value=Fraction(1, 5), max_value=4, max_denominator=5))
     shift = draw(st.tuples(*[q] * n))
     return V(points), V(draw(small_bodies(n))), factor, shift
