@@ -21,13 +21,14 @@ witnesses (a translation and the contacts of an optimal containment) come
 from the vertex-form LP instead, one hull-membership block per vertex of
 K, solved only when a caller first reads them; its dual is what
 ``certificates.extract`` reads.  A flat gauge has no facets and takes the
-vertex form for its value too.  The (C - C)/2 norm behind the diameter
-needs no LP of its own: against a full-dimensional gauge in two or three
-dimensions it is a closed form over directions read off the gauge's facets
-and edges, and otherwise 2 R([0, z], C), a closed form again against a
-simplex.  Against such a gauge the diameter takes that closed form on the
-body's own integer image, pair by pair, with no rational difference
-vector.  Every value can be re-certified independently.
+vertex form for its value too.  Every (C - C)/2 norm, that of one vector
+(``sym_gauge_norm``), of the vertex differences (``diameter``) or of the
+vertices (``largest_vertex_norm``) of a body, or of a simplex's edges
+(``theorems.is_equilateral``), comes from one routine,
+``_largest_norm``, on int vectors: against a full-dimensional gauge in two
+or three dimensions a closed form over directions read off the gauge's
+facets and edges, and otherwise 2 R([0, z], C), a closed form again
+against a simplex.  Every value can be re-certified independently.
 
 Results are memoized on the bodies, which are immutable and built as their
 vertex sets, so equal bodies are one key; a verification suite touches the
@@ -59,7 +60,7 @@ from .bodies import (
     vertex_centroid,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vsub, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -287,51 +288,59 @@ def inradius(body: VPolytope, gauge: VPolytope) -> RadiiResult:
 
 def sym_gauge_norm(z, gauge: VPolytope) -> Rational | None:
     """Norm of z in the symmetrized gauge (C - C)/2: the least rho with
-    z in (rho/2)(C - C).  None when z leaves the span of C - C.
+    z in (rho/2)(C - C).  None when z leaves the span of C - C.  It is
+    ``_largest_norm`` of z's integer image."""
+    zv = vec(z)
+    if len(zv) != gauge.dim:
+        raise DimensionMismatchError("vector length does not match gauge dimension")
+    found = _largest_norm(*integer_image([zv]), gauge)
+    return None if found is None else found[1]
 
-    For a full-dimensional gauge in two or three dimensions this is, with no
-    LP, the largest of
+
+def _largest_norm(den: int, vectors, gauge: VPolytope) -> tuple | None:
+    """``(k, value)``: the largest (C - C)/2 norm of the int vectors over
+    ``den`` and the index k of the first vector to attain it (None when
+    every vector is 0); None as soon as a vector leaves the span of C - C.
+
+    For a full-dimensional gauge in two or three dimensions the norm of z
+    is, with no LP, the largest of
 
         2 |a.z| / (h(C, a) + h(C, -a))
 
     over the directions a of ``_norm_directions``.  Each such ratio is at
     most the norm, and the largest is attained at the facet normals of
-    C - C = C + (-C), which are among them.  The fractions are compared on
-    integer images (``_largest_ratio``).  The closed form is cheap and its
-    arguments rarely repeat, so it is not memoized.  ``diameter`` takes
-    the same closed form on the body's own integer image and does not call
-    this function there.
+    C - C = C + (-C), which are among them.  The ratios of every (vector,
+    direction) pair are compared on ints in one loop, which keeps the first
+    strict maximum, and one ``Rational`` is formed at the end.  The closed
+    form is cheap and its arguments rarely repeat, so it is not memoized.
 
-    Flat gauges and dimensions >= 4 take 2 R([0, z], C): the segment [0, z]
-    lies in t + lambda C exactly when z is in lambda (C - C), so the norm is
-    twice the circumradius of the segment, and None when that is None.
-    Against a full-dimensional gauge that is the (n + 1)-row facet-form
-    value LP of ``circumradius``, memoized there."""
-    zv = vec(z)
-    if len(zv) != gauge.dim:
-        raise DimensionMismatchError("vector length does not match gauge dimension")
-    if is_zero_vec(zv):
-        return ZERO
+    Flat gauges and dimensions >= 4 take 2 R([0, z], C) for each nonzero z:
+    the segment [0, z] lies in t + lambda C exactly when z is in
+    lambda (C - C), so the norm is twice the circumradius of the segment,
+    and z leaves the span when that is None.  Against a full-dimensional
+    gauge that is the (n + 1)-row facet-form value LP of ``circumradius``,
+    a closed form again against a simplex, memoized there."""
     directions = _norm_directions(gauge)
     if directions is None:
-        res = circumradius(VPolytope(gauge.dim, (vzero(gauge.dim), zv)), gauge)
-        return None if res is None else 2 * res.value
+        origin, best, k = vzero(gauge.dim), ZERO, None
+        for i, z in enumerate(vectors):
+            if any(z):
+                segment = VPolytope(gauge.dim, (origin, tuple(Rational(x, den) for x in z)))
+                res = circumradius(segment, gauge)
+                if res is None:
+                    return None
+                if res.value > best:
+                    best, k = res.value, i
+        return k, 2 * best
     dc, dirs = directions
-    dz, (zi,) = integer_image([zv])
-    # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.zi| / (dz w), w the integer width
-    num, w = _largest_ratio((abs(sum(map(mul, a, zi))), w) for a, w in dirs)
-    return Rational(2 * dc * num, dz * w)
-
-
-def _largest_ratio(pairs) -> tuple:
-    """The pair ``(num, w)`` with the largest num / w, the first of the
-    largest, compared on ints; ``(0, 1)`` when every num is 0.  Each w is
-    positive."""
-    best_num, best_w = 0, 1
-    for num, w in pairs:
-        if num * best_w > best_num * w:
-            best_num, best_w = num, w
-    return best_num, best_w
+    best_num, best_w, k = 0, 1, None
+    for i, z in enumerate(vectors):
+        for a, w in dirs:
+            num = abs(sum(map(mul, a, z)))
+            if num * best_w > best_num * w:
+                best_num, best_w, k = num, w, i
+    # 2|a.z| / (h(C, a) + h(C, -a)) = 2 dc |a.z| / (den w), w the integer width
+    return k, Rational(2 * dc * best_num, den * best_w)
 
 
 @lru_cache(maxsize=None)
@@ -370,69 +379,28 @@ def _line(a) -> tuple:
 @lru_cache(maxsize=None)
 def diameter(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     """D(body, gauge): the largest pairwise vertex distance in the
-    (C - C)/2 norm, with the attaining pair.  None if some difference leaves
-    the span of the gauge.
-
-    Against a full-dimensional gauge in two or three dimensions each pair's
-    norm is the closed form of ``sym_gauge_norm`` taken on the body's
-    integer image: the ratios |a.(x_j - x_i)| / w over the directions
-    (a, w) of ``_norm_directions`` are compared on ints, and one
-    ``Rational`` is formed at the end, with no LP and no
-    ``sym_gauge_norm`` call.  Flat gauges and dimensions >= 4 take every
-    pair's ``sym_gauge_norm``, which is where the LP norm is used.  Either
-    way the attaining pair is the first pair i < j, in vertex order,
-    whose norm is D; a one-point body has none."""
+    (C - C)/2 norm, with the attaining pair, the first pair i < j, in
+    vertex order, whose norm is D; a one-point body has none.  None if
+    some difference leaves the span of the gauge.  It is ``_largest_norm``
+    of the pairwise differences of the body's integer image."""
     check_same_dim(body, gauge)
-    directions = _norm_directions(gauge)
-    if directions is None:
-        return _diameter_by_pairs(body, gauge)
-    dc, dirs = directions
     den, images = body.image
-    best_num, best_w, pair = 0, 1, None
-    for i, j in combinations(range(len(images)), 2):
-        z = [x - y for x, y in zip(images[j], images[i])]
-        num, w = _largest_ratio((abs(sum(map(mul, a, z))), w) for a, w in dirs)
-        if num * best_w > best_num * w:
-            best_num, best_w, pair = num, w, (body.vertices[i], body.vertices[j])
-    # the norm of v_j - v_i is 2 dc num / (den w) for the image over den
-    return RadiiResult(Rational(2 * dc * best_num, den * best_w), attaining=pair)
-
-
-def _diameter_by_pairs(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
-    verts = body.vertices  # sorted: the first attaining pair is the
-    best = ZERO            # lexicographically smallest one
-    pair = None
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            norm = sym_gauge_norm(tuple(a - b for a, b in zip(verts[j], verts[i])), gauge)
-            if norm is None:
-                return None
-            if norm > best:
-                best = norm
-                pair = (verts[i], verts[j])
-    return RadiiResult(best, attaining=pair)
+    found = _largest_norm(den, (vsub(y, x) for x, y in combinations(images, 2)), gauge)
+    if found is None:
+        return None
+    k, value = found
+    pair = None if k is None else list(combinations(body.vertices, 2))[k]
+    return RadiiResult(value, attaining=pair)
 
 
 def largest_vertex_norm(body: VPolytope, gauge: VPolytope) -> Rational | None:
     """The largest (C - C)/2 norm of a vertex of the body, that is the
-    largest ``sym_gauge_norm(v, gauge)`` over its vertices v.
-
-    Against a full-dimensional gauge in two or three dimensions it is read,
-    as in ``diameter``, off the body's integer image: the ratios
-    |a.x| / w over its image points x and the directions (a, w) of
-    ``_norm_directions`` are compared on ints, and one ``Rational`` is
-    formed at the end.  Flat gauges and dimensions >= 4 take the
-    ``sym_gauge_norm`` of every vertex, and give None when some vertex
-    leaves the span of C - C."""
+    largest ``sym_gauge_norm(v, gauge)`` over its vertices v, None when
+    some vertex leaves the span of C - C: ``_largest_norm`` of the body's
+    integer image."""
     check_same_dim(body, gauge)
-    directions = _norm_directions(gauge)
-    if directions is None:
-        norms = [sym_gauge_norm(v, gauge) for v in body.vertices]
-        return None if None in norms else max(norms)
-    dc, dirs = directions
-    den, images = body.image
-    num, w = _largest_ratio((abs(sum(map(mul, a, x))), w) for x in images for a, w in dirs)
-    return Rational(2 * dc * num, den * w)
+    found = _largest_norm(*body.image, gauge)
+    return None if found is None else found[1]
 
 
 def breadth(body: VPolytope, gauge: VPolytope, direction) -> Rational:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import lp
 from .bodies import (
@@ -41,7 +42,6 @@ from .bodies import (
     check_same_dim,
     contains_point,
     difference_body,
-    facets,
     integer_facets,
     integer_support,
     integer_width,
@@ -61,6 +61,7 @@ from .radii import (
     InfiniteRadiusError,
     SinglePointBodyError,
     ZeroDirectionError,
+    _largest_norm,
     asymmetry,
     circumradius,
     diameter,
@@ -68,7 +69,6 @@ from .radii import (
     is_constant_width,
     is_minkowski_center,
     largest_vertex_norm,
-    sym_gauge_norm,
 )
 from .ratcore import ONE, ZERO, Rational, is_zero_vec, rat, rat_str, solve_square, vec, vneg, vsub, vzero
 
@@ -612,13 +612,14 @@ def simplex_complete(simplex: VPolytope, gauge: VPolytope):
 
 def is_equilateral(simplex: VPolytope, gauge: VPolytope) -> bool:
     """All edges of the simplex have the same symmetrized-gauge length
-    (equivalently: every edge is diametral)."""
+    (equivalently: every edge is diametral); False when an edge leaves the
+    span of C - C.  Each edge's norm is ``radii._largest_norm`` of its
+    difference on the simplex's integer image."""
     simplex_facets(simplex)  # validates the simplex
-    norms = set()
-    verts = simplex.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            norms.add(sym_gauge_norm(vsub(verts[j], verts[i]), gauge))
+    check_same_dim(simplex, gauge)
+    den, images = simplex.image
+    # (0, norm) per edge, or None when the edge leaves the span
+    norms = {_largest_norm(den, (vsub(y, x),), gauge) for x, y in combinations(images, 2)}
     return len(norms) == 1 and None not in norms
 
 
@@ -768,7 +769,7 @@ def triangle_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Condit
     # so rho is the width ratio along any facet normal a of S (C is full
     # dimensional here, since R(S, C) is finite).  The decomposition is
     # taken at unit scale, on C / rho.
-    a = facets(S)[0].normal
+    a = integer_facets(S)[0][0]
     decomposition = triangle_gauge_decomposition(S, scale(gauge, width(S, a) / width(gauge, a)))
     cond_vii = decomposition is not None and decomposition[0] <= rat("1/2")
 

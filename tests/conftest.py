@@ -16,10 +16,11 @@ Those oracles take raw point lists, and the generators of hull cases yield
 point lists, since a body is built as its hull: an oracle reading a body's
 vertices would compare the hull with itself.
 The (C - C)/2 norm is checked against its norm LP, which also checks the
-norm taken as twice a segment's circumradius.  The diameter, taken on
-integer images, is checked against the per-pair ``sym_gauge_norm`` loop it
-replaced, and the cone LP checks the gauge function written as one
-hull-membership block or read off the facets.  The Minkowski center read off the asymmetry's facet-form dual is
+norm taken as twice a segment's circumradius.  The diameter and the other
+largest norms, which the library takes from one routine, are checked
+against the norm LP of every vertex difference or vertex, and the cone LP
+checks the gauge function written as one hull-membership block or read off
+the facets.  The Minkowski center read off the asymmetry's facet-form dual is
 checked against the vertex-form witness of R(-K, K), and where the two
 differ, the center polytope is shown to be more than a point by LPs over
 each coordinate.  Full dimension is checked against an exact rank by
@@ -56,7 +57,6 @@ from gaugeradii.radii import (
     asymmetry,
     circumradius,
     inradius,
-    sym_gauge_norm,
 )
 from gaugeradii.ratcore import (
     ONE,
@@ -437,8 +437,12 @@ def sym_gauge_norm_by_lp(z, points):
     LP: minimize sum nu + sum nu' subject to z = sum nu_j c_j - sum nu'_j c_j
     over the points c_j and sum nu = sum nu'; None when infeasible (z
     outside the span of C - C)."""
-    zv = vec(z)
-    verts = canonicalize_by_lp(points)
+    return _norm_lp(vec(z), canonicalize_by_lp(points))
+
+
+def _norm_lp(zv, verts):
+    """The optimum of the norm LP of ``sym_gauge_norm_by_lp`` over the points
+    ``verts``, which need not be extreme; None when infeasible."""
     builder = lp.ProgramBuilder()
     plus = builder.add_vars(len(verts), objective=ONE)
     minus = builder.add_vars(len(verts), objective=ONE)
@@ -457,18 +461,37 @@ def sym_gauge_norm_by_lp(z, points):
 
 
 def diameter_by_pairs(body, gauge):
-    """``(D, pair)`` from the (C - C)/2 norm of every vertex difference, the
-    pair the first one, in vertex order, to attain D (None for a
-    one-point body); None when some difference leaves the span of C - C."""
+    """``(D, pair)`` from the norm LP of every vertex difference over the
+    gauge's vertices, the pair the first one, in vertex order, to attain D
+    (None for a one-point body); None when some difference leaves the span
+    of C - C.  It takes no norm from the library."""
     verts = body.vertices
     best, pair = ZERO, None
     for i, j in itertools.combinations(range(len(verts)), 2):
-        norm = sym_gauge_norm(vsub(verts[j], verts[i]), gauge)
+        norm = _norm_lp(vsub(verts[j], verts[i]), gauge.vertices)
         if norm is None:
             return None
         if norm > best:
             best, pair = norm, (verts[i], verts[j])
     return best, pair
+
+
+def largest_vertex_norm_by_lp(body, gauge):
+    """The largest norm LP value of a vertex of the body over the gauge's
+    vertices; None when some vertex leaves the span of C - C."""
+    norms = [_norm_lp(v, gauge.vertices) for v in body.vertices]
+    return None if None in norms else max(norms)
+
+
+def is_equilateral_by_lp(simplex, gauge):
+    """Whether every edge of the simplex has the same norm LP value over the
+    gauge's vertices, none of them None."""
+    verts = simplex.vertices
+    norms = {
+        _norm_lp(vsub(verts[j], verts[i]), gauge.vertices)
+        for i, j in itertools.combinations(range(len(verts)), 2)
+    }
+    return len(norms) == 1 and None not in norms
 
 
 def gauge_value_by_cone(z, body):

@@ -244,14 +244,14 @@ def test_cross_oracle_identities(random_pairs):
 
 def test_int_diameter_matches_pair_oracle(random_pairs):
     """D taken on integer images has the value and the attaining pair of the
-    per-pair norm loop on every suite pair, both ways round, against the
+    per-pair norm LP on every suite pair, both ways round, against the
     gauge and against its difference body."""
     for body, gauge in random_pairs:
         for K, C in ((body, gauge), (gauge, body)):
             for G in (C, difference_body(C)):
                 res = diameter(K, G)
                 assert (res.value, res.attaining) == diameter_by_pairs(K, G)
-    print("PASS: integer-image diameter equals the pair loop on 800 cases")
+    print("PASS: integer-image diameter equals the pair norm LPs on 800 cases")
 
 
 def test_global_constants_replaced_by_instance_bounds(random_pairs):

@@ -24,6 +24,7 @@ from conftest import (
     family_pairs,
     in_translated_dilate,
     inradius_by_lp,
+    largest_vertex_norm_by_lp,
     lattice_bodies,
     minkowski_center_by_vertices,
     minkowski_center_is_unique,
@@ -287,14 +288,15 @@ def pairs_outcome(body, gauge):
 
 
 def test_int_diameter_matches_pair_oracle_on_families(triangle, square):
-    """The diameter on integer images has the value and the attaining pair
-    of the per-pair norm loop: the paper's families both ways round (S and -S against
-    the sandwich gauges, the mixed-triangle gauges and the spiked pair),
-    one-point and flat bodies against full gauges, and flat gauges, which
-    keep the loop."""
+    """The diameter has the value and the attaining pair of the per-pair
+    norm LP: the paper's families both ways round (S and -S against the
+    sandwich gauges, the mixed-triangle gauges and the spiked pair), the
+    4-D sandwich pairs and seeded 4-D simplices and gauges both ways round,
+    one-point and flat bodies against full gauges, and flat gauges."""
     segment = V([(0, 0), (2, 1)])
     point = V([(rat("1/2"), rat("1/3"))])
     cases = [(S, C) for pair in family_pairs() for S, C in (pair, pair[::-1])]
+    cases += [(S, C) for pair in four_dim_pairs() for S, C in (pair, pair[::-1])]
     cases += [(point, triangle), (segment, triangle), (segment, square),
               (square, segment), (segment, segment), (point, segment)]
     seen = set()
@@ -304,6 +306,19 @@ def test_int_diameter_matches_pair_oracle_on_families(triangle, square):
         assert got == pairs_outcome(body, gauge), (body, gauge)
         seen.add(got if got is None else got[1] is None)
     assert seen == {None, True, False}
+
+
+def four_dim_pairs():
+    """(simplex, gauge) pairs in four dimensions, where the norm is
+    2 R([0, z], C): S and -S against both 4-D sandwich gauges, and seeded
+    simplices against seeded gauges."""
+    for variant in ("min", "max"):
+        pair = simplex_sandwich_pair(4, "1", "1/2", variant)
+        for S in (pair.simplex, negate(pair.simplex)):
+            yield S, pair.gauge
+    rng = SplitMix64(4096)
+    for _ in range(3):
+        yield random_simplex(4, 3, rng), random_vpolytope(4, 7, 3, 0, rng=rng)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -317,18 +332,11 @@ def test_int_diameter_matches_pair_oracle_hypothesis(pair):
     assert diameter_outcome(body, gauge) == pairs_outcome(body, gauge)
 
 
-def test_int_diameter_calls_no_norm_and_solves_no_lp(monkeypatch, solve_counter, triangle, square):
+def test_int_diameter_calls_no_norm_and_solves_no_lp(solve_counter, triangle, square):
     """Against a full-dimensional planar or spatial gauge neither D nor its
-    attaining pair takes a ``sym_gauge_norm`` or an LP; a flat gauge keeps
-    the per-pair norms, which shows the count sees them."""
-    calls = []
-    norm = radii.sym_gauge_norm
-
-    def counting(z, gauge):
-        calls.append(z)
-        return norm(z, gauge)
-
-    monkeypatch.setattr(radii, "sym_gauge_norm", counting)
+    attaining pair solves an LP.  Against a flat gauge each nonzero vertex
+    difference takes one, 2 R([0, z], C), until one leaves the span, which
+    shows the count sees them."""
     pair = simplex_sandwich_pair(3, "3", "1", "max")
     segment = V([(0, 0, 0), (1, 2, 3)])
     for body, gauge in ((square, triangle), (triangle, square), (pair.simplex, pair.gauge),
@@ -336,37 +344,46 @@ def test_int_diameter_calls_no_norm_and_solves_no_lp(monkeypatch, solve_counter,
         solve_counter.reset()
         res = diameter(body, gauge)
         assert res.value > 0 and res.attaining is not None
-        assert solve_counter.count == 0 and calls == []
-    res = diameter(square, V([(0, 0), (2, 1)]))
-    assert res is None and len(calls) == 1
+        assert solve_counter.count == 0
+    flat = V([(0, 0, 1), (2, 0, 1), (0, 1, 1), (2, 1, 1)])
+    planar = V([(0, 0), (2, 1)])
+    for body, gauge, value, solves in (
+        (V([(0, 0, 5), (1, 0, 5), (0, 1, 5)]), flat, 2, 3),
+        (V([(-4, -2), (rat("1/3"), rat("1/6"))]), planar, rat("13/3"), 1),
+        (square, planar, None, 1),
+    ):
+        solve_counter.reset()
+        res = diameter(body, gauge)
+        assert (res if res is None else res.value) == value
+        assert solve_counter.count == solves
 
 
-def test_largest_vertex_norm_matches_norm_loop(monkeypatch, triangle, square):
-    """The largest vertex norm read off the integer image equals the largest
-    ``sym_gauge_norm`` of a vertex, with no norm call against a full
-    planar or spatial gauge: the acceptance stream's bodies re-centered at
-    their vertex centroids against themselves (the extended Jung chain's
-    use), and its bodies against C and -C.  Flat gauges keep the loop, and
-    a vertex off their span gives None."""
+def test_largest_vertex_norm_matches_norm_loop(solve_counter, triangle, square):
+    """The largest vertex norm equals the largest norm LP value of a vertex,
+    with no LP against a full planar or spatial gauge: the acceptance
+    stream's bodies re-centered at their vertex centroids against
+    themselves (the extended Jung chain's use), and its bodies against C
+    and -C.  In four dimensions, the 4-D pairs both ways round, and against
+    a segment gauge, each nonzero vertex takes one LP, and a vertex off its
+    span gives None."""
     cases = []
     for body, gauge in random_pair_suite(40, 20240817):
         centered = translate(body, vneg(vertex_centroid(body)))
         cases += [(centered, body), (body, gauge), (body, negate(gauge))]
-    expected = [max(sym_gauge_norm(v, gauge) for v in body.vertices) for body, gauge in cases]
-    calls = []
-    norm = radii.sym_gauge_norm
-
-    def counting(z, gauge):
-        calls.append(z)
-        return norm(z, gauge)
-
-    monkeypatch.setattr(radii, "sym_gauge_norm", counting)
+    expected = [largest_vertex_norm_by_lp(body, gauge) for body, gauge in cases]
+    solve_counter.reset()
     assert [radii.largest_vertex_norm(body, gauge) for body, gauge in cases] == expected
-    assert calls == []
+    assert solve_counter.count == 0
+    for S, C in four_dim_pairs():
+        for body, gauge in ((S, C), (C, S)):
+            clear_caches()
+            assert radii.largest_vertex_norm(body, gauge) == largest_vertex_norm_by_lp(body, gauge)
     segment = V([(0, 0), (2, 1)])  # (C - C)/2 is the segment from -(1, 1/2) to (1, 1/2)
     on_line = V([(0, 0), (rat("1/3"), rat("1/6")), (-4, -2)])
-    assert radii.largest_vertex_norm(on_line, segment) == 4 and len(calls) == 2
-    assert radii.largest_vertex_norm(triangle, segment) is None
+    for body, value, solves in ((on_line, 4, 2), (segment, 2, 1), (triangle, None, 1)):
+        solve_counter.reset()
+        assert radii.largest_vertex_norm(body, segment) == value
+        assert solve_counter.count == solves
 
 
 def test_diameter_identities():

@@ -14,6 +14,7 @@ from conftest import (
     concentric_by_facet_rows,
     family_pairs,
     gauge_value_by_cone,
+    is_equilateral_by_lp,
     minkowski_center_is_unique,
 )
 from gaugeradii import lp, theorems
@@ -643,6 +644,37 @@ def test_is_equilateral(triangle, square):
     assert is_equilateral(triangle, triangle)
     stretched = V([(2, 0), (0, 1), (-2, -1)])
     assert not is_equilateral(stretched, square)
+
+
+def test_is_equilateral_matches_edge_norm_oracle(solve_counter, triangle):
+    """``is_equilateral`` agrees with the norm LP of every edge: the sandwich
+    pairs for n = 2, 3, 4, both variants, S and -S; the mixed-triangle
+    pairs; seeded 2-D, 3-D and 4-D simplices against seeded gauges and
+    against themselves; and a segment gauge, which no edge of a triangle
+    lies along.  Against a full planar or spatial gauge it solves no LP."""
+    cases = []
+    for n in (2, 3, 4):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "1", "1/2", variant)
+            cases += [(S, pair.gauge) for S in (pair.simplex, negate(pair.simplex))]
+    for lam in ("0", "1/3", "1/2", "1"):
+        pair = triangle_mix_gauge(lam)
+        cases += [(S, pair.gauge) for S in (pair.simplex, negate(pair.simplex))]
+    rng = SplitMix64(8128)
+    for dim in (2, 2, 2, 3, 3, 3, 4):
+        S = random_simplex(dim, 3, rng)
+        cases += [(S, random_vpolytope(dim, dim + 3, 3, 0, rng=rng)), (S, S)]
+    cases.append((triangle, V([(0, 0), (2, 1)])))
+    seen = Counter()
+    for simplex, gauge in cases:
+        expected = is_equilateral_by_lp(simplex, gauge)
+        solve_counter.reset()
+        assert is_equilateral(simplex, gauge) == expected, (simplex, gauge)
+        if gauge.dim < 4 and facets(gauge) is not None:
+            assert solve_counter.count == 0
+        seen[expected, gauge.dim] += 1
+    assert {got for got, _ in seen} == {True, False}
+    assert seen[True, 4] and seen[False, 4], seen
 
 
 @pytest.mark.parametrize("decide", [simplex_complete, simplex_equality_conditions, is_equilateral])
