@@ -60,7 +60,7 @@ from .bodies import (
     vertex_centroid,
     width,
 )
-from .ratcore import ONE, ZERO, Rational, is_zero_vec, vcross, vec, vscale, vsub, vzero
+from .ratcore import ONE, ZERO, Rational, is_zero_vec, solve_square, vcross, vec, vscale, vsub, vzero
 
 
 class DegenerateGaugeError(ValueError):
@@ -88,15 +88,18 @@ class RadiiResult:
     vertex pair for the diameter, None otherwise.  Given ``witness``, a
     function returning ``(translation, attaining)``, both are computed on
     their first read and kept: a caller who reads only ``value`` never pays
-    for the LP that finds them.
+    for the LP that finds them.  A facet-form circumradius also keeps the
+    optimal translation its own LP found, ``_t``, for
+    ``_optimal_translation``; it need not be ``translation``.
     """
 
-    __slots__ = ("value", "_witness", "_data")
+    __slots__ = ("value", "_witness", "_data", "_t")
 
-    def __init__(self, value: Rational, translation=None, attaining=None, *, witness=None):
+    def __init__(self, value: Rational, translation=None, attaining=None, *, witness=None, t=None):
         self.value = value
         self._witness = witness
         self._data = (translation, attaining)
+        self._t = t
 
     def _read(self) -> tuple:
         if self._witness is not None:
@@ -159,26 +162,28 @@ def circumradius(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
     with t free and lambda >= 0, and it is solved as its dual
     (``_facet_circumradius``): one column per facet and n + 1 rows, whatever
     the body.  Such a gauge covers every body, so the result is never None.
-    A simplex gauge, with n + 1 facets, leaves that dual one feasible point,
-    so its value is the closed form of ``_simplex_circumradius``, with no
-    LP.  The translation and the contacts are read off the vertex-form LP
-    (``circumradius_program``), solved on their first read only; its optimum
-    is the same value, and its dual gives ``attaining``.  A flat gauge has
-    no facets and takes the vertex form for everything."""
+    That LP's dual vector holds an optimal t of the facet form, which the
+    result keeps for ``_optimal_translation``.  A simplex gauge, with n + 1
+    facets, leaves that dual one feasible point, so its value is the closed
+    form of ``_simplex_circumradius``, with no LP, and its optimal t is a
+    closed form too.  The translation and the contacts are read off the
+    vertex-form LP (``circumradius_program``), solved on their first read
+    only; its optimum is the same value, and its dual gives ``attaining``.
+    A flat gauge has no facets and takes the vertex form for everything."""
     check_same_dim(body, gauge)
     planes = integer_facets(gauge)
     if planes is None:
         return _circumradius_by_vertices(body, gauge)
     if len(planes) == body.dim + 1:
-        value = _simplex_circumradius(body, gauge)
+        value, t = _simplex_circumradius(body, gauge), None
     else:
-        value = _facet_circumradius(body, gauge)[0]
+        value, t = _facet_circumradius(body, gauge)
 
     def witness():
         res = _circumradius_by_vertices(body, gauge)
         return res.translation, res.attaining
 
-    return RadiiResult(value, witness=witness)
+    return RadiiResult(value, witness=witness, t=t)
 
 
 def _simplex_circumradius(body: VPolytope, simplex: VPolytope) -> Rational:
@@ -202,10 +207,10 @@ def _simplex_circumradius(body: VPolytope, simplex: VPolytope) -> Rational:
 
 
 def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
-    """``(R, u, den)``: the facet-form optimum, read off its LP dual, with
-    that LP's dual vector u and the denominator den of the body's integer
-    image.  The LP has one column y_g >= 0 per facet g.x <= b of the
-    full-dimensional gauge and n + 1 rows,
+    """``(R, t)``: the facet-form optimum R with an optimal translation t,
+    body in t + R gauge, both read off one LP.  The LP has one column
+    y_g >= 0 per facet g.x <= b of the full-dimensional gauge and n + 1
+    rows,
 
         R = max sum_g y_g h(body, g)  subject to  sum_g y_g g = 0,  sum_g y_g b = 1.
 
@@ -215,11 +220,12 @@ def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
     ``integer_facets`` give the primitive normals and the offsets over the
     gauge's image denominator, which the last row is written over, and the
     support values are taken on the body's integer image, so the objective
-    is den times the one above.  The dual vector u is optimal for
-    this LP's own dual, which is the facet form: every column's reduced cost
-    -den h(body, g) - u[:n].g - u[n] b is nonnegative, and -u[n] = den R,
-    so t = -u[:n] / den has g.t + R b >= h(body, g) on every facet.  Only
-    the asymmetry reads t, so forming it is left to that caller."""
+    is den times the one above, den the denominator of the body's image.
+    The dual vector u is optimal for this LP's own dual, which is the facet
+    form: every column's reduced cost -den h(body, g) - u[:n].g - u[n] b is
+    nonnegative, and -u[n] = den R, so t = -u[:n] / den has
+    g.t + R b >= h(body, g) on every facet.  ``circumradius`` keeps t and
+    ``asymmetry`` reads its Minkowski center off it."""
     den, images = body.image
     planes = integer_facets(gauge)
     rows = [
@@ -237,7 +243,29 @@ def _facet_circumradius(body: VPolytope, gauge: VPolytope) -> tuple:
     out = lp.solve(program)
     if out.status != lp.OPTIMAL:  # a full-dimensional gauge covers every body
         raise RuntimeError("facet-form circumradius LP must have an optimum")
-    return -out.value / den, out.dual, den
+    return -out.value / den, tuple(-x / den for x in out.dual[: body.dim])
+
+
+def _optimal_translation(body: VPolytope, gauge: VPolytope) -> tuple:
+    """A translation t with body in t + R gauge for R = R(body, gauge),
+    against a full-dimensional gauge, with no LP of its own.  Against a
+    simplex S, y_f = 1 / w(S, a_f) > 0 is the one dual point of
+    ``_simplex_circumradius``, so by complementary slackness every facet
+    a_f.x <= b_f of t + R S supports the body: a_f.t = h(body, a_f) - R b_f.
+    Any n of the normals are independent, and t solves the first n of these
+    equations by Cramer's rule on ints.  Against any other gauge t is the
+    one ``circumradius`` read off its facet-form dual."""
+    res = circumradius(body, gauge)
+    if res._t is not None:
+        return res._t
+    n = body.dim
+    planes = integer_facets(gauge)[:n]
+    den, images = body.image
+    dg = gauge.image[0]
+    p, q = res.value.numerator, res.value.denominator
+    # times den q dg, for the images over den and the offsets b over dg
+    rhs = [q * dg * integer_support(images, a) - p * den * b for a, b, _ in planes]
+    return vscale(Rational(1, den * q * dg), solve_square([a for a, _, _ in planes], rhs))
 
 
 def _circumradius_by_vertices(body: VPolytope, gauge: VPolytope) -> RadiiResult | None:
@@ -460,9 +488,8 @@ def asymmetry(body: VPolytope) -> AsymmetryResult:
         return AsymmetryResult(res.value, vscale(-ONE / (ONE + res.value), res.translation))
     if len(planes) == body.dim + 1:  # a simplex: s = n, the centroid its only center
         return AsymmetryResult(Rational(body.dim), vertex_centroid(body))
-    s, u, den = _facet_circumradius(negate(body), body)
-    # c = -t/(1 + s) for the translation t = -u[:n]/den
-    return AsymmetryResult(s, tuple(x / (den * (ONE + s)) for x in u[: body.dim]))
+    s, t = _facet_circumradius(negate(body), body)
+    return AsymmetryResult(s, vscale(-ONE / (ONE + s), t))
 
 
 def is_minkowski_center(body: VPolytope, point) -> bool:

@@ -11,14 +11,17 @@ Design rules observed throughout:
 * Difference bodies are built only where a statement is about one: the radii
   of K against C - C, and R(C - C, C).  Elsewhere they are written through
   the radii, e.g. K - K = D(K, C)/2 (C - C) as D(K, C) D(C, K) = 4.
-* Predicates of the form "there exists a Minkowski center c ..." are decided
-  by one LP over the full center polytope.  Minkowski centers are not
-  unique, so testing only the returned center would be wrong.  Each
-  inclusion is one row per facet of its container, with the support value
-  of the contained set on the right, and the system of rows is decided by
-  its Farkas LP, which has 2n + 1 rows whatever the number of facets.  When
-  the body or the gauge is flat, every inclusion is written vertex by
-  vertex instead, and then the system itself is solved.
+* Predicates of the form "there exists a Minkowski center c ..." range over
+  the full center polytope.  Minkowski centers are not unique, so a "no"
+  from the returned center alone would be wrong.  Each inclusion is one
+  row per facet of its container, with the support value of the contained
+  set on the right.  The system of rows is first checked on ints at one
+  candidate point built from the centers and the optimal translation the
+  radii already found; a point that satisfies every row proves "yes".
+  Otherwise the system is decided by its Farkas LP, which has 2n + 1 rows
+  whatever the number of facets.  When the body or the gauge is flat,
+  every inclusion is written vertex by vertex instead, and then the system
+  itself is solved.
 * Every containment written vertex by vertex, "x in t + mu conv(P)" with
   convex weight columns over the points P, comes from one method,
   ``lp.ProgramBuilder.add_hull_membership``: the gauge function, the flat
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from . import lp
 from .bodies import (
@@ -43,6 +47,7 @@ from .bodies import (
     contains_point,
     difference_body,
     integer_facets,
+    integer_image,
     integer_support,
     integer_width,
     is_centrally_symmetric,
@@ -62,6 +67,7 @@ from .radii import (
     SinglePointBodyError,
     ZeroDirectionError,
     _largest_norm,
+    _optimal_translation,
     asymmetry,
     circumradius,
     diameter,
@@ -476,19 +482,14 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
 
     Each inclusion reads alpha c + beta t + P in factor * Q for a set P, a
     container Q and scalars.  When K and C are full-dimensional, it is one
-    row alpha g.c + beta g.t <= bound per facet g of Q (``_facet_rows``),
-    and the system is decided on the small side of Farkas' lemma: it has
-    no solution exactly when some y >= 0 with A^T y = 0 has b.y < 0.  So
-    one LP with 2n + 1 rows and one column per row of the system,
-
-        minimize b.y  subject to  A^T y = 0,  sum y = 1,  y >= 0,
-
-    decides it: feasible iff its optimum is >= 0 (exactly 0 on concentric
-    equality pairs).  It always has one, since the Minkowski-center rows
-    carry the facet normals of C, which balance with positive weights, on
-    c alone.  Its int rows come straight from ``_facet_rows``, each row of
-    A^T over the lcm of the alphas' (or betas') denominators.  When K or C
-    is flat, the system itself is solved as a feasibility LP over (c, t),
+    row alpha g.c + beta g.t <= bound per facet g of Q (``_facet_rows``).
+    The system is first tried at one candidate point, with no LP
+    (``_holds_at``): c the Minkowski center ``asymmetry`` gives for C, and t
+    the one it gives for K with ``mutual``, else t = tau + R c for an
+    optimal translation tau of R(K, C) (``radii._optimal_translation``),
+    which makes the outer inclusion hold.  Only when a row fails there is
+    the system decided by its Farkas LP (``_farkas_feasible``).  When K or
+    C is flat, the system itself is solved as a feasibility LP over (c, t),
     with one hull-membership block per point of P, ``alpha c + beta t + p
     = factor * (convex combination of the vertices of Q)``.
     """
@@ -499,7 +500,8 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
     R = circ.value
     sigma, sigma_C = (-ONE, negate(gauge)) if mirrored else (ONE, gauge)
     r = inradius(body, sigma_C).value
-    sC = asymmetry(gauge).s
+    center_C = asymmetry(gauge)
+    sC = center_C.s
     # (alpha, beta, P, Q, factor) per inclusion
     inclusions = [(ONE + sC, ZERO, negate(gauge), gauge, sC)]
     if mutual:
@@ -516,17 +518,51 @@ def _concentric_feasible(body: VPolytope, gauge: VPolytope, mirrored: bool, mutu
             for p in points.vertices:
                 builder.add_hull_membership(container.vertices, lhs, vneg(p), scale=-factor)
         return lp.solve(builder.build()).status == lp.OPTIMAL
-    system = []  # one (alpha, beta, g, bound, den) per row of the system
-    for alpha, beta, points, container, factor in inclusions:
-        den, rows = _facet_rows(points, container, factor)
-        system += [(alpha, beta, g, bound, den) for g, bound in rows]
-    cden = math.lcm(*(row[4] for row in system))
-    costs = tuple(bound * (cden // den) for _, _, _, bound, den in system)
-    normals = [row[2] for row in system]
+    # one (alpha, beta, den, [(g, bound)]) per inclusion
+    system = [(alpha, beta, *_facet_rows(P, Q, factor)) for alpha, beta, P, Q, factor in inclusions]
+    c = center_C.center
+    if mutual:
+        t = asymmetry(body).center
+    else:
+        t = tuple(x + R * y for x, y in zip(_optimal_translation(body, gauge), c))
+    return _holds_at(system, c, t) or _farkas_feasible(n, system)
+
+
+def _holds_at(system, c, t) -> bool:
+    """Does (c, t) satisfy every row alpha g.c + beta g.t <= bound / den of
+    the system?  Each inclusion's rows are compared on ints, times den, the
+    denominators of alpha and beta, and the common denominator of c and t."""
+    d, (ci, ti) = integer_image([c, t])
+    for alpha, beta, den, rows in system:
+        qa, qb = alpha.denominator, beta.denominator
+        a, b, m = alpha.numerator * qb * den, beta.numerator * qa * den, qa * qb * d
+        for g, bound in rows:
+            if a * sum(map(mul, g, ci)) + b * sum(map(mul, g, ti)) > m * bound:
+                return False
+    return True
+
+
+def _farkas_feasible(n: int, system) -> bool:
+    """Decide the system of ``_concentric_feasible`` on the small side of
+    Farkas' lemma: it has no solution exactly when some y >= 0 with
+    A^T y = 0 has b.y < 0.  So one LP with 2n + 1 rows and one column per
+    row of the system,
+
+        minimize b.y  subject to  A^T y = 0,  sum y = 1,  y >= 0,
+
+    decides it: feasible iff its optimum is >= 0 (exactly 0 on concentric
+    equality pairs).  It always has one, since the Minkowski-center rows
+    carry the facet normals of C, which balance with positive weights, on
+    c alone.  Its int rows come straight from ``_facet_rows``, each row of
+    A^T over the lcm of the alphas' (or betas') denominators."""
+    rows = [(a, b, g, bound, den) for a, b, den, block in system for g, bound in block]
+    cden = math.lcm(*(row[4] for row in rows))
+    costs = tuple(bound * (cden // den) for _, _, _, bound, den in rows)
+    normals = [row[2] for row in rows]
     lp_rows = []
     for side in (0, 1):  # the alphas on the c coordinates, then the betas on t
-        den = math.lcm(*(row[side].denominator for row in system))
-        ints = [row[side].numerator * (den // row[side].denominator) for row in system]
+        den = math.lcm(*(row[side].denominator for row in rows))
+        ints = [row[side].numerator * (den // row[side].denominator) for row in rows]
         for k in range(n):
             entries = {y: f * g[k] for y, (f, g) in enumerate(zip(ints, normals)) if f and g[k]}
             lp_rows.append(lp.Row(entries, 0, den))
@@ -639,6 +675,15 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     - (S-c)/n lies in -(S-c) as s(S) = n, so S-S contains (1+1/n)(S-c);
     - S-S is spanned by vertex differences of S, whose largest (C-C)/2-norm is D;
     - -(C-c') lies in s(C)(C-c'), so C-C lies in (s(C)+1)(C-c')."""
+    return _simplex_equality_conditions(simplex, gauge, None)
+
+
+def _simplex_equality_conditions(
+    simplex: VPolytope, gauge: VPolytope, complete: bool | None
+) -> ConditionVector:
+    """``simplex_equality_conditions`` given ``complete``, the answer of
+    ``simplex_complete(simplex, gauge)``, or with it decided here when that
+    is None."""
     simplex_facets(simplex)  # validates the simplex
     n = rat(simplex.dim)
     R = translative_factor(simplex, gauge)
@@ -663,7 +708,9 @@ def simplex_equality_conditions(simplex: VPolytope, gauge: VPolytope) -> Conditi
     # mirrored form closes the equivalence cycle.)
     cond_concentricity = r_mirror + R == (sC + 1) * D / 2
     cond_jung = 2 * (n + 1) * R == n * (sC + 1) * D
-    cond_complete = simplex_complete(simplex, gauge)[0] and R == n * sC * r
+    if complete is None:
+        complete = simplex_complete(simplex, gauge)[0]
+    cond_complete = complete and R == n * sC * r
 
     return ConditionVector(
         entries=(
@@ -804,6 +851,13 @@ class SimplexRatioReport:
 
 
 def complete_simplex_ratio_laws(simplex: VPolytope, gauge: VPolytope) -> SimplexRatioReport:
+    """The ratio laws of a complete simplex S, checked on S and on -S.
+
+    Completeness is decided once, by ``simplex_complete``, and the answer
+    stands for -S too: -S - (-S) = S - S, and the symmetric (C - C)/2 norm
+    gives -S the same diameter and the reflected, equivalent center
+    condition.  So the extremal-simplex conditions of both bodies take it
+    as given rather than solving the completeness LP again."""
     if not simplex_complete(simplex, gauge)[0]:
         return SimplexRatioReport(applicable=False, bounds_hold=None, cross_law_holds=None)
     n = rat(simplex.dim)
@@ -818,7 +872,7 @@ def complete_simplex_ratio_laws(simplex: VPolytope, gauge: VPolytope) -> Simplex
             "in_bounds": n <= ratio * sC and ratio <= n * sC,
             "right_eq": ratio == n * sC,
             "left_eq": ratio * sC == n,
-            "extremal": simplex_equality_conditions(body, gauge).all_true,
+            "extremal": _simplex_equality_conditions(body, gauge, True).all_true,
         }
     bounds = reports["plus"]["in_bounds"] and reports["minus"]["in_bounds"]
     cross = (

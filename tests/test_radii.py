@@ -794,6 +794,40 @@ def test_values_solve_no_witness_lp(triangle, square, solve_counter):
     assert solve_counter.count == 0
 
 
+def test_optimal_translation_attains_the_circumradius(solve_counter):
+    """``_optimal_translation`` gives a t with every vertex of K in
+    t + R(K, C) C, so t attains the least factor: on 40 acceptance pairs
+    both ways round and against -C, and on simplex gauges (the sandwich
+    pairs' S and -S against their gauges both ways round, and seeded
+    simplices in two to four dimensions against seeded bodies and their
+    reflections).  It solves no LP once R(K, C) is known."""
+    cases = []
+    for body, gauge in random_pair_suite(40, 20240817):
+        cases += [(body, gauge), (gauge, body), (body, negate(gauge))]
+    for n in (2, 3):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "3", "1", variant)
+            for S in (pair.simplex, negate(pair.simplex)):
+                cases += [(S, pair.gauge), (pair.gauge, S)]
+    rng = SplitMix64(31)
+    for trial in range(30):
+        n = 2 + trial % 3
+        S, K = random_simplex(n, 4, rng), random_vpolytope(n, n + 3, 4, 0, rng=rng)
+        cases += [(K, S), (negate(K), S), (S, negate(S))]
+    simplices = 0
+    for body, gauge in cases:
+        R = circumradius(body, gauge).value
+        solve_counter.reset()
+        circumradius(body, gauge)
+        warm = solve_counter.count
+        t = radii._optimal_translation(body, gauge)
+        assert solve_counter.count == warm
+        container = translate(scale(gauge, R), t)
+        assert all(contains_point(container, v) for v in body.vertices), (body, gauge)
+        simplices += len(integer_facets(gauge)) == gauge.dim + 1
+    assert simplices >= 100
+
+
 # ---------------------------------------------------------------------------
 # closed forms against a simplex, with the facet-form LP as their oracle
 
@@ -808,10 +842,10 @@ def check_simplex_closed_forms(simplex, bodies, gauges):
     assert len(integer_facets(S)) == n + 1
     for K in map(canonicalize, bodies):
         assert circumradius(K, S).value == _facet_circumradius(K, S)[0], (K, S)
-    s, u, den = _facet_circumradius(negate(S), S)
+    s, t = _facet_circumradius(negate(S), S)
     res = asymmetry(S)
     assert res.s == s == n
-    assert res.center == tuple(x / (den * (1 + s)) for x in u[:n]) == vertex_centroid(S)
+    assert res.center == tuple(-x / (1 + s) for x in t) == vertex_centroid(S)
     for C in gauges:
         assert inradius(S, C).value == 1 / _facet_circumradius(canonicalize(C), S)[0]
 

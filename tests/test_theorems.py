@@ -23,6 +23,7 @@ from gaugeradii.bodies import (
     VPolytope,
     canonicalize,
     check_same_dim,
+    contains_point,
     difference_body,
     facets,
     negate,
@@ -469,11 +470,20 @@ def test_dual_concentricity_matches_facet_rows_hypothesis(pair):
     assert_concentricity_matches(concentric_by_facet_rows, gauge, body)
 
 
-def test_concentricity_lp_has_2n_plus_one_rows(solve_counter):
-    """With K and C full-dimensional, the predicate's own LP, solved after
-    the radius values (n + 1 rows each), has 2n + 1 rows and one column per
-    facet row of the system: two blocks of facets of C (center polytope,
-    outer inclusion), one of K (inner), one more of K with ``mutual``."""
+@pytest.fixture
+def farkas_only(monkeypatch):
+    """Every concentricity decision of the facet path goes to its Farkas LP:
+    the candidate point, which would settle the concentric pairs with no
+    LP, is never tried."""
+    monkeypatch.setattr(theorems, "_holds_at", lambda system, c, t: False)
+
+
+def test_concentricity_lp_has_2n_plus_one_rows(solve_counter, farkas_only):
+    """With K and C full-dimensional, the predicate's Farkas LP, solved
+    after the radius values (n + 1 rows each), has 2n + 1 rows and one
+    column per facet row of the system: two blocks of facets of C (center
+    polytope, outer inclusion), one of K (inner), one more of K with
+    ``mutual``."""
     for n in (2, 3):
         pair = simplex_sandwich_pair(n, "1", "1/2")
         K, C = canonicalize(pair.simplex), canonicalize(pair.gauge)
@@ -492,7 +502,7 @@ SANDWICH_GRID = (
 )
 
 
-def test_concentricity_farkas_lp_always_has_an_optimum(monkeypatch):
+def test_concentricity_farkas_lp_always_has_an_optimum(monkeypatch, farkas_only):
     """The Farkas LP of the facet path is never infeasible, so its optimum
     alone decides: on 60 acceptance pairs in three orientations and on the
     sandwich grid (n = 2, 3, both variants, S and -S, both orders), every
@@ -500,7 +510,7 @@ def test_concentricity_farkas_lp_always_has_an_optimum(monkeypatch):
     Minkowski-center rows of C carry (1 + s(C)) g on the c coordinates and
     nothing on t, and the facet normals g of a full-dimensional C balance
     with positive weights, so A^T y = 0, sum y = 1, y >= 0 has a solution.
-    The predicate's own LP is its last solve, after the radii."""
+    The Farkas LP is the predicate's last solve, after the radii."""
     outcomes = []
     solve = lp.solve
 
@@ -527,6 +537,148 @@ def test_concentricity_farkas_lp_always_has_an_optimum(monkeypatch):
             assert answer == (out.value >= 0)
             answers[answer] += 1
     assert min(answers.values()) >= 100, answers
+
+
+def concentricity_with_candidate(body, gauge, mirrored, mutual):
+    """``(answer, candidate)``: the predicate's answer, and for the facet
+    path the system, the candidate point and its verdict as
+    ``theorems._holds_at`` saw them (None on the flat path)."""
+    seen = []
+    holds_at = theorems._holds_at
+
+    def spy(system, c, t):
+        seen.append((system, c, t, holds_at(system, c, t)))
+        return seen[-1][-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(theorems, "_holds_at", spy)
+        answer = theorems._concentric_feasible(body, gauge, mirrored, mutual)
+    return answer, (seen[0] if seen else None)
+
+
+def concentric_at(body, gauge, mirrored, mutual, c, t) -> bool:
+    """Checks that (c, t) witnesses concentricity without the facet rows of
+    the system: c (and with ``mutual`` t) passes ``is_minkowski_center``,
+    t + sigma r (w - c) lies in K for every vertex w of C, and
+    v - t + R c lies in R C for every vertex v of K."""
+    R = circumradius(body, gauge).value
+    sigma = -ONE if mirrored else ONE
+    r = inradius(body, negate(gauge) if mirrored else gauge).value
+    RC = scale(gauge, R)
+    return (
+        is_minkowski_center(gauge, c)
+        and (not mutual or is_minkowski_center(body, t))
+        and all(
+            contains_point(body, tuple(x + sigma * r * (y - z) for x, y, z in zip(t, w, c)))
+            for w in gauge.vertices
+        )
+        and all(
+            contains_point(RC, tuple(x - y + R * z for x, y, z in zip(v, t, c)))
+            for v in body.vertices
+        )
+    )
+
+
+def assert_candidate_matches_farkas(body, gauge) -> Counter:
+    """In all four modes: the answer equals the Farkas LP's on the same
+    system, and a candidate that holds is a witness the independent check
+    accepts.  Counts the answers by how they were reached."""
+    n = body.dim
+    tally = Counter()
+    for mirrored, mutual in CONCENTRICITY_MODES:
+        try:
+            answer, found = concentricity_with_candidate(body, gauge, mirrored, mutual)
+        except ValueError:  # the oracle tests compare the raised errors
+            tally["raises"] += 1
+            continue
+        if found is None:
+            tally["flat"] += 1
+            continue
+        system, c, t, holds = found
+        assert answer == theorems._farkas_feasible(n, system), (body, gauge, mirrored, mutual)
+        if holds:
+            assert concentric_at(body, gauge, mirrored, mutual, c, t), (body, gauge, mirrored)
+        tally["candidate" if holds else f"lp {answer}"] += 1
+    return tally
+
+
+def test_candidate_matches_farkas_lp_on_acceptance_pairs():
+    """All 200 acceptance pairs in the five orientations of the facet-row
+    oracle test.  The candidate settles most concentric answers, and the
+    LP finds every other answer."""
+    tally = Counter()
+    for body, gauge in random_pair_suite(200, 20240817):
+        for a, b in (
+            (body, gauge),
+            (gauge, body),
+            (body, difference_body(gauge)),
+            (body, negate(gauge)),
+            (body, negate(body)),
+        ):
+            tally += assert_candidate_matches_farkas(a, b)
+    assert tally["candidate"] >= 790 and tally["lp False"] >= 3000, tally
+
+
+def test_candidate_matches_farkas_lp_on_families():
+    """The sandwich grid (n = 2, 3, both variants, S and -S, both orders),
+    the moved mixed-triangle grid and the spiked pair, both orders."""
+    tally = Counter()
+    for n in (2, 3):
+        for lam, mu in SANDWICH_GRID:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    tally += assert_candidate_matches_farkas(S, pair.gauge)
+                    tally += assert_candidate_matches_farkas(pair.gauge, S)
+    for simplex, gauge in family_pairs():
+        tally += assert_candidate_matches_farkas(simplex, gauge)
+        tally += assert_candidate_matches_farkas(gauge, simplex)
+    assert tally["candidate"] >= 800 and tally["lp False"] and not tally["lp True"], tally
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(body_gauge_pairs())
+def test_candidate_matches_farkas_lp_hypothesis(pair):
+    body, gauge = pair
+    assert_candidate_matches_farkas(body, gauge)
+    assert_candidate_matches_farkas(gauge, body)
+
+
+def concentricity_solves(solve_counter, decide, body, gauge) -> int:
+    """The LPs ``decide`` solves once the radii it reads are known."""
+    solve_counter.reset()
+    circumradius(body, gauge)
+    inradius(body, gauge)
+    inradius(body, negate(gauge))
+    asymmetry(body)
+    asymmetry(gauge)
+    warm = solve_counter.count
+    decide(body, gauge)
+    return solve_counter.count - warm
+
+
+def test_sandwich_decisions_solve_no_concentricity_lp(solve_counter):
+    """The decisions the complete-simplices benchmark asks about sandwich
+    pairs (n = 2, 3, both variants, S and -S) are settled by the candidate:
+    once the radii are known, they solve no LP.  A pair that is not
+    concentric solves exactly one, its Farkas LP."""
+    for n in (2, 3):
+        for lam, mu in SANDWICH_GRID[:4]:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                for S in (pair.simplex, negate(pair.simplex)):
+                    for decide, K, C in (
+                        (are_mutually_concentric, S, pair.gauge),
+                        (is_mirrored_concentric, S, pair.gauge),
+                        (is_mirrored_concentric, pair.gauge, S),
+                        (is_minkowski_concentric, S, pair.gauge),
+                    ):
+                        assert decide(K, C)
+                        assert concentricity_solves(solve_counter, decide, K, C) == 0
+    body, gauge = random_pair_suite(1, 20240817)[0]
+    for decide in CONCENTRICITY_MODES.values():
+        assert not decide(body, gauge)
+        assert concentricity_solves(solve_counter, decide, body, gauge) == 1
 
 
 def test_flat_container_solves_the_primal(square, solve_counter):
@@ -876,6 +1028,54 @@ def test_condition_vectors_solve_count(solve_counter):
     assert triangle_equality_conditions(simplex, gauge).all_true
     assert solve_counter.count == 3
     assert difference_body.cache_info().misses == 0
+
+
+def test_simplex_completeness_is_invariant_under_reflection():
+    """simplex_complete(-S, C) answers as simplex_complete(S, C), which
+    ``complete_simplex_ratio_laws`` relies on: the sandwich grid (n = 2, 3,
+    both variants), 300 draws as ``explore`` makes them in the plane and
+    300 in space, and the mixed triangles."""
+    cases = []
+    for n in (2, 3):
+        for lam, mu in SANDWICH_GRID:
+            for variant in ("min", "max"):
+                pair = simplex_sandwich_pair(n, lam, mu, variant)
+                cases.append((pair.simplex, pair.gauge))
+    for dim in (2, 3):
+        rng = SplitMix64(dim)
+        for _ in range(300):
+            simplex = random_simplex(dim, 4, rng)
+            cases.append((simplex, random_vpolytope(dim, dim + 2, 4, 0, rng=rng)))
+    for lam in ("0", "1/4", "1/3", "1/2", "2/3", "1"):
+        pair = triangle_mix_gauge(lam)
+        cases.append((pair.simplex, pair.gauge))
+    seen = Counter()
+    for S, gauge in cases:
+        complete = simplex_complete(S, gauge)[0]
+        assert simplex_complete(negate(S), gauge)[0] == complete, (S, gauge)
+        seen[complete] += 1
+    assert seen[True] >= 40 and seen[False] >= 500, seen
+
+
+def test_ratio_laws_solve_one_completeness_lp(monkeypatch, solve_counter):
+    """``complete_simplex_ratio_laws`` decides completeness once, for S and
+    -S alike: with cold caches a sandwich pair takes 4 solves, the
+    completeness LP (n + 1 rows, 2n + 1 columns) and the facet-form values
+    of R(S, C), s(C) and R(-S, C); every other radius is a closed form."""
+    calls = []
+    decide = theorems.simplex_complete
+    monkeypatch.setattr(theorems, "simplex_complete", lambda S, C: calls.append(S) or decide(S, C))
+    for n in (2, 3):
+        for variant in ("min", "max"):
+            pair = simplex_sandwich_pair(n, "3", "1", variant)
+            for S in (pair.simplex, negate(pair.simplex)):
+                calls.clear()
+                solve_counter.reset()
+                report = complete_simplex_ratio_laws(S, pair.gauge)
+                assert report.applicable and report.bounds_hold and report.cross_law_holds
+                assert calls == [S]
+                assert solve_counter.count == 4
+                assert solve_counter.shapes.count((n + 1, 2 * n + 1)) == 1
 
 
 def test_sandwich_equivalence_cases(triangle):
